@@ -228,9 +228,13 @@ def train_main_effects(matrix: SupervisedMatrix, split: DataSplit,
     Returns the interaction-free model and the residual vector over all
     rows of ``matrix`` (input to the interaction stage).
     """
+    return _train_main_effects(matrix, split, bins, config, apply_bins(bins, matrix.X))
+
+
+def _train_main_effects(matrix, split, bins, config, Xb):
+    """:func:`train_main_effects` on the already binned ``Xb``."""
     if split.n_rows != matrix.n_rows:
         raise ValueError("split does not match matrix row count")
-    Xb = apply_bins(bins, matrix.X)
     y = matrix.y
     tr, va = split.train_slice, split.val_slice
     n = matrix.n_features
@@ -329,6 +333,18 @@ def _group_mean_fit(index: np.ndarray, values: np.ndarray, size: int) -> float:
     return float(np.sum(sums[nz] ** 2 / cnt[nz]))
 
 
+def _rank_with_maps(coarse, residuals, sizes) -> list[tuple[int, int, float]]:
+    n = coarse.shape[1]
+    marginal = [_group_mean_fit(coarse[:, f], residuals, sizes[f]) for f in range(n)]
+    scored = []
+    for i, j in itertools.combinations(range(n), 2):
+        cell = coarse[:, i] * sizes[j] + coarse[:, j]
+        pair_fit = _group_mean_fit(cell, residuals, sizes[i] * sizes[j])
+        scored.append((i, j, pair_fit - marginal[i] - marginal[j]))
+    scored.sort(key=lambda t: (-t[2], t[0], t[1]))
+    return scored
+
+
 def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
                            pair_bins: int = 32, n_bins=None,
                            ) -> list[tuple[int, int, float]]:
@@ -352,15 +368,7 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     cmaps = _coarse_maps_from(Xb, list(n_bins), pair_bins)
     coarse = np.column_stack([cmaps[f][Xb[:, f]] for f in range(n)])
     sizes = [int(cmaps[f].max()) + 1 for f in range(n)]
-
-    marginal = [_group_mean_fit(coarse[:, f], r, sizes[f]) for f in range(n)]
-    scored = []
-    for i, j in itertools.combinations(range(n), 2):
-        cell = coarse[:, i] * sizes[j] + coarse[:, j]
-        pair_fit = _group_mean_fit(cell, r, sizes[i] * sizes[j])
-        scored.append((i, j, pair_fit - marginal[i] - marginal[j]))
-    scored.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return scored
+    return _rank_with_maps(coarse, r, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +480,11 @@ def _resolve_budget(budget, n: int) -> int:
 
 
 def _train_single(matrix, split, bins, config, coarse_maps=None) -> GlassBoxModel:
-    model, residuals = train_main_effects(matrix, split, bins, config)
+    Xb = apply_bins(bins, matrix.X)
+    model, residuals = _train_main_effects(matrix, split, bins, config, Xb)
     k = _resolve_budget(config.interaction_budget, matrix.n_features)
     if k == 0 or matrix.n_features < 2:
         return model
-    Xb = apply_bins(bins, matrix.X)
     n_bins = [bins.n_bins(f) for f in range(matrix.n_features)]
     cmaps = coarse_maps
     if cmaps is None:
@@ -488,18 +496,6 @@ def _train_single(matrix, split, bins, config, coarse_maps=None) -> GlassBoxMode
     selected = [(i, j) for i, j, _ in ranked[:k]]
     return train_interactions(model, matrix, split, residuals, selected,
                               config, coarse_maps=cmaps)
-
-
-def _rank_with_maps(coarse, residuals, sizes) -> list[tuple[int, int, float]]:
-    n = coarse.shape[1]
-    marginal = [_group_mean_fit(coarse[:, f], residuals, sizes[f]) for f in range(n)]
-    scored = []
-    for i, j in itertools.combinations(range(n), 2):
-        cell = coarse[:, i] * sizes[j] + coarse[:, j]
-        pair_fit = _group_mean_fit(cell, residuals, sizes[i] * sizes[j])
-        scored.append((i, j, pair_fit - marginal[i] - marginal[j]))
-    scored.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return scored
 
 
 def train(matrix: SupervisedMatrix, split: DataSplit,

@@ -15,6 +15,14 @@ Split criteria:
 
 Tie-breaking is deterministic: among equal-gain splits the lowest
 feature index wins, then the lowest threshold bin.
+
+The boosting engine fits its weak learners straight from residual
+histograms (:func:`restricted_tree_from_histogram`), where per-tree
+interpreter overhead, not rows, sets the cost. Pair trees therefore
+grow level-wise, scoring every node of a depth in one vectorised pass;
+single-feature trees, with at most three internal nodes at the default
+depth, grow depth-first. Both reproduce a node-at-a-time recursion bit
+for bit (the exactness rule is in that function's docstring).
 """
 
 from __future__ import annotations
@@ -279,33 +287,39 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams,
     return RegressionTree(nodes=tuple(nodes), params=params)
 
 
-def _interval_split(cnt_cum, sum_cum, lo, hi, min_leaf):
-    """Best SSE split of bin interval [lo, hi) given cumulative
-    histogram counts/sums (index k holds the total of bins < k)."""
-    c_tot = cnt_cum[hi] - cnt_cum[lo]
-    s_tot = sum_cum[hi] - sum_cum[lo]
-    if hi - lo < 2:
-        return None
-    c_left = cnt_cum[lo + 1:hi] - cnt_cum[lo]
-    s_left = sum_cum[lo + 1:hi] - sum_cum[lo]
+def _split_gains(cum, min_leaf):
+    """SSE gain of every candidate split in every row.
+
+    ``cum[0]``/``cum[1]`` hold cumulative counts/sums, one row per node
+    and axis: column k is the total of the node's first k+1 bins along
+    that axis, and the row is padded at the end with its last value.
+    Column k of the result scores the split after the node's bin k; a
+    padded column leaves the right side empty, so it is never valid.
+    Invalid candidates score ``-inf``.
+    """
+    cc, cs = cum
+    c_left, s_left = cc[:, :-1], cs[:, :-1]
+    c_tot, s_tot = cc[:, -1:], cs[:, -1:]
     c_right = c_tot - c_left
     s_right = s_tot - s_left
-    valid = (c_left >= min_leaf) & (c_right >= min_leaf)
-    if not valid.any():
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (s_left ** 2 / c_left + s_right ** 2 / c_right
-                - s_tot ** 2 / c_tot)
-    gain[~valid] = -np.inf
-    k = int(np.argmax(gain))
-    return float(gain[k]), lo + k
+    gain = (s_left ** 2 / c_left + s_right ** 2 / c_right
+            - s_tot ** 2 / c_tot)
+    gain[np.minimum(c_left, c_right) < min_leaf] = -np.inf
+    return gain
 
 
 def _grow_1d(cnt, sums, feature, params) -> tuple[TreeNode, ...]:
-    """Single-feature SSE tree grown entirely on the histogram: every
-    node is a bin interval, so its stats are cumulative-sum slices."""
-    cnt_cum = np.concatenate(([0.0], np.cumsum(cnt)))
-    sum_cum = np.concatenate(([0.0], np.cumsum(sums)))
+    """Single-feature SSE tree grown depth-first on the histogram.
+
+    Every node is a bin interval, so its cumulative counts and sums are
+    slices of the histogram's global ones minus their first value. A
+    depth-2 tree has at most three internal nodes: growing it
+    level-wise saves one scoring pass but spends more than that
+    gathering the nodes into padded rows.
+    """
+    cum = np.zeros((2, len(cnt) + 1))
+    np.cumsum(np.stack((cnt, sums)), axis=1, out=cum[:, 1:])
+    cnt_cum, sum_cum = cum
     nodes: list[TreeNode] = []
 
     def grow(lo, hi, depth):
@@ -313,64 +327,87 @@ def _grow_1d(cnt, sums, feature, params) -> tuple[TreeNode, ...]:
         s = sum_cum[hi] - sum_cum[lo]
         nid = len(nodes)
         nodes.append(TreeNode(-1, -1, -1, -1, s / c, int(c)))
-        if depth >= params.max_depth or c < params.min_samples_split:
+        if depth >= params.max_depth or c < params.min_samples_split or hi - lo < 2:
             return nid
-        found = _interval_split(cnt_cum, sum_cum, lo, hi,
-                                params.min_samples_leaf)
-        if found is None or found[0] <= MIN_GAIN:
+        gains = _split_gains(cum[:, None, lo + 1:hi + 1] - cum[:, None, lo:lo + 1],
+                             params.min_samples_leaf)[0]
+        k = int(gains.argmax())
+        if gains[k] <= MIN_GAIN:
             return nid
-        _, t = found
-        left = grow(lo, t + 1, depth + 1)
-        right = grow(t + 1, hi, depth + 1)
-        nodes[nid] = TreeNode(feature, t, left, right, nodes[nid].value, int(c))
+        left = grow(lo, lo + k + 1, depth + 1)
+        right = grow(lo + k + 1, hi, depth + 1)
+        nodes[nid] = TreeNode(feature, lo + k, left, right, nodes[nid].value, int(c))
         return nid
 
     grow(0, len(cnt), 0)
     return tuple(nodes)
 
 
-def _grow_2d(cnt2, sum2, fi, fj, params) -> tuple[TreeNode, ...]:
-    """Feature-pair SSE tree grown on the 2-D histogram: every node is
-    a bin rectangle, split along either axis."""
-    nodes: list[TreeNode] = []
+def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
+    """Feature-pair SSE tree grown level-wise on the 2-D histogram.
 
-    def grow(lo0, hi0, lo1, hi1, depth):
-        sub_c = cnt2[lo0:hi0, lo1:hi1]
-        sub_s = sum2[lo0:hi0, lo1:hi1]
-        c = sub_c.sum()
-        s = sub_s.sum()
-        nid = len(nodes)
-        nodes.append(TreeNode(-1, -1, -1, -1, s / c, int(c)))
-        if depth >= params.max_depth or c < params.min_samples_split:
-            return nid
-        best = None  # (gain, axis, threshold)
-        for axis in (0, 1):
-            mc = sub_c.sum(axis=1 - axis)
-            ms = sub_s.sum(axis=1 - axis)
-            cc = np.concatenate(([0.0], np.cumsum(mc)))
-            cs = np.concatenate(([0.0], np.cumsum(ms)))
-            found = _interval_split(cc, cs, 0, len(mc), params.min_samples_leaf)
-            if found is None:
+    Every node is a bin rectangle ``(lo0, hi0, lo1, hi1)``. At each
+    depth the open nodes' marginal counts and sums along both axes go
+    into one zero-padded array, one row per (node, axis), and every
+    candidate is scored in one pass. A node takes the first maximum
+    over its axis-0 thresholds followed by its axis-1 thresholds, so
+    the lowest axis and then the lowest threshold win ties. The nodes
+    come back in preorder, as a depth-first recursion makes them.
+    """
+    both = np.stack((cnt2, sum2))
+    level = [(0, cnt2.shape[0], 0, cnt2.shape[1], total)]
+    # One entry per node, in level order: [feature, threshold, left, right, value, count].
+    grown: list[list] = []
+    for depth in range(params.max_depth + 1):
+        first = len(grown)
+        grown += ([-1, -1, -1, -1, sum2[lo0:hi0, lo1:hi1].sum() / c, int(c)]
+                  for lo0, hi0, lo1, hi1, c in level)
+        if depth == params.max_depth:
+            break
+        scored = [i for i, node in enumerate(level)
+                  if node[4] >= params.min_samples_split]
+        boxes = [level[i][:4] for i in scored]
+        width = max([max(hi0 - lo0, hi1 - lo1) for lo0, hi0, lo1, hi1 in boxes],
+                    default=0)
+        if width < 2:
+            break
+        margins = np.zeros((2, 2 * len(boxes), width))
+        for row, (lo0, hi0, lo1, hi1) in enumerate(boxes):
+            sub = both[:, lo0:hi0, lo1:hi1]
+            sub.sum(axis=2, out=margins[:, 2 * row, :hi0 - lo0])
+            sub.sum(axis=1, out=margins[:, 2 * row + 1, :hi1 - lo1])
+        cum = margins.cumsum(axis=2)
+        gains = _split_gains(cum, params.min_samples_leaf).reshape(
+            len(scored), 2 * (width - 1))
+        children = []
+        for row, (i, k) in enumerate(zip(scored, gains.argmax(axis=1).tolist())):
+            if not gains[row, k] > MIN_GAIN:
                 continue
-            gain, k = found
-            offset = lo0 if axis == 0 else lo1
-            if gain > MIN_GAIN and (best is None or gain > best[0]):
-                best = (gain, axis, offset + k)
-        if best is None:
-            return nid
-        _, axis, t = best
-        if axis == 0:
-            left = grow(lo0, t + 1, lo1, hi1, depth + 1)
-            right = grow(t + 1, hi0, lo1, hi1, depth + 1)
-        else:
-            left = grow(lo0, hi0, lo1, t + 1, depth + 1)
-            right = grow(lo0, hi0, t + 1, hi1, depth + 1)
-        nodes[nid] = TreeNode(fi if axis == 0 else fj, t, left, right,
-                              nodes[nid].value, int(c))
-        return nid
+            axis, t = divmod(k, width - 1)
+            lo0, hi0, lo1, hi1, c = level[i]
+            c_left = float(cum[0, 2 * row + axis, t])
+            child = first + len(level) + len(children)
+            if axis == 0:
+                cut = lo0 + t + 1
+                children += [(lo0, cut, lo1, hi1, c_left), (cut, hi0, lo1, hi1, c - c_left)]
+            else:
+                cut = lo1 + t + 1
+                children += [(lo0, hi0, lo1, cut, c_left), (lo0, hi0, cut, hi1, c - c_left)]
+            grown[first + i][:4] = (fi, fj)[axis], cut - 1, child, child + 1
+        if not children:
+            break
+        level = children
 
-    grow(0, cnt2.shape[0], 0, cnt2.shape[1], 0)
-    return tuple(nodes)
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if grown[i][0] >= 0:
+            stack += (grown[i][3], grown[i][2])
+    position = {old: new for new, old in enumerate(order)}
+    position[-1] = -1
+    return tuple(TreeNode(f, t, position[left], position[right], value, count)
+                 for f, t, left, right, value, count in map(grown.__getitem__, order))
 
 
 def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
@@ -381,14 +418,33 @@ def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
     residual sums; ``features`` maps histogram axes to global feature
     indices. This is the boosting engine's fast path; it produces the
     same trees as :func:`fit_restricted_tree` without touching rows.
+
+    A pair tree grows level-wise: all open nodes of one depth are
+    scored in a single vectorised pass. A single-feature tree grows
+    depth-first. Either way the nodes come back in preorder and are
+    bit-for-bit those of a recursion that scores one node at a time.
+    Exactness rests on one rule: counts are whole numbers, so they may
+    be summed in any order, but residual sums keep the recursion's
+    order. A 1-D node's sums are differences of the histogram's
+    cumulative sums. A 2-D node's marginal sums are its slice's
+    ``sum(axis)``, accumulated by ``cumsum``, and its value is the
+    slice's ``sum()`` over its count. Zero padding after the end of a
+    marginal is exact; a summed-area table of the sums is not, since it
+    rounds differently.
     """
     if params.split_criterion != "sse":
         raise ValueError("histogram fitting supports the sse criterion only")
-    if cnt.ndim == 1:
-        (f,) = features
-        return RegressionTree(nodes=_grow_1d(cnt, sums, f, params), params=params)
-    fi, fj = features
-    return RegressionTree(nodes=_grow_2d(cnt, sums, fi, fj, params), params=params)
+    total = float(cnt.sum())
+    if total <= 0:
+        raise ValueError("histogram holds no rows")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if cnt.ndim == 1:
+            (f,) = features
+            nodes = _grow_1d(cnt, sums, f, params)
+        else:
+            fi, fj = features
+            nodes = _grow_2d(cnt, sums, total, fi, fj, params)
+    return RegressionTree(nodes=nodes, params=params)
 
 
 def fit_restricted_tree(X_binned, residuals, allowed_features,

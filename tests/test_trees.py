@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import windglass as wg
-from windglass.trees import MIN_GAIN
+from windglass.trees import MIN_GAIN, restricted_tree_from_histogram
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,12 @@ class TestRestrictedTrees:
                 np.testing.assert_allclose(
                     wg.predict_tree(fast, Xb), wg.predict_tree(generic, Xb),
                     atol=1e-10)
+
+    def test_empty_histogram_errors(self):
+        for cnt in (np.zeros(4), np.zeros((3, 2))):
+            with pytest.raises(ValueError, match="no rows"):
+                restricted_tree_from_histogram(cnt, np.zeros_like(cnt),
+                                               tuple(range(cnt.ndim)), wg.TreeParams())
 
     def test_too_many_features_errors(self):
         with pytest.raises(ValueError, match="1 or 2"):
