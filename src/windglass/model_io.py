@@ -255,7 +255,9 @@ def load_model(path):
     """Read a model file back; predictions round-trip bit-identically.
 
     Raises :class:`ModelFormatError` for corrupt files, checksum
-    mismatches, unsupported versions, and unknown model kinds.
+    mismatches, unsupported versions, unknown model kinds, and payloads
+    that pass the checksum but lack a field or carry one of the wrong
+    shape, type or name.
     """
     try:
         with open(path) as fh:
@@ -279,4 +281,9 @@ def load_model(path):
     reader = _READERS.get(kind)
     if reader is None:
         raise ModelFormatError(f"unknown model kind {kind!r} in {path}")
-    return reader(doc)
+    try:
+        return reader(doc)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ModelFormatError(
+            f"malformed {kind} model file: {path} ({type(exc).__name__}: {exc})"
+        ) from None

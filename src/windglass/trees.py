@@ -23,6 +23,15 @@ grow level-wise, scoring every node of a depth in one vectorised pass;
 single-feature trees, with at most three internal nodes at the default
 depth, grow depth-first. Both reproduce a node-at-a-time recursion bit
 for bit (the exactness rule is in that function's docstring).
+
+The regression-tree baseline's absolute-error search scores a node's
+features together: it sorts the node's targets once and scores every
+(feature, threshold) candidate on masked prefix sums in sorted-value
+order, a block of candidates at a time. Only thresholds at bins present
+in the node are scored, since any other threshold repeats the left set,
+and so the cost, of the present bin below it. Every cost is bit for bit
+that of scoring each feature's every threshold on its own, so the same
+trees come out (the rule is in :func:`_best_split_mae_node`).
 """
 
 from __future__ import annotations
@@ -45,8 +54,10 @@ __all__ = [
 # Gains at or below this are treated as zero (stops splitting).
 MIN_GAIN = 1e-12
 
-# Bound on transient memory in the vectorized MAE split search.
-_MAE_CHUNK_CELLS = 1_000_000
+# Cap on the candidates x rows cells one block of the MAE split search
+# holds. Larger blocks save per-block overhead only on nodes of
+# thousands of rows, and raise peak memory.
+_MAE_BLOCK_CELLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -139,74 +150,92 @@ def _best_split_sse(xb: np.ndarray, y: np.ndarray, n_bins: int,
     return float(gain[t]), t
 
 
-def _abs_dev_around_median(prefix_fn, m, total):
-    """Sum |v - median| for a sorted multiset given its prefix sums.
+def _best_split_mae_node(cols, idx, y_node, n_bins, min_leaf):
+    """Best (row of ``cols``, threshold) under absolute error, or None.
 
-    With h = m // 2, the cost is (sum of the h largest) minus (sum of
-    the h smallest); any middle element cancels.
+    ``cols`` holds the binned columns to search, one row per feature,
+    and ``n_bins`` their bin counts; ``idx`` selects the node's samples
+    and ``y_node`` is their targets. A side's cost is the sum of
+    absolute deviations around its median: with ``h = m // 2`` it is
+    its total minus the sum of its ``m - h`` smallest values minus the
+    sum of its ``h`` smallest, read off prefix sums in sorted-value
+    order. Every feature is scored in one pass over blocks of
+    (feature, threshold) candidates x rows.
+
+    Only thresholds at bins present in the node are candidates, minus
+    its top bin: a threshold between two present bins has the same left
+    set, and so the same cost, as the lower one. The search returns
+    what scoring every threshold ``0 .. n_bins - 2`` one feature at a
+    time does: the first minimum cost per feature, then the first
+    maximum gain over features. Its costs are bit for bit those of that
+    search, because a side's prefix sums come from the same sums: the
+    left side's from the ``cumsum`` of the node's values masked to its
+    members, the right side's as the ``cumsum`` of all values minus
+    that, and the right total as the grand total minus the left one.
     """
-    h = m // 2
-    return total - prefix_fn(m - h) - prefix_fn(h)
+    n = len(y_node)
+    order = np.argsort(y_node, kind="stable")
+    ys = y_node[order]
+    bs = cols[:, idx[order]]
 
-
-def _best_split_mae(xb: np.ndarray, y: np.ndarray, n_bins: int,
-                    min_leaf: int) -> tuple[float, int] | None:
-    """Best (gain, threshold) under absolute error, or None.
-
-    Exact: for every threshold the cost of each side is the sum of
-    absolute deviations around that side's median. Evaluated for all
-    thresholds at once on value-sorted prefix sums.
-    """
-    n = len(y)
-    order = np.argsort(y, kind="stable")
-    ys = y[order]
-    bs = xb[order]
+    # A candidate is the lowest threshold in 0 .. n_bins - 2 with a given
+    # left set, one that leaves both sides non-empty: a present bin, or
+    # 0 for bins below 0.
+    last = n_bins - 2
+    width = max(int(last.max()) + 1, 1)
+    present = np.zeros((len(bs), width), dtype=bool)
+    present[np.arange(len(bs))[:, None], np.clip(bs, 0, width - 1)] = True
+    t = np.arange(width)
+    present &= ((t >= np.maximum(bs.min(axis=1), 0)[:, None])
+                & (t <= np.minimum(bs.max(axis=1) - 1, last)[:, None]))
+    feat, thr = np.nonzero(present)
+    if not len(thr):
+        return None
     vcum = np.cumsum(ys)
     grand_total = vcum[-1]
+    h = n // 2  # >= 1: a candidate leaves a row on each side
+    parent_cost = grand_total - vcum[n - h - 1] - vcum[h - 1]
 
-    def prefix_all(k):
-        k = np.asarray(k)
-        return np.where(k >= 1, vcum[np.maximum(k, 1) - 1], 0.0)
-
-    parent_cost = _abs_dev_around_median(prefix_all, n, grand_total)
-
-    thresholds = np.arange(n_bins - 1)
-    best_cost = np.inf
-    best_t = -1
-    chunk = max(1, _MAE_CHUNK_CELLS // max(n, 1))
-    for start in range(0, len(thresholds), chunk):
-        ts = thresholds[start:start + chunk]
-        member = bs[None, :] <= ts[:, None]
-        cnt = np.cumsum(member, axis=1)
-        vsum = np.cumsum(np.where(member, ys, 0.0), axis=1)
-        m_left = cnt[:, -1]
+    cost = np.empty(len(thr))
+    step = max(1, _MAE_BLOCK_CELLS // n)
+    for s in range(0, len(thr), step):
+        member = bs[feat[s:s + step]] <= thr[s:s + step, None]
+        vsum = np.where(member, ys, 0.0)
+        np.cumsum(vsum, axis=1, out=vsum)
+        flat = vsum.ravel()
+        m_left = np.count_nonzero(member, axis=1)
         m_right = n - m_left
-        total_left = vsum[:, -1]
-        total_right = grand_total - total_left
+        # Flat positions of each row's members (and non-members) in
+        # order, so the k-th one of row r sits at ``start[r] + k - 1``.
+        pos_left = np.flatnonzero(member)
+        pos_right = np.flatnonzero(~member)
+        start_left = np.cumsum(m_left) - m_left
+        start_right = np.cumsum(m_right) - m_right
 
         def prefix_left(k):
-            pos = (cnt >= np.maximum(k, 1)[:, None]).argmax(axis=1)
-            vals = np.take_along_axis(vsum, pos[:, None], axis=1)[:, 0]
-            return np.where(k >= 1, vals, 0.0)
-
-        cnt_right = np.arange(1, n + 1)[None, :] - cnt
-        vsum_right = vcum[None, :] - vsum
+            return flat[pos_left[start_left + k - 1]]
 
         def prefix_right(k):
-            pos = (cnt_right >= np.maximum(k, 1)[:, None]).argmax(axis=1)
-            vals = np.take_along_axis(vsum_right, pos[:, None], axis=1)[:, 0]
-            return np.where(k >= 1, vals, 0.0)
+            pos = pos_right[start_right + k - 1]
+            return vcum[pos % n] - flat[pos]
 
-        cost = (_abs_dev_around_median(prefix_left, m_left, total_left)
-                + _abs_dev_around_median(prefix_right, m_right, total_right))
-        cost = np.where((m_left >= min_leaf) & (m_right >= min_leaf), cost, np.inf)
-        i = int(np.argmin(cost))
-        if cost[i] < best_cost:  # strict: lowest threshold wins ties
-            best_cost = float(cost[i])
-            best_t = int(ts[i])
-    if best_t < 0 or not np.isfinite(best_cost):
+        h_left, h_right = m_left // 2, m_right // 2
+        total_left = vsum[:, -1]
+        cost_left = (total_left - prefix_left(m_left - h_left)
+                     - np.where(h_left >= 1, prefix_left(h_left), 0.0))
+        cost_right = ((grand_total - total_left) - prefix_right(m_right - h_right)
+                      - np.where(h_right >= 1, prefix_right(h_right), 0.0))
+        cost[s:s + step] = np.where(
+            (m_left >= min_leaf) & (m_right >= min_leaf), cost_left + cost_right, np.inf)
+
+    first = np.flatnonzero(np.diff(feat, prepend=-1))
+    gain = parent_cost - np.minimum.reduceat(cost, first)
+    i = int(np.argmax(gain))  # first max: lowest feature wins ties
+    if not gain[i] > MIN_GAIN:
         return None
-    return parent_cost - best_cost, best_t
+    lo = first[i]
+    hi = first[i + 1] if i + 1 < len(first) else len(cost)
+    return int(feat[lo]), int(thr[lo + np.argmin(cost[lo:hi])])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +248,15 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams,
 
     Recursion stops on ``max_depth``, ``min_samples_split``, or when no
     candidate split improves the criterion. Deterministic given inputs.
+
+    Under ``"sse"`` each feature is scored from its per-bin counts and
+    sums. Under ``"mae"`` one search per node scores all allowed
+    features at once, skipping thresholds at bins absent from the node.
+    Its costs are bit-identical to scoring each feature's every
+    threshold ``0 .. n_bins[f] - 2`` separately: both sides' prefix sums
+    come from the same masked ``cumsum`` in sorted-value order. Either
+    way the lowest threshold, then the lowest feature, wins ties, and a
+    split needs a gain above ``MIN_GAIN``.
 
     Parameters
     ----------
@@ -254,9 +292,32 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams,
         # Only the searched columns need a bin count.
         n_bins = {f: int(Xb[:, f].max()) + 1 for f in allowed}
 
-    search = _best_split_sse if params.split_criterion == "sse" else _best_split_mae
-    leaf_value = (lambda v: float(v.mean())) if params.split_criterion == "sse" \
-        else (lambda v: float(np.median(v)))
+    if params.split_criterion == "sse":
+        def leaf_value(v):
+            return float(v.mean())
+
+        def best_split(idx, y_node):
+            best = None  # (gain, feature, threshold)
+            for f in allowed:
+                found = _best_split_sse(Xb[idx, f], y_node, n_bins[f],
+                                        params.min_samples_leaf)
+                if found is None:
+                    continue
+                gain, t = found
+                if gain > MIN_GAIN and (best is None or gain > best[0]):
+                    best = (gain, f, t)
+            return None if best is None else best[1:]
+    else:
+        cols = np.ascontiguousarray(Xb[:, allowed].T, dtype=np.int64)
+        col_bins = np.array([n_bins[f] for f in allowed])
+
+        def leaf_value(v):
+            return float(np.median(v))
+
+        def best_split(idx, y_node):
+            found = _best_split_mae_node(cols, idx, y_node, col_bins,
+                                         params.min_samples_leaf)
+            return None if found is None else (allowed[found[0]], found[1])
 
     nodes: list[TreeNode] = []
 
@@ -266,17 +327,10 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams,
         nodes.append(TreeNode(-1, -1, -1, -1, leaf_value(y_node), len(idx)))
         if depth >= params.max_depth or len(idx) < params.min_samples_split:
             return nid
-        best = None  # (gain, feature, threshold)
-        for f in allowed:
-            found = search(Xb[idx, f], y_node, n_bins[f], params.min_samples_leaf)
-            if found is None:
-                continue
-            gain, t = found
-            if gain > MIN_GAIN and (best is None or gain > best[0]):
-                best = (gain, f, t)
+        best = best_split(idx, y_node)
         if best is None:
             return nid
-        _, bf, bt = best
+        bf, bt = best
         go_left = Xb[idx, bf] <= bt
         left = grow(idx[go_left], depth + 1)
         right = grow(idx[~go_left], depth + 1)

@@ -1,6 +1,7 @@
 """Shared fixtures: small trained models and CSV scaffolding."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ def write_series_csv(path, timestamps, target, exogenous=None, delimiter=","):
             row += [_fmt(exogenous[name][k]) for name in exogenous]
             writer.writerow(row)
     return path
+
+
+def resign_model_file(path, edit):
+    """Apply ``edit`` to a saved model document and re-sign it, so only
+    the payload's contents, not its checksum, are wrong."""
+    from windglass.model_io import _checksum
+
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    edit(doc)
+    doc["checksum"] = _checksum(doc)
+    path.write_text(json.dumps(doc))
 
 
 def _fmt(v):

@@ -8,7 +8,7 @@ import pytest
 
 import windglass as wg
 from windglass.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
-from conftest import write_series_csv
+from conftest import resign_model_file, write_series_csv
 
 BASE_CONFIG = """\
 [data]
@@ -146,6 +146,15 @@ class TestEvaluate:
         bad.write_text("{ not json")
         assert main(["evaluate", "--config", str(cfg),
                      "--model", str(bad)]) == EXIT_MODEL
+
+    def test_malformed_checksummed_model_is_model_error(self, run_dir):
+        """A file that passes the checksum but lacks a field exits 4."""
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg), "--set", "model.kind=lr"]) == EXIT_OK
+        path = out / "lr.model.json"
+        resign_model_file(path, lambda doc: doc.pop("intercept"))
+        assert main(["evaluate", "--config", str(cfg),
+                     "--model", str(path)]) == EXIT_MODEL
 
     def test_mismatched_dimensions_is_data_error(self, run_dir):
         _, cfg, out = run_dir

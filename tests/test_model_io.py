@@ -7,6 +7,7 @@ import pytest
 
 import windglass as wg
 from windglass.model_io import FORMAT_VERSION, ModelFormatError
+from conftest import resign_model_file
 
 
 @pytest.fixture
@@ -93,6 +94,18 @@ class TestFailureModes:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="unknown model kind"):
+            wg.load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["metadata"]["config"].update(bogus_key=1),  # TypeError
+        lambda doc: doc.pop("intercept"),  # KeyError
+    ], ids=["unknown_config_key", "missing_field"])
+    def test_checksummed_but_malformed_rejected(self, trained_setup, tmp_path, edit):
+        model, _, _ = trained_setup
+        path = tmp_path / "m.json"
+        wg.save_model(model, path)
+        resign_model_file(path, edit)
+        with pytest.raises(ModelFormatError, match="malformed glassbox model file"):
             wg.load_model(path)
 
     def test_unserializable_type_rejected(self, tmp_path):
