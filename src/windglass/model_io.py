@@ -3,8 +3,24 @@
 Every forecaster serializes to a self-describing JSON document with a
 ``format_version``, a ``kind`` tag, its lookup tables or coefficients in
 full-precision decimal, and a SHA-256 integrity checksum over the
-payload. Loading verifies the checksum and rejects unknown versions, so
-a truncated or tampered file fails loudly instead of predicting garbage.
+payload. Loading verifies the checksum, rejects unknown versions and
+checks that the tables fit together, so a truncated, tampered or
+inconsistent file fails loudly instead of predicting garbage.
+
+File invariants:
+
+- The file is exactly ``json.dump(doc, fh, indent=1)`` of the document,
+  with ``"checksum"`` as its last key, followed by a newline.
+- The checksum is ``"sha256:"`` plus the SHA-256 hex digest of the
+  document without its checksum, as sorted compact text
+  (``json.dumps(doc, sort_keys=True, separators=(",", ":"))``,
+  :func:`_checksum`).
+- :func:`save_model` formats every number once: each list of plain
+  scalars (a table, grid row, edge vector or coarse map) is encoded by
+  the C JSON encoder into compact text, the checksum is hashed piece by
+  piece from those strings in sorted-key order, and the indented file is
+  streamed from the same strings in insertion order. Neither layout is
+  ever held whole in memory.
 """
 
 from __future__ import annotations
@@ -128,7 +144,7 @@ def _glassbox_doc(m: GlassBoxModel) -> dict:
 
 def _glassbox_from(doc) -> GlassBoxModel:
     meta = doc["metadata"]
-    return GlassBoxModel(
+    model = GlassBoxModel(
         intercept=float(doc["intercept"]),
         shapes=tuple(
             ShapeFunction(int(s["feature"]), np.asarray(s["values"], dtype=np.float64))
@@ -152,6 +168,43 @@ def _glassbox_from(doc) -> GlassBoxModel:
         val_curve_main=tuple(meta["val_curve_main"]),
         val_curve_pairs=tuple(meta["val_curve_pairs"]),
     )
+    _check_glassbox(model)
+    return model
+
+
+def _check_glassbox(m: GlassBoxModel) -> None:
+    """Raise ValueError unless every table lookup ``predict`` makes is
+    in range: shape ``f`` is indexed by feature ``f``'s bin, and a pair
+    grid by the coarse maps of its two features at their bins."""
+    n = m.n_features
+    if m.bins.n_features != n:
+        raise ValueError(f"{m.bins.n_features} binned features for {n} feature names")
+    for sf in m.shapes:
+        if not 0 <= sf.feature < n:
+            raise ValueError(f"shape function for feature {sf.feature} of {n}")
+        if sf.values.shape != (m.bins.n_bins(sf.feature),):
+            raise ValueError(
+                f"shape function of feature {sf.feature} has shape {sf.values.shape}, "
+                f"the feature has {m.bins.n_bins(sf.feature)} bins")
+    for f, cmap in m.coarse_maps.items():
+        if not 0 <= f < n:
+            raise ValueError(f"coarse map for feature {f} of {n}")
+        if cmap.shape != (m.bins.n_bins(f),):
+            raise ValueError(
+                f"coarse map of feature {f} has shape {cmap.shape}, "
+                f"the feature has {m.bins.n_bins(f)} bins")
+        if cmap[0] < 0 or np.any(np.diff(cmap) < 0):
+            raise ValueError(f"coarse map of feature {f} is negative or decreasing")
+    for pt in m.pairs:
+        if not 0 <= pt.i < pt.j < n:
+            raise ValueError(f"pair ({pt.i}, {pt.j}) is not 0 <= i < j < {n}")
+        if pt.i not in m.coarse_maps or pt.j not in m.coarse_maps:
+            raise ValueError(f"pair ({pt.i}, {pt.j}) lacks a coarse map")
+        need = (int(m.coarse_maps[pt.i].max()) + 1, int(m.coarse_maps[pt.j].max()) + 1)
+        if pt.grid.ndim != 2 or pt.grid.shape[0] < need[0] or pt.grid.shape[1] < need[1]:
+            raise ValueError(
+                f"grid of pair ({pt.i}, {pt.j}) has shape {pt.grid.shape}, "
+                f"its coarse maps reach {need}")
 
 
 def _linear_doc(m: LinearModel) -> dict:
@@ -231,8 +284,115 @@ _READERS = {
 # ---------------------------------------------------------------------------
 
 def _checksum(doc: dict) -> str:
+    """The definition of a document's checksum (see the module docstring)."""
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Single-pass writer
+# ---------------------------------------------------------------------------
+
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class _Text(str):
+    """Compact JSON text of a scalar or of a list of scalars."""
+
+    __slots__ = ()
+
+
+class _Object(list):
+    """A dict's ``(key, key text, encoded value)`` items in insertion order."""
+
+    __slots__ = ()
+
+
+def _encode_leaves(obj):
+    """``obj`` with every scalar and every non-empty list of scalars
+    replaced by its compact JSON text, and every dict by an
+    :class:`_Object`.
+
+    The C encoder formats numbers exactly as ``json.dump`` does
+    (``float.__repr__``, ``NaN``/``Infinity``), so each number is
+    formatted here once and reused by both layouts.
+    """
+    if isinstance(obj, dict):
+        items = _Object()
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"model document keys must be str, got {key!r}")
+            items.append((key, _compact(key), _encode_leaves(value)))
+        return items
+    if isinstance(obj, (list, tuple)):
+        if obj and not isinstance(obj[0], (list, tuple, dict, str)):
+            text = _compact(obj)
+            # No string (so no key of a non-empty object) and no inner
+            # list: every comma separates two scalars or empty objects.
+            if '"' not in text and "[" not in text[1:]:
+                return _Text(text)
+        return [_encode_leaves(v) for v in obj]
+    return _Text(_compact(obj))
+
+
+def _hash_sorted(node, update) -> None:
+    """Feed the sorted compact text of an encoded node to ``update``."""
+    if type(node) is _Text:
+        update(node.encode())
+    elif type(node) is list:
+        update(b"[")
+        for k, value in enumerate(node):
+            if k:
+                update(b",")
+            _hash_sorted(value, update)
+        update(b"]")
+    else:
+        update(b"{")
+        for k, (_, key_text, value) in enumerate(sorted(node)):
+            update((key_text + ":" if not k else "," + key_text + ":").encode())
+            _hash_sorted(value, update)
+        update(b"}")
+
+
+def _write_indented(node, level: int, write) -> None:
+    """Write an encoded node laid out as ``json.dump(..., indent=1)``."""
+    inner = "\n" + " " * (level + 1)
+    close = "\n" + " " * level
+    if type(node) is _Text:
+        if node[0] == "[":
+            write("[" + inner + node[1:-1].replace(",", "," + inner) + close + "]")
+        else:
+            write(node)
+    elif type(node) is list:
+        if not node:
+            write("[]")
+            return
+        for k, value in enumerate(node):
+            write("[" + inner if not k else "," + inner)
+            _write_indented(value, level + 1, write)
+        write(close + "]")
+    else:
+        if not node:
+            write("{}")
+            return
+        for k, (_, key_text, value) in enumerate(node):
+            write(("{" + inner if not k else "," + inner) + key_text + ": ")
+            _write_indented(value, level + 1, write)
+        write(close + "}")
+
+
+def _write_document(doc: dict, path) -> None:
+    """Write ``doc`` plus its checksum, byte for byte as
+    ``json.dump({**doc, "checksum": _checksum(doc)}, fh, indent=1)``
+    followed by a newline, encoding each number once."""
+    tree = _encode_leaves(doc)
+    digest = hashlib.sha256()
+    _hash_sorted(tree, digest.update)
+    checksum = "sha256:" + digest.hexdigest()
+    tree.append(("checksum", '"checksum"', _Text(_compact(checksum))))
+    with open(path, "w") as fh:
+        _write_indented(tree, 0, fh.write)
+        fh.write("\n")
 
 
 def save_model(model, path) -> None:
@@ -245,10 +405,7 @@ def save_model(model, path) -> None:
     if doc is None:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     doc["format_version"] = FORMAT_VERSION
-    doc["checksum"] = _checksum({k: v for k, v in doc.items() if k != "checksum"})
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_document(doc, path)
 
 
 def load_model(path):

@@ -212,6 +212,38 @@ class TestBenchmark:
         rows = read_csv(out / "benchmark.csv")
         assert rows[0][5:] == ["nrmse_std", "nmae_std", "r2_std"]
 
+    @pytest.mark.parametrize("bagging", [1, 2], ids=["unbagged", "bagged"])
+    def test_seed_independent_kinds_fit_once(self, run_dir, monkeypatch, capsys,
+                                             bagging):
+        """Only bagged glass-box fits depend on the seed; every other kind
+        is fitted once per horizon and its scores reused, with the same
+        benchmark.csv as refitting every repeat."""
+        from windglass import cli
+
+        _, cfg, out = run_dir
+        calls = []
+        fit = cli._fit_kind
+        monkeypatch.setattr(cli, "_fit_kind",
+                            lambda kind, *a: calls.append(kind) or fit(kind, *a))
+        argv = ["benchmark", "--config", str(cfg), "--repeats", "3",
+                "--set", "train.max_rounds=5",
+                "--set", f"train.bagging_count={bagging}"]
+        assert main(argv) == EXIT_OK
+        seeded = 3 if bagging > 1 else 1
+        assert calls.count("windebm-no-interactions") == seeded * 2
+        assert len(calls) == (3 + seeded) * 2  # 4 kinds x 2 horizons
+        timing = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("timing:")]
+        assert len(timing) == 4 * 2 * 3
+        assert sum("reused repeat=0" in ln for ln in timing) == 4 * 2 * 3 - len(calls)
+        reused = (out / "benchmark.csv").read_bytes()
+
+        calls.clear()
+        monkeypatch.setattr(cli, "_uses_seed", lambda kind, tc: True)
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 4 * 2 * 3
+        assert (out / "benchmark.csv").read_bytes() == reused
+
 
 class TestExplain:
     @pytest.fixture

@@ -108,6 +108,37 @@ class TestFailureModes:
         with pytest.raises(ModelFormatError, match="malformed glassbox model file"):
             wg.load_model(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["shape_functions"][0].update(
+            values=doc["shape_functions"][0]["values"][:3]),
+        lambda doc: doc["shape_functions"][0].update(feature=99),
+        lambda doc: doc["pair_terms"][0].update(i=99),
+        lambda doc: doc["pair_terms"][0].update(
+            i=doc["pair_terms"][0]["j"], j=doc["pair_terms"][0]["i"]),
+        lambda doc: doc["coarse_maps"].pop(str(doc["pair_terms"][0]["j"])),
+        lambda doc: doc["coarse_maps"].update({"0": doc["coarse_maps"]["0"][:-1]}),
+        lambda doc: doc["coarse_maps"].update({"0": doc["coarse_maps"]["0"][::-1]}),
+        lambda doc: doc["coarse_maps"]["0"].__setitem__(0, -1),
+        lambda doc: doc["pair_terms"][0].update(grid=doc["pair_terms"][0]["grid"][:-1]),
+        lambda doc: doc["pair_terms"][0].update(
+            grid=[row[:-1] for row in doc["pair_terms"][0]["grid"]]),
+        lambda doc: doc["bin_edges"].pop(),
+    ], ids=["short_shape", "shape_feature_out_of_range", "pair_index_out_of_range",
+            "pair_not_ordered", "pair_without_coarse_map", "short_coarse_map",
+            "decreasing_coarse_map", "negative_coarse_map", "grid_missing_row",
+            "grid_missing_column", "fewer_binned_features"])
+    def test_structurally_inconsistent_glassbox_rejected(self, trained_setup,
+                                                         tmp_path, edit):
+        """Checksummed files whose tables would index out of range at
+        predict time are rejected on load."""
+        model, _, _ = trained_setup
+        assert model.pairs
+        path = tmp_path / "m.json"
+        wg.save_model(model, path)
+        resign_model_file(path, edit)
+        with pytest.raises(ModelFormatError, match="malformed glassbox model file"):
+            wg.load_model(path)
+
     def test_unserializable_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize"):
             wg.save_model(object(), tmp_path / "m.json")

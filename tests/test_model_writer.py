@@ -1,0 +1,125 @@
+"""The single-pass model writer against the two-pass layout it replaced.
+
+The reference below is the old body of ``save_model``: the checksum is
+SHA-256 over the sorted compact text, and the file is
+``json.dump(..., indent=1)`` with the checksum appended, then a newline.
+The writer must give the same bytes for any JSON document and for every
+model kind.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import windglass as wg
+from windglass import model_io
+
+
+def reference_bytes(doc: dict, path) -> bytes:
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    full = dict(doc)
+    full["checksum"] = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    with open(path, "w") as fh:
+        json.dump(full, fh, indent=1)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def writer_bytes(doc: dict, path) -> bytes:
+    model_io._write_document(doc, path)
+    return path.read_bytes()
+
+
+# Strings holding JSON punctuation must not be mistaken for structure.
+tricky = st.sampled_from(["a", "b", "é", "日本", "\x00", '"', "\\", ",", "a,b", "[", "]}"])
+keys = st.text(max_size=6) | tricky
+floats = st.floats(allow_nan=True, allow_infinity=True)
+scalars = (st.none() | st.booleans() | st.integers() | floats
+           | floats.map(np.float64) | st.text(max_size=8) | tricky)
+# Lists of plain scalars take the writer's fast path; mix them in often.
+number_lists = st.lists(st.none() | st.booleans() | st.integers() | floats, max_size=12)
+values = st.recursive(
+    scalars | number_lists,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(keys, inner, max_size=5)),
+    max_leaves=40,
+)
+documents = st.dictionaries(keys.filter(lambda k: k != "checksum"), values, max_size=8)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@settings(max_examples=250, deadline=None)
+@given(doc=documents)
+def test_random_documents_byte_identical(workdir, doc):
+    assert writer_bytes(doc, workdir / "new.json") == reference_bytes(doc, workdir / "ref.json")
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"empty": [], "nested": [[], [[]], {}], "obj": {"": {}}},
+    {"grid": [[0.5, -1e-300, 1e300], [float("nan"), float("inf"), -float("inf")]]},
+    {"mixed": [1, 2.5, True, False, None], "ints": [0, -3, 2**70]},
+    {"tuple": (1.0, (2.0, 3.0)), "lead_list": [[1], 2, "x"], "lead_num": [1, [2], {"k": 3}]},
+    {"str_after_number": [1, "a,b", 2.5], "dict_after_number": [1.5, {"x,": [2]}]},
+    {"ключ": "значение", "b": [" ", "é"], "a": {"z": 1, "y": 2}},
+])
+def test_edge_documents_byte_identical(tmp_path, doc):
+    assert writer_bytes(doc, tmp_path / "new.json") == reference_bytes(doc, tmp_path / "ref.json")
+
+
+def test_non_string_key_rejected(tmp_path):
+    with pytest.raises(TypeError, match="keys must be str"):
+        model_io._write_document({"a": {1: 2.0}}, tmp_path / "m.json")
+
+
+@pytest.fixture(scope="module")
+def models(trained_setup):
+    frame = wg.make_autocorrelated_series(400, seed=2)
+    raw = wg.build_lag_features(frame, n_lags=6, horizon_steps=1)
+    split = wg.chronological_split(raw.n_rows)
+    matrix = wg.normalize_fit_apply(raw, split.train)
+    no_pairs = wg.TrainConfig(learning_rate=0.05, max_rounds=20, max_bins=16,
+                              interaction_budget=0)
+    bagged = wg.TrainConfig(learning_rate=0.05, max_rounds=20, max_bins=16,
+                            pair_bins=4, bagging_count=2, seed=3)
+    return {
+        "glassbox": trained_setup[0],
+        "glassbox_no_pairs": wg.train(matrix, split, no_pairs),
+        "glassbox_bagged": wg.train(matrix, split, bagged),
+        "linear": wg.fit_ols(matrix, split.train),
+        "persistence": wg.PersistenceModel.from_matrix(matrix),
+        "rt": wg.fit_rt_baseline(matrix, split.train, max_bins=16),
+    }
+
+
+MODEL_NAMES = ["glassbox", "glassbox_no_pairs", "glassbox_bagged", "linear",
+               "persistence", "rt"]
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_every_model_kind_byte_identical(models, tmp_path, name):
+    model = models[name]
+    doc = next(writer(model) for cls, writer in model_io._WRITERS
+               if isinstance(model, cls))
+    doc["format_version"] = model_io.FORMAT_VERSION
+    wg.save_model(model, tmp_path / "new.json")
+    assert (tmp_path / "new.json").read_bytes() == reference_bytes(doc, tmp_path / "ref.json")
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_save_load_save_byte_identical(models, tmp_path, name):
+    wg.save_model(models[name], tmp_path / "a.json")
+    loaded = wg.load_model(tmp_path / "a.json")
+    wg.save_model(loaded, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    doc = json.loads((tmp_path / "a.json").read_text())
+    assert doc.pop("checksum") == model_io._checksum(doc)
