@@ -12,6 +12,12 @@ term. Round-robin visits stop greedy features from absorbing their
 neighbours' signal, which keeps the tables honest as explanations.
 Main effects are boosted to convergence first; interaction terms are
 then boosted on what is left.
+
+Both stages run the same engine, :func:`_boost`. A term is a tuple of
+features with a table of one axis (a shape function over bins) or two
+(a pair grid over coarse bins), and each row reaches its cell by a flat
+index into that table. :func:`_center` re-centers the tables of either
+stage, and of a bagged average, to training-weighted mean zero.
 """
 
 from __future__ import annotations
@@ -186,26 +192,81 @@ class GlassBoxModel:
 
 
 # ---------------------------------------------------------------------------
-# Early stopping
+# The cyclic boosting engine
 # ---------------------------------------------------------------------------
 
-class _EarlyStopper:
-    """Stop after `patience` consecutive rounds without an improvement
-    of at least `tol` over the best validation score seen."""
+def _boost(terms, cells_tr, cells_va, cnts, r_train, val_err, depth, config):
+    """Cyclic boosting of additive lookup-table terms.
 
-    def __init__(self, tol: float, patience: int):
-        self.tol = tol
-        self.patience = patience
-        self.best = np.inf
-        self.wait = 0
+    Term ``t`` is the feature tuple ``terms[t]`` with the training count
+    table ``cnts[t]``: one axis for a shape function, two for a pair
+    grid. ``cells_tr[t]``/``cells_va[t]`` give each training/validation
+    row's cell as a flat index into that table. Each round visits the
+    terms in order, fits a depth-``depth`` tree restricted to the term's
+    features on the residual histogram, and adds ``learning_rate`` times
+    its lookup table to the term, updating ``r_train`` and ``val_err``
+    in place. Rounds stop at ``max_rounds`` or after
+    ``early_stop_patience`` rounds whose validation RMSE fails to beat
+    the best seen by ``early_stop_tol``.
 
-    def should_stop(self, value: float) -> bool:
-        if self.best - value >= self.tol:
-            self.best = value
-            self.wait = 0
+    Returns the tables, the round count, the per-round validation curve
+    and the per-step training loss curve.
+    """
+    params = TreeParams(
+        max_depth=depth,
+        min_samples_split=config.min_samples_split,
+        min_samples_leaf=config.min_samples_leaf,
+        split_criterion="sse",
+    )
+    tables = [np.zeros(cnt.shape) for cnt in cnts]
+    # Everything a step reads that never changes is built before the
+    # rounds; the boosting loop is the training hot path.
+    steps =[(term, cnt, dict(zip(term, cnt.shape)), table, c_tr, c_va)
+             for term, cnt, table, c_tr, c_va
+             in zip(terms, cnts, tables, cells_tr, cells_va)]
+    best, wait = np.inf, 0
+    val_curve: list[float] = []
+    loss_curve: list[float] = []
+    rounds = 0
+    for _ in range(config.max_rounds):
+        for term, cnt, term_bins, table, c_tr, c_va in steps:
+            sums = np.bincount(c_tr, weights=r_train, minlength=cnt.size
+                               ).reshape(cnt.shape)
+            tree = restricted_tree_from_histogram(cnt, sums, term, params)
+            delta = config.learning_rate * tree_as_bin_table(tree, term_bins)
+            table += delta
+            flat = delta.ravel()
+            r_train -= flat[c_tr]
+            val_err -= flat[c_va]
+            loss_curve.append(float(np.mean(r_train ** 2)))
+        rounds += 1
+        val_curve.append(float(np.sqrt(np.mean(val_err ** 2))))
+        if best - val_curve[-1] >= config.early_stop_tol:
+            best, wait = val_curve[-1], 0
         else:
-            self.wait += 1
-        return self.wait >= self.patience
+            wait += 1
+        if wait >= config.early_stop_patience:
+            break
+    return tables, rounds, val_curve, loss_curve
+
+
+def _cell_counts(cells: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Rows per cell of a term's table, given each row's flat cell."""
+    return (np.bincount(cells, minlength=int(np.prod(shape)))
+            .astype(np.float64).reshape(shape))
+
+
+def _center(tables, weights, intercept: float) -> float:
+    """Shift each table in place to ``weights``-weighted mean zero and
+    return ``intercept`` plus the offsets, which leaves predictions
+    untouched. Shape functions and grids keep their own summation
+    (``w @ t`` and ``np.sum(w * t)``), which the model bytes depend on."""
+    for t, w in zip(tables, weights):
+        total = w @ t if t.ndim == 1 else np.sum(w * t)
+        offset = float(total / w.sum())
+        t -= offset
+        intercept += offset
+    return intercept
 
 
 # ---------------------------------------------------------------------------
@@ -238,46 +299,14 @@ def _train_main_effects(matrix, split, bins, config, Xb):
     y = matrix.y
     tr, va = split.train_slice, split.val_slice
     n = matrix.n_features
-    n_bins = [bins.n_bins(f) for f in range(n)]
-
     intercept = float(y[tr].mean())
-    shape_values = [np.zeros(nb) for nb in n_bins]
-    cols_tr = [np.ascontiguousarray(Xb[tr, f]) for f in range(n)]
-    cols_va = [np.ascontiguousarray(Xb[va, f]) for f in range(n)]
-    # Bin populations never change during boosting.
-    cnts = [np.bincount(cols_tr[f], minlength=n_bins[f]).astype(np.float64)
-            for f in range(n)]
-    r_train = y[tr] - intercept
-    val_err = y[va] - intercept
-    params = TreeParams(
-        max_depth=config.main_depth,
-        min_samples_split=config.min_samples_split,
-        min_samples_leaf=config.min_samples_leaf,
-        split_criterion="sse",
-    )
-    stopper = _EarlyStopper(config.early_stop_tol, config.early_stop_patience)
-    val_curve: list[float] = []
-    loss_curve: list[float] = []
-    rounds = 0
-    for _ in range(config.max_rounds):
-        for f in range(n):
-            sums = np.bincount(cols_tr[f], weights=r_train, minlength=n_bins[f])
-            tree = restricted_tree_from_histogram(cnts[f], sums, (f,), params)
-            delta = config.learning_rate * tree_as_bin_table(tree, {f: n_bins[f]})
-            shape_values[f] += delta
-            r_train -= delta[cols_tr[f]]
-            val_err -= delta[cols_va[f]]
-            loss_curve.append(float(np.mean(r_train ** 2)))
-        rounds += 1
-        val_curve.append(float(np.sqrt(np.mean(val_err ** 2))))
-        if stopper.should_stop(val_curve[-1]):
-            break
-
-    # Re-center: weighted by training bin populations.
-    for f in range(n):
-        offset = float(cnts[f] @ shape_values[f] / cnts[f].sum())
-        shape_values[f] -= offset
-        intercept += offset
+    cells_tr = [np.ascontiguousarray(Xb[tr, f]) for f in range(n)]
+    cells_va = [np.ascontiguousarray(Xb[va, f]) for f in range(n)]
+    cnts = [_cell_counts(cells_tr[f], (bins.n_bins(f),)) for f in range(n)]
+    shape_values, rounds, val_curve, loss_curve = _boost(
+        [(f,) for f in range(n)], cells_tr, cells_va, cnts,
+        y[tr] - intercept, y[va] - intercept, config.main_depth, config)
+    intercept = _center(shape_values, cnts, intercept)
 
     model = GlassBoxModel(
         intercept=intercept,
@@ -325,6 +354,14 @@ def _coarse_maps_from(Xb_train: np.ndarray, n_bins: list[int],
     return maps
 
 
+def _coarse(Xb: np.ndarray, cmaps: dict[int, np.ndarray]):
+    """Every row's coarse bin per feature, and each feature's coarse
+    bin count."""
+    n = Xb.shape[1]
+    coarse = np.column_stack([cmaps[f][Xb[:, f]] for f in range(n)])
+    return coarse, [int(cmaps[f].max()) + 1 for f in range(n)]
+
+
 def _group_mean_fit(index: np.ndarray, values: np.ndarray, size: int) -> float:
     """SSE reduction of the per-group-mean model: sum of s^2/c."""
     cnt = np.bincount(index, minlength=size).astype(np.float64)
@@ -365,9 +402,7 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
         raise ValueError("need at least two features to rank pairs")
     if n_bins is None:
         n_bins = [int(Xb[:, f].max()) + 1 for f in range(n)]
-    cmaps = _coarse_maps_from(Xb, list(n_bins), pair_bins)
-    coarse = np.column_stack([cmaps[f][Xb[:, f]] for f in range(n)])
-    sizes = [int(cmaps[f].max()) + 1 for f in range(n)]
+    coarse, sizes = _coarse(Xb, _coarse_maps_from(Xb, list(n_bins), pair_bins))
     return _rank_with_maps(coarse, r, sizes)
 
 
@@ -401,64 +436,25 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
         return model
 
     Xb = apply_bins(model.bins, matrix.X)
-    n_bins = [model.bins.n_bins(f) for f in range(n)]
     tr, va = split.train_slice, split.val_slice
     if coarse_maps is None:
+        n_bins = [model.bins.n_bins(f) for f in range(n)]
         coarse_maps = _coarse_maps_from(Xb[tr], n_bins, config.pair_bins)
-    coarse = np.column_stack([coarse_maps[f][Xb[:, f]] for f in range(n)])
-    sizes = [int(coarse_maps[f].max()) + 1 for f in range(n)]
-
+    coarse, sizes = _coarse(Xb, coarse_maps)
     C_tr, C_va = coarse[tr], coarse[va]
-    r_train = np.asarray(residuals, dtype=np.float64)[tr].copy()
-    val_err = np.asarray(residuals, dtype=np.float64)[va].copy()
-    grids = {p: np.zeros((sizes[p[0]], sizes[p[1]])) for p in pairs}
-    # Flattened cell index and (constant) cell populations per pair.
-    cell_tr = {(i, j): np.ascontiguousarray(C_tr[:, i] * sizes[j] + C_tr[:, j])
-               for (i, j) in pairs}
-    cell_va = {(i, j): np.ascontiguousarray(C_va[:, i] * sizes[j] + C_va[:, j])
-               for (i, j) in pairs}
-    cnts = {p: np.bincount(cell_tr[p], minlength=sizes[p[0]] * sizes[p[1]])
-            .astype(np.float64).reshape(sizes[p[0]], sizes[p[1]])
-            for p in pairs}
-    params = TreeParams(
-        max_depth=config.pair_depth,
-        min_samples_split=config.min_samples_split,
-        min_samples_leaf=config.min_samples_leaf,
-        split_criterion="sse",
-    )
-    stopper = _EarlyStopper(config.early_stop_tol, config.early_stop_patience)
-    val_curve: list[float] = []
-    loss_curve: list[float] = []
-    rounds = 0
-    for _ in range(config.max_rounds):
-        for (i, j) in pairs:
-            sum2 = np.bincount(cell_tr[(i, j)], weights=r_train,
-                               minlength=sizes[i] * sizes[j]
-                               ).reshape(sizes[i], sizes[j])
-            tree = restricted_tree_from_histogram(cnts[(i, j)], sum2, (i, j), params)
-            delta = config.learning_rate * tree_as_bin_table(
-                tree, {i: sizes[i], j: sizes[j]})
-            grids[(i, j)] += delta
-            flat = delta.ravel()
-            r_train -= flat[cell_tr[(i, j)]]
-            val_err -= flat[cell_va[(i, j)]]
-            loss_curve.append(float(np.mean(r_train ** 2)))
-        rounds += 1
-        val_curve.append(float(np.sqrt(np.mean(val_err ** 2))))
-        if stopper.should_stop(val_curve[-1]):
-            break
-
-    intercept = model.intercept
-    for (i, j) in pairs:
-        w = cnts[(i, j)]
-        offset = float(np.sum(w * grids[(i, j)]) / w.sum())
-        grids[(i, j)] -= offset
-        intercept += offset
+    cells_tr = [C_tr[:, i] * sizes[j] + C_tr[:, j] for i, j in pairs]
+    cells_va = [C_va[:, i] * sizes[j] + C_va[:, j] for i, j in pairs]
+    cnts = [_cell_counts(c, (sizes[i], sizes[j])) for c, (i, j) in zip(cells_tr, pairs)]
+    r = np.asarray(residuals, dtype=np.float64)
+    grids, rounds, val_curve, loss_curve = _boost(
+        pairs, cells_tr, cells_va, cnts, r[tr].copy(), r[va].copy(),
+        config.pair_depth, config)
+    intercept = _center(grids, cnts, model.intercept)
 
     return replace(
         model,
         intercept=intercept,
-        pairs=tuple(PairShapeFunction(i, j, grids[(i, j)]) for (i, j) in pairs),
+        pairs=tuple(PairShapeFunction(i, j, g) for (i, j), g in zip(pairs, grids)),
         coarse_maps={f: coarse_maps[f] for f in sorted(coarse_maps)},
         rounds_pairs=rounds,
         val_curve_pairs=tuple(val_curve),
@@ -485,13 +481,12 @@ def _train_single(matrix, split, bins, config, coarse_maps=None) -> GlassBoxMode
     k = _resolve_budget(config.interaction_budget, matrix.n_features)
     if k == 0 or matrix.n_features < 2:
         return model
-    n_bins = [bins.n_bins(f) for f in range(matrix.n_features)]
+    Xb_tr = Xb[split.train_slice]
     cmaps = coarse_maps
     if cmaps is None:
-        cmaps = _coarse_maps_from(Xb[split.train_slice], n_bins, config.pair_bins)
-    coarse_tr = np.column_stack(
-        [cmaps[f][Xb[split.train_slice, f]] for f in range(matrix.n_features)])
-    sizes = [int(cmaps[f].max()) + 1 for f in range(matrix.n_features)]
+        n_bins = [bins.n_bins(f) for f in range(matrix.n_features)]
+        cmaps = _coarse_maps_from(Xb_tr, n_bins, config.pair_bins)
+    coarse_tr, sizes = _coarse(Xb_tr, cmaps)
     ranked = _rank_with_maps(coarse_tr, residuals[split.train_slice], sizes)
     selected = [(i, j) for i, j, _ in ranked[:k]]
     return train_interactions(model, matrix, split, residuals, selected,
@@ -527,7 +522,7 @@ def _train_bagged(matrix, split, bins, config) -> GlassBoxModel:
     Xb = apply_bins(bins, matrix.X)
     Xb_tr = Xb[split.train_slice]
     cmaps = _coarse_maps_from(Xb_tr, nb, config.pair_bins)
-    sizes = [int(cmaps[f].max()) + 1 for f in range(n)]
+    coarse_tr, sizes = _coarse(Xb_tr, cmaps)
 
     bag_models = []
     for b in range(config.bagging_count):
@@ -557,17 +552,10 @@ def _train_bagged(matrix, split, bins, config) -> GlassBoxModel:
             grids[(pt.i, pt.j)] += k * pt.grid
 
     # Re-center everything against the true training populations.
-    for f in range(n):
-        w = np.bincount(Xb_tr[:, f], minlength=nb[f]).astype(np.float64)
-        offset = float(w @ shape_values[f] / w.sum())
-        shape_values[f] -= offset
-        intercept += offset
-    for (i, j) in pair_keys:
-        w = np.bincount(cmaps[i][Xb_tr[:, i]] * sizes[j] + cmaps[j][Xb_tr[:, j]],
-                        minlength=sizes[i] * sizes[j]).astype(np.float64)
-        offset = float(np.sum(w.reshape(sizes[i], sizes[j]) * grids[(i, j)]) / w.sum())
-        grids[(i, j)] -= offset
-        intercept += offset
+    weights = [_cell_counts(Xb_tr[:, f], (nb[f],)) for f in range(n)]
+    weights += [_cell_counts(coarse_tr[:, i] * sizes[j] + coarse_tr[:, j],
+                             (sizes[i], sizes[j])) for (i, j) in pair_keys]
+    intercept = _center(shape_values + list(grids.values()), weights, intercept)
 
     return GlassBoxModel(
         intercept=intercept,

@@ -4,8 +4,9 @@ Every forecaster serializes to a self-describing JSON document with a
 ``format_version``, a ``kind`` tag, its lookup tables or coefficients in
 full-precision decimal, and a SHA-256 integrity checksum over the
 payload. Loading verifies the checksum, rejects unknown versions and
-checks that the tables fit together, so a truncated, tampered or
-inconsistent file fails loudly instead of predicting garbage.
+checks that the tables, trees and column indices fit together, so a
+truncated, tampered or inconsistent file fails loudly instead of
+predicting garbage.
 
 File invariants:
 
@@ -238,11 +239,15 @@ def _persistence_doc(m: PersistenceModel) -> dict:
 
 
 def _persistence_from(doc) -> PersistenceModel:
-    return PersistenceModel(
+    model = PersistenceModel(
         lag_column=int(doc["lag_column"]),
         feature_names=tuple(doc["feature_names"]),
         norm_params=_norm_from_doc(doc["normalization"]),
     )
+    if not 0 <= model.lag_column < len(model.feature_names):
+        raise ValueError(f"lag column {model.lag_column} of "
+                         f"{len(model.feature_names)} features")
+    return model
 
 
 def _rt_doc(m: RTBaseline) -> dict:
@@ -257,12 +262,35 @@ def _rt_doc(m: RTBaseline) -> dict:
 
 
 def _rt_from(doc) -> RTBaseline:
-    return RTBaseline(
+    model = RTBaseline(
         tree=_tree_from_doc(doc["tree"]),
         bins=_bins_from_doc(doc),
         feature_names=tuple(doc["feature_names"]),
         norm_params=_norm_from_doc(doc["normalization"]),
     )
+    _check_rt(model)
+    return model
+
+
+def _check_rt(m: RTBaseline) -> None:
+    """Raise ValueError unless ``predict`` can route every row: the tree
+    has a root, each split names a binned feature, and each split's
+    children come after it in the node list, so every path ends in a
+    leaf."""
+    nodes = m.tree.nodes
+    if not nodes:
+        raise ValueError("tree has no nodes")
+    n = m.bins.n_features
+    if n != len(m.feature_names):
+        raise ValueError(f"{n} binned features for {len(m.feature_names)} feature names")
+    for k, nd in enumerate(nodes):
+        if nd.is_leaf:
+            continue
+        if nd.feature >= n:
+            raise ValueError(f"node {k} splits on feature {nd.feature} of {n}")
+        if not (k < nd.left < len(nodes) and k < nd.right < len(nodes)):
+            raise ValueError(f"node {k} has children ({nd.left}, {nd.right}), "
+                             f"not in ({k}, {len(nodes)})")
 
 
 _WRITERS = [
@@ -414,7 +442,7 @@ def load_model(path):
     Raises :class:`ModelFormatError` for corrupt files, checksum
     mismatches, unsupported versions, unknown model kinds, and payloads
     that pass the checksum but lack a field or carry one of the wrong
-    shape, type or name.
+    shape, type, name or range.
     """
     try:
         with open(path) as fh:

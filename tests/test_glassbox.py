@@ -255,6 +255,29 @@ class TestInteractions:
         probe = rng.uniform(size=(100, matrix.n_features))
         np.testing.assert_array_equal(no_pairs.predict(probe), mains.predict(probe))
 
+    def test_staged_public_path_equals_train(self, trained_setup):
+        """train_main_effects then train_interactions on train's own
+        pairs rebuild train's model bit for bit."""
+        model, matrix, split = trained_setup
+        bins = wg.fit_bins(matrix.X, split.train, FAST.max_bins)
+        mains, residuals = wg.train_main_effects(matrix, split, bins, FAST)
+        staged = wg.train_interactions(mains, matrix, split, residuals,
+                                       [(pt.i, pt.j) for pt in model.pairs], FAST)
+        assert staged.intercept == model.intercept
+        assert (staged.rounds_main, staged.rounds_pairs) == (
+            model.rounds_main, model.rounds_pairs)
+        assert len(staged.shapes) == len(model.shapes)
+        for a, b in zip(staged.shapes, model.shapes):
+            assert a.feature == b.feature
+            np.testing.assert_array_equal(a.values, b.values)
+        assert len(staged.pairs) == len(model.pairs) > 0
+        for a, b in zip(staged.pairs, model.pairs):
+            assert (a.i, a.j) == (b.i, b.j)
+            np.testing.assert_array_equal(a.grid, b.grid)
+        assert staged.coarse_maps.keys() == model.coarse_maps.keys()
+        for f, cmap in model.coarse_maps.items():
+            np.testing.assert_array_equal(staged.coarse_maps[f], cmap)
+
     def test_unknown_pair_feature_errors(self, trained_setup):
         model, matrix, split = trained_setup
         with pytest.raises(ValueError, match="invalid feature pair"):
@@ -339,6 +362,13 @@ class TestModelInvariants:
         for sf in m1.shapes:
             w = np.bincount(Xb[:, sf.feature], minlength=len(sf.values))
             assert abs(w @ sf.values / w.sum()) <= 1e-9
+        assert m1.pairs
+        for pt in m1.pairs:
+            ci = m1.coarse_maps[pt.i][Xb[:, pt.i]]
+            cj = m1.coarse_maps[pt.j][Xb[:, pt.j]]
+            w = np.bincount(ci * pt.grid.shape[1] + cj,
+                            minlength=pt.grid.size).astype(float)
+            assert abs(w @ pt.grid.ravel() / w.sum()) <= 1e-9
 
 
 class TestBudgetResolution:

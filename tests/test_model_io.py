@@ -139,6 +139,40 @@ class TestFailureModes:
         with pytest.raises(ModelFormatError, match="malformed glassbox model file"):
             wg.load_model(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["tree"]["left"].__setitem__(0, 99),
+        lambda doc: doc["tree"]["left"].__setitem__(0, -1),
+        lambda doc: doc["tree"]["right"].__setitem__(0, 0),
+        lambda doc: doc["tree"]["feature"].__setitem__(0, 99),
+        lambda doc: [doc["tree"][key].clear() for key in
+                     ("feature", "threshold", "left", "right", "value", "count")],
+        lambda doc: doc["bin_edges"].pop(),
+    ], ids=["child_past_end", "negative_child", "child_is_itself",
+            "split_feature_out_of_range", "no_nodes", "fewer_binned_features"])
+    def test_malformed_rt_tree_rejected(self, lag_matrix, tmp_path, edit):
+        """A checksummed RT file whose tree ``predict`` could not walk
+        (an index error, a wrapped negative index or a cycle) is
+        rejected on load."""
+        matrix, split = lag_matrix
+        model = wg.fit_rt_baseline(matrix, split.train, max_bins=32)
+        assert not model.tree.nodes[0].is_leaf
+        path = tmp_path / "rt.json"
+        wg.save_model(model, path)
+        resign_model_file(path, edit)
+        with pytest.raises(ModelFormatError, match="malformed rt model file"):
+            wg.load_model(path)
+
+    @pytest.mark.parametrize("lag_column", [-1, 6])
+    def test_persistence_lag_column_out_of_range_rejected(self, lag_matrix, tmp_path,
+                                                          lag_column):
+        matrix, _ = lag_matrix
+        assert matrix.n_features == 6
+        path = tmp_path / "pm.json"
+        wg.save_model(wg.PersistenceModel.from_matrix(matrix), path)
+        resign_model_file(path, lambda doc: doc.update(lag_column=lag_column))
+        with pytest.raises(ModelFormatError, match="malformed persistence model file"):
+            wg.load_model(path)
+
     def test_unserializable_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize"):
             wg.save_model(object(), tmp_path / "m.json")
