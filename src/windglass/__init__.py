@@ -14,7 +14,6 @@ from .baselines import (
     fit_ols,
     fit_rt_baseline,
     persistence_forecast,
-    predict_lr,
 )
 from .data import (
     BinningMap,
@@ -67,7 +66,6 @@ from .trees import (
     TreeNode,
     TreeParams,
     fit_cart,
-    fit_restricted_tree,
     predict_tree,
     tree_as_bin_table,
 )

@@ -22,7 +22,6 @@ __all__ = [
     "RTBaseline",
     "RT_BASELINE_PARAMS",
     "fit_ols",
-    "predict_lr",
     "persistence_forecast",
     "fit_rt_baseline",
 ]
@@ -124,10 +123,6 @@ def fit_ols(matrix: SupervisedMatrix, fit_range: tuple[int, int]) -> LinearModel
         feature_names=matrix.feature_names,
         norm_params=matrix.norm_params,
     )
-
-
-def predict_lr(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    return model.predict(X)
 
 
 def _most_recent_lag_column(feature_names) -> int:

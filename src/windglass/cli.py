@@ -53,20 +53,6 @@ class UsageError(Exception):
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-
-_KNOWN_KEYS = {
-    "data": {"path", "timestamp_column", "target_column", "timestamp_format",
-             "delimiter", "exogenous_columns"},
-    "features": {"mode", "n_lags", "horizon_steps"},
-    "split": {"train", "validation", "test"},
-    "model": {"kind"},
-    "train": set(_TRAIN_FIELDS),
-    "output": {"directory", "model_file"},
-    "benchmark": {"models", "horizons", "repeats"},
-}
-
-
 @dataclass
 class RunConfig:
     """Everything one run needs, assembled from file plus overrides."""
@@ -80,7 +66,9 @@ class RunConfig:
     feature_mode: str = "lags"
     n_lags: int = 48
     horizon_steps: int = 1
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    train_fraction: float = 0.8
+    validation_fraction: float = 0.1
+    test_fraction: float = 0.1
     model_kind: str = "windebm"
     train_config: TrainConfig = None
     out_dir: str = "out"
@@ -88,6 +76,10 @@ class RunConfig:
     bench_models: tuple[str, ...] = ("windebm", "lr", "rt", "pm")
     bench_horizons: tuple[int, ...] = (1,)
     bench_repeats: int = 1
+
+    @property
+    def fractions(self) -> tuple[float, float, float]:
+        return (self.train_fraction, self.validation_fraction, self.test_fraction)
 
     def validate(self):
         if self.feature_mode not in ("lags", "exogenous"):
@@ -99,11 +91,52 @@ class RunConfig:
             raise UsageError("the persistence model requires lag features")
         if self.timestamp_format not in ("iso8601", "epoch"):
             raise UsageError("data.timestamp_format must be iso8601 or epoch")
+        if self.n_lags < 1 or self.horizon_steps < 1:
+            raise UsageError("features.n_lags and features.horizon_steps must be >= 1")
+        if not self.bench_models or not self.bench_horizons:
+            raise UsageError("benchmark.models and benchmark.horizons must not be empty")
         for m in self.bench_models:
             if m not in MODEL_KINDS:
                 raise UsageError(f"unknown benchmark model {m!r}")
+        if min(self.bench_horizons) < 1:
+            raise UsageError("benchmark.horizons must be >= 1")
         if self.bench_repeats < 1:
             raise UsageError("benchmark.repeats must be >= 1")
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in _names(raw))
+
+
+# Every config key outside [train]: (section, key) -> (RunConfig field,
+# parser of its text). Defaults are RunConfig's; [train] keys are
+# TrainConfig's fields.
+_KEYS = {
+    ("data", "path"): ("data_path", str),
+    ("data", "timestamp_column"): ("timestamp_column", str),
+    ("data", "target_column"): ("target_column", str),
+    ("data", "timestamp_format"): ("timestamp_format", str),
+    ("data", "delimiter"): ("delimiter", str),
+    ("data", "exogenous_columns"): ("exogenous_columns", _names),
+    ("features", "mode"): ("feature_mode", str),
+    ("features", "n_lags"): ("n_lags", int),
+    ("features", "horizon_steps"): ("horizon_steps", int),
+    ("split", "train"): ("train_fraction", float),
+    ("split", "validation"): ("validation_fraction", float),
+    ("split", "test"): ("test_fraction", float),
+    ("model", "kind"): ("model_kind", str),
+    ("output", "directory"): ("out_dir", str),
+    ("output", "model_file"): ("model_file", str),
+    ("benchmark", "models"): ("bench_models", _names),
+    ("benchmark", "horizons"): ("bench_horizons", _ints),
+    ("benchmark", "repeats"): ("bench_repeats", int),
+}
+_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+_SECTIONS = {section for section, _ in _KEYS} | {"train"}
 
 
 def _parse_train_value(key: str, raw: str):
@@ -133,25 +166,20 @@ def read_run_config(path, overrides=()) -> RunConfig:
         parser.set(section, key, value.strip())
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise UsageError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            known = key in _TRAIN_FIELDS if section == "train" else (section, key) in _KEYS
+            if not known:
                 raise UsageError(f"unknown config key {section}.{key}")
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
+    def get(section, key):
+        return parser.get(section, key, fallback=None)
 
     if not get("data", "path"):
         raise UsageError("config is missing data.path")
     if not get("data", "timestamp_column") or not get("data", "target_column"):
         raise UsageError("config is missing data.timestamp_column / data.target_column")
-
-    exo = get("data", "exogenous_columns")
-    exo_cols = None if exo is None else tuple(
-        c.strip() for c in exo.split(",") if c.strip())
 
     train_kwargs = {}
     if parser.has_section("train"):
@@ -160,32 +188,10 @@ def read_run_config(path, overrides=()) -> RunConfig:
 
     try:
         cfg = RunConfig(
-            data_path=get("data", "path"),
-            timestamp_column=get("data", "timestamp_column"),
-            target_column=get("data", "target_column"),
-            timestamp_format=get("data", "timestamp_format", "iso8601"),
-            delimiter=get("data", "delimiter", ","),
-            exogenous_columns=exo_cols,
-            feature_mode=get("features", "mode", "lags"),
-            n_lags=int(get("features", "n_lags", "48")),
-            horizon_steps=int(get("features", "horizon_steps", "1")),
-            fractions=(
-                float(get("split", "train", "0.8")),
-                float(get("split", "validation", "0.1")),
-                float(get("split", "test", "0.1")),
-            ),
-            model_kind=get("model", "kind", "windebm"),
             train_config=TrainConfig(**train_kwargs),
-            out_dir=get("output", "directory", "out"),
-            model_file=get("output", "model_file"),
-            bench_models=tuple(
-                m.strip() for m in
-                get("benchmark", "models", "windebm,lr,rt,pm").split(",")
-                if m.strip()),
-            bench_horizons=tuple(
-                int(h) for h in get("benchmark", "horizons", "1").split(",")
-                if h.strip()),
-            bench_repeats=int(get("benchmark", "repeats", "1")),
+            **{field: parse(get(section, key))
+               for (section, key), (field, parse) in _KEYS.items()
+               if parser.has_option(section, key)},
         )
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
@@ -212,7 +218,8 @@ def _build_raw_matrix(cfg: RunConfig, horizon: int | None = None) -> SupervisedM
     if frame.dropped_rows:
         print(f"note: dropped {frame.dropped_rows} invalid rows during ingestion")
     if cfg.feature_mode == "lags":
-        return build_lag_features(frame, cfg.n_lags, horizon or cfg.horizon_steps)
+        return build_lag_features(frame, cfg.n_lags,
+                                  cfg.horizon_steps if horizon is None else horizon)
     return build_exogenous_features(frame)
 
 
@@ -358,14 +365,11 @@ def cmd_benchmark(args) -> int:
             if kind == "pm" and cfg.feature_mode != "lags":
                 print("note: persistence skipped (needs lag features)")
                 continue
+            # A fit that ignores the seed is the same in every repeat:
+            # score it once, so its means are exact and its stds 0.0.
+            fits = repeats if _uses_seed(kind, cfg.train_config) else 1
             scores = []
-            for rep in range(repeats):
-                if rep and not _uses_seed(kind, cfg.train_config):
-                    # The same fit again: reuse repeat 0's scores, so the
-                    # means and stds come out as if it had been rerun.
-                    scores.append(scores[0])
-                    timings.append((kind, label, rep, None, None))
-                    continue
+            for rep in range(fits):
                 tc = replace(cfg.train_config, seed=cfg.train_config.seed + rep)
                 t0 = time.perf_counter()
                 model = _fit_kind(kind, matrix, split, tc)
@@ -376,6 +380,7 @@ def cmd_benchmark(args) -> int:
                 rep_report = metrics.evaluate(forecast, matrix.y[split.test_slice])
                 scores.append([rep_report.nrmse, rep_report.nmae, rep_report.r2])
                 timings.append((kind, label, rep, t_fit, t_pred))
+            timings += [(kind, label, rep, None, None) for rep in range(fits, repeats)]
             arr = np.asarray(scores)
             results.append((kind, label, arr.mean(axis=0), arr.std(axis=0)))
 
@@ -510,6 +515,13 @@ def cmd_explain(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _repeat_count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="windglass",
@@ -535,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="models x horizons metric grid")
     common(p)
-    p.add_argument("--repeats", type=int, default=None,
+    p.add_argument("--repeats", type=_repeat_count, default=None,
                    help="average this many seed-shifted runs; a kind whose "
                         "fit ignores the seed is fitted once and reused")
     p.set_defaults(func=cmd_benchmark)
@@ -549,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", default=None, help="feature name")
     p.add_argument("--pair", default=None, help="pair for heatmap: a,b")
     p.add_argument("--range", default="test", help="row range: train | val | test")
-    p.add_argument("--repeats", type=int, default=None, help="pfi repeats")
+    p.add_argument("--repeats", type=_repeat_count, default=None, help="pfi repeats")
     p.add_argument("--denormalize", action="store_true",
                    help="report axis values in raw units")
     p.set_defaults(func=cmd_explain)

@@ -14,14 +14,15 @@ File invariants:
   with ``"checksum"`` as its last key, followed by a newline.
 - The checksum is ``"sha256:"`` plus the SHA-256 hex digest of the
   document without its checksum, as sorted compact text
-  (``json.dumps(doc, sort_keys=True, separators=(",", ":"))``,
-  :func:`_checksum`).
+  (``json.dumps(doc, sort_keys=True, separators=(",", ":"))``).
 - :func:`save_model` formats every number once: each list of plain
   scalars (a table, grid row, edge vector or coarse map) is encoded by
   the C JSON encoder into compact text, the checksum is hashed piece by
-  piece from those strings in sorted-key order, and the indented file is
-  streamed from the same strings in insertion order. Neither layout is
-  ever held whole in memory.
+  piece from those strings in sorted-key order (:func:`_digest`), and
+  the indented file is streamed from the same strings in insertion
+  order. Neither layout is ever held whole in memory.
+- :func:`load_model` verifies the checksum with the same encoder and
+  :func:`_digest`, on the parsed document.
 """
 
 from __future__ import annotations
@@ -308,17 +309,7 @@ _READERS = {
 
 
 # ---------------------------------------------------------------------------
-# Public API
-# ---------------------------------------------------------------------------
-
-def _checksum(doc: dict) -> str:
-    """The definition of a document's checksum (see the module docstring)."""
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Single-pass writer
+# Encoding and checksum
 # ---------------------------------------------------------------------------
 
 _compact = json.JSONEncoder(separators=(",", ":")).encode
@@ -382,6 +373,14 @@ def _hash_sorted(node, update) -> None:
         update(b"}")
 
 
+def _digest(encoded) -> str:
+    """The checksum of an :func:`_encode_leaves` document (the
+    definition is in the module docstring)."""
+    digest = hashlib.sha256()
+    _hash_sorted(encoded, digest.update)
+    return "sha256:" + digest.hexdigest()
+
+
 def _write_indented(node, level: int, write) -> None:
     """Write an encoded node laid out as ``json.dump(..., indent=1)``."""
     inner = "\n" + " " * (level + 1)
@@ -411,17 +410,19 @@ def _write_indented(node, level: int, write) -> None:
 
 def _write_document(doc: dict, path) -> None:
     """Write ``doc`` plus its checksum, byte for byte as
-    ``json.dump({**doc, "checksum": _checksum(doc)}, fh, indent=1)``
-    followed by a newline, encoding each number once."""
+    ``json.dump({**doc, "checksum": checksum}, fh, indent=1)`` followed
+    by a newline, encoding each number once."""
     tree = _encode_leaves(doc)
-    digest = hashlib.sha256()
-    _hash_sorted(tree, digest.update)
-    checksum = "sha256:" + digest.hexdigest()
+    checksum = _digest(tree)
     tree.append(("checksum", '"checksum"', _Text(_compact(checksum))))
     with open(path, "w") as fh:
         _write_indented(tree, 0, fh.write)
         fh.write("\n")
 
+
+# ---------------------------------------------------------------------------
+# Public API
+# ---------------------------------------------------------------------------
 
 def save_model(model, path) -> None:
     """Write any supported forecaster to a versioned model file."""
@@ -460,7 +461,7 @@ def load_model(path):
             f"(this build reads up to {FORMAT_VERSION})"
         )
     stored = doc.pop("checksum", None)
-    if stored != _checksum(doc):
+    if stored != _digest(_encode_leaves(doc)):
         raise ModelFormatError(f"model file checksum mismatch: {path}")
     kind = doc.get("kind")
     reader = _READERS.get(kind)

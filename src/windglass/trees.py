@@ -45,7 +45,6 @@ __all__ = [
     "TreeNode",
     "RegressionTree",
     "fit_cart",
-    "fit_restricted_tree",
     "restricted_tree_from_histogram",
     "predict_tree",
     "tree_as_bin_table",
@@ -471,7 +470,8 @@ def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
     ``cnt``/``sums`` are the per-bin (or per bin-pair) row counts and
     residual sums; ``features`` maps histogram axes to global feature
     indices. This is the boosting engine's fast path; it produces the
-    same trees as :func:`fit_restricted_tree` without touching rows.
+    same trees as :func:`fit_cart` with ``allowed_features`` set to
+    ``features``, without touching rows.
 
     A pair tree grows level-wise: all open nodes of one depth are
     scored in a single vectorised pass. A single-feature tree grows
@@ -499,47 +499,6 @@ def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
             fi, fj = features
             nodes = _grow_2d(cnt, sums, total, fi, fj, params)
     return RegressionTree(nodes=nodes, params=params)
-
-
-def fit_restricted_tree(X_binned, residuals, allowed_features,
-                        params: TreeParams) -> RegressionTree:
-    """Weak learner: a CART fit whose split search is limited to one
-    feature (shape functions) or a feature pair (interaction terms).
-
-    Equivalent to :func:`fit_cart` with ``allowed_features``; the SSE
-    case runs on histograms, where interval arithmetic replaces row
-    partitioning.
-    """
-    allowed = sorted(set(int(f) for f in allowed_features))
-    if not 1 <= len(allowed) <= 2:
-        raise ValueError("allowed_features must hold 1 or 2 indices")
-    if params.split_criterion != "sse":
-        return fit_cart(X_binned, residuals, params, allowed_features=allowed)
-    Xb = np.asarray(X_binned)
-    r = np.asarray(residuals, dtype=np.float64)
-    if Xb.ndim != 2 or len(Xb) != len(r):
-        raise ValueError("X_binned must be 2-D and aligned with residuals")
-    if len(r) == 0:
-        raise ValueError("empty data")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("non-finite targets")
-    for f in allowed:
-        if not 0 <= f < Xb.shape[1]:
-            raise ValueError(f"feature index {f} out of range")
-    if len(allowed) == 1:
-        f = allowed[0]
-        col = Xb[:, f]
-        nb = int(col.max()) + 1
-        cnt = np.bincount(col, minlength=nb).astype(np.float64)
-        sums = np.bincount(col, weights=r, minlength=nb)
-        return restricted_tree_from_histogram(cnt, sums, (f,), params)
-    fi, fj = allowed
-    ci, cj = Xb[:, fi], Xb[:, fj]
-    ki, kj = int(ci.max()) + 1, int(cj.max()) + 1
-    cell = ci * kj + cj
-    cnt2 = np.bincount(cell, minlength=ki * kj).astype(np.float64).reshape(ki, kj)
-    sum2 = np.bincount(cell, weights=r, minlength=ki * kj).reshape(ki, kj)
-    return restricted_tree_from_histogram(cnt2, sum2, (fi, fj), params)
 
 
 def predict_tree(tree: RegressionTree, X_binned: np.ndarray) -> np.ndarray:

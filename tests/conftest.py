@@ -49,12 +49,12 @@ def write_series_csv(path, timestamps, target, exogenous=None, delimiter=","):
 def resign_model_file(path, edit):
     """Apply ``edit`` to a saved model document and re-sign it, so only
     the payload's contents, not its checksum, are wrong."""
-    from windglass.model_io import _checksum
+    from windglass.model_io import _digest, _encode_leaves
 
     doc = json.loads(path.read_text())
     del doc["checksum"]
     edit(doc)
-    doc["checksum"] = _checksum(doc)
+    doc["checksum"] = _digest(_encode_leaves(doc))
     path.write_text(json.dumps(doc))
 
 

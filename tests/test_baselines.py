@@ -68,7 +68,7 @@ class TestOls:
         model = wg.LinearModel(0.5, np.array([1.0, -2.0]), ("a", "b"))
         X = np.array([[1.0, 1.0], [0.0, 0.5], [2.0, 0.0]])
         expected = [0.5 + 1 - 2, 0.5 - 1, 0.5 + 2]
-        np.testing.assert_allclose(wg.predict_lr(model, X), expected, atol=1e-15)
+        np.testing.assert_allclose(model.predict(X), expected, atol=1e-15)
 
     def test_zero_weight_model_constant(self):
         model = wg.LinearModel(0.3, np.zeros(2), ("a", "b"))

@@ -216,8 +216,8 @@ class TestBenchmark:
     def test_seed_independent_kinds_fit_once(self, run_dir, monkeypatch, capsys,
                                              bagging):
         """Only bagged glass-box fits depend on the seed; every other kind
-        is fitted once per horizon and its scores reused, with the same
-        benchmark.csv as refitting every repeat."""
+        is fitted and scored once per horizon, so its means are exactly
+        that fit's scores and its stds exactly 0.0."""
         from windglass import cli
 
         _, cfg, out = run_dir
@@ -236,13 +236,34 @@ class TestBenchmark:
                   if ln.startswith("timing:")]
         assert len(timing) == 4 * 2 * 3
         assert sum("reused repeat=0" in ln for ln in timing) == 4 * 2 * 3 - len(calls)
-        reused = (out / "benchmark.csv").read_bytes()
+        rows = read_csv(out / "benchmark.csv")
 
-        calls.clear()
-        monkeypatch.setattr(cli, "_uses_seed", lambda kind, tc: True)
-        assert main(argv) == EXIT_OK
-        assert len(calls) == 4 * 2 * 3
-        assert (out / "benchmark.csv").read_bytes() == reused
+        # With one repeat, each row is one fit's scores with stds of 0.0.
+        assert main(argv[:4] + ["1"] + argv[5:]) == EXIT_OK
+        single = read_csv(out / "benchmark.csv")
+        seeded_kind = "windebm-no-interactions" if bagging > 1 else None
+        assert ([r for r in rows if r[0] != seeded_kind]
+                == [r for r in single if r[0] != seeded_kind])
+
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--repeats", "0"],
+        ["benchmark", "--repeats", "-1"],
+        ["explain", "--model", "m.json", "--mode", "pfi", "--repeats", "0"],
+        ["explain", "--model", "m.json", "--mode", "pfi", "--repeats", "-1"],
+    ])
+    def test_repeats_below_one_is_usage_error(self, run_dir, argv):
+        _, cfg, _ = run_dir
+        assert main([*argv, "--config", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("setting", [
+        "benchmark.horizons=1,0", "benchmark.horizons=-1", "benchmark.horizons=",
+        "benchmark.models=", "features.n_lags=0", "features.horizon_steps=0",
+    ])
+    def test_invalid_benchmark_grid_is_usage_error(self, run_dir, setting):
+        _, cfg, out = run_dir
+        assert main(["benchmark", "--config", str(cfg),
+                     "--set", "benchmark.models=lr", "--set", setting]) == EXIT_USAGE
+        assert not (out / "benchmark.csv").exists()
 
 
 class TestExplain:

@@ -88,11 +88,9 @@ class TestFailureModes:
             wg.load_model(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
-        from windglass.model_io import _checksum
-        doc = {"format_version": FORMAT_VERSION, "kind": "mystery"}
-        doc["checksum"] = _checksum({k: v for k, v in doc.items()})
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
+        wg.save_model(wg.LinearModel(0.5, np.array([1.0]), ("a",)), path)
+        resign_model_file(path, lambda doc: doc.update(kind="mystery"))
         with pytest.raises(ModelFormatError, match="unknown model kind"):
             wg.load_model(path)
 

@@ -1,10 +1,11 @@
-"""The single-pass model writer against the two-pass layout it replaced.
+"""The single-pass model writer and the loader's checksum against the
+two-pass layout they replaced.
 
 The reference below is the old body of ``save_model``: the checksum is
 SHA-256 over the sorted compact text, and the file is
 ``json.dump(..., indent=1)`` with the checksum appended, then a newline.
 The writer must give the same bytes for any JSON document and for every
-model kind.
+model kind, and the loader the same checksum for any parsed document.
 """
 
 import hashlib
@@ -19,10 +20,14 @@ import windglass as wg
 from windglass import model_io
 
 
-def reference_bytes(doc: dict, path) -> bytes:
+def reference_checksum(doc: dict) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def reference_bytes(doc: dict, path) -> bytes:
     full = dict(doc)
-    full["checksum"] = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    full["checksum"] = reference_checksum(doc)
     with open(path, "w") as fh:
         json.dump(full, fh, indent=1)
         fh.write("\n")
@@ -61,6 +66,15 @@ def workdir(tmp_path_factory):
 @given(doc=documents)
 def test_random_documents_byte_identical(workdir, doc):
     assert writer_bytes(doc, workdir / "new.json") == reference_bytes(doc, workdir / "ref.json")
+
+
+@settings(max_examples=250, deadline=None)
+@given(doc=documents)
+def test_loader_digest_matches_reference(doc):
+    """``load_model`` hashes the parsed file, where tuples are lists and
+    numpy scalars are floats; its checksum is still the definition's."""
+    parsed = json.loads(json.dumps(doc))
+    assert model_io._digest(model_io._encode_leaves(parsed)) == reference_checksum(doc)
 
 
 @pytest.mark.parametrize("doc", [
@@ -122,4 +136,4 @@ def test_save_load_save_byte_identical(models, tmp_path, name):
     wg.save_model(loaded, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     doc = json.loads((tmp_path / "a.json").read_text())
-    assert doc.pop("checksum") == model_io._checksum(doc)
+    assert doc.pop("checksum") == reference_checksum(doc)

@@ -8,6 +8,18 @@ import windglass as wg
 from windglass.trees import MIN_GAIN, restricted_tree_from_histogram
 
 
+def hist_tree(Xb, y, allowed, params):
+    """The histogram kernel fitted on the count and residual-sum
+    histograms of rows ``Xb`` over one feature or a pair."""
+    cols = tuple(Xb[:, f] for f in allowed)
+    shape = tuple(int(c.max()) + 1 for c in cols)
+    cell = np.ravel_multi_index(cols, shape)
+    size = int(np.prod(shape))
+    cnt = np.bincount(cell, minlength=size).astype(np.float64).reshape(shape)
+    sums = np.bincount(cell, weights=y, minlength=size).reshape(shape)
+    return restricted_tree_from_histogram(cnt, sums, tuple(allowed), params)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 # ---------------------------------------------------------------------------
@@ -209,7 +221,7 @@ class TestRestrictedTrees:
         g = np.array([0.3, -0.1, 0.8, 0.2])
         y = g[bins]
         Xb = np.column_stack([bins, rng.integers(0, 4, size=500)])
-        tree = wg.fit_restricted_tree(Xb, y, [0], wg.TreeParams(max_depth=2))
+        tree = hist_tree(Xb, y, [0], wg.TreeParams(max_depth=2))
         table = wg.tree_as_bin_table(tree, {0: 4})
         np.testing.assert_allclose(table, g, atol=1e-9)
 
@@ -220,7 +232,7 @@ class TestRestrictedTrees:
         Xb = np.column_stack([rng.integers(0, 4, size=2000),
                               rng.integers(0, 4, size=2000)])
         y = Xb[:, 1].astype(float)
-        tree = wg.fit_restricted_tree(Xb, y, [0], wg.TreeParams(max_depth=2))
+        tree = hist_tree(Xb, y, [0], wg.TreeParams(max_depth=2))
         table = wg.tree_as_bin_table(tree, {0: 4})
         oracle = brute_best_split(Xb, y, [0], [4, 4], 1)
         assert oracle[0] < 0.05 * sse_of(y)  # brute force confirms tiny gain
@@ -228,7 +240,7 @@ class TestRestrictedTrees:
 
     def test_zero_residuals_single_leaf_zero(self):
         Xb = np.arange(8).reshape(-1, 1) % 4
-        tree = wg.fit_restricted_tree(Xb, np.zeros(8), [0], wg.TreeParams())
+        tree = hist_tree(Xb, np.zeros(8), [0], wg.TreeParams())
         assert tree.n_leaves == 1
         assert tree.nodes[0].value == 0.0
 
@@ -244,7 +256,7 @@ class TestRestrictedTrees:
             y = rng.normal(size=m)
             for allowed in ([0], [1], [0, 2], [1, 2]):
                 params = wg.TreeParams(max_depth=3, min_samples_leaf=2)
-                fast = wg.fit_restricted_tree(Xb, y, allowed, params)
+                fast = hist_tree(Xb, y, allowed, params)
                 generic = wg.fit_cart(Xb, y, params, allowed_features=allowed)
                 np.testing.assert_allclose(
                     wg.predict_tree(fast, Xb), wg.predict_tree(generic, Xb),
@@ -255,11 +267,6 @@ class TestRestrictedTrees:
             with pytest.raises(ValueError, match="no rows"):
                 restricted_tree_from_histogram(cnt, np.zeros_like(cnt),
                                                tuple(range(cnt.ndim)), wg.TreeParams())
-
-    def test_too_many_features_errors(self):
-        with pytest.raises(ValueError, match="1 or 2"):
-            wg.fit_restricted_tree(np.zeros((5, 3), dtype=int), np.zeros(5),
-                                   [0, 1, 2], wg.TreeParams())
 
 
 class TestBinTable:
@@ -274,7 +281,7 @@ class TestBinTable:
         Xb = np.column_stack([rng.integers(0, 3, size=400),
                               rng.integers(0, 3, size=400)])
         y = rng.normal(size=400) + Xb[:, 0] * Xb[:, 1]
-        tree = wg.fit_restricted_tree(Xb, y, [0, 1], wg.TreeParams(max_depth=3))
+        tree = hist_tree(Xb, y, [0, 1], wg.TreeParams(max_depth=3))
         grid = wg.tree_as_bin_table(tree, {0: 3, 1: 3})
         assert grid.shape == (3, 3)
         combos = np.array([[a, b] for a in range(3) for b in range(3)])
@@ -291,7 +298,7 @@ class TestBinTable:
         rng = np.random.default_rng(20)
         Xb = rng.integers(0, 16, size=(500, 2))
         y = rng.normal(size=500)
-        tree = wg.fit_restricted_tree(Xb, y, [1], wg.TreeParams(max_depth=4))
+        tree = hist_tree(Xb, y, [1], wg.TreeParams(max_depth=4))
         table = wg.tree_as_bin_table(tree, {1: 16})
         probe = np.zeros((16, 2), dtype=int)
         probe[:, 1] = np.arange(16)
