@@ -181,12 +181,10 @@ def read_run_config(path, overrides=()) -> RunConfig:
     if not get("data", "timestamp_column") or not get("data", "target_column"):
         raise UsageError("config is missing data.timestamp_column / data.target_column")
 
-    train_kwargs = {}
-    if parser.has_section("train"):
-        for key, raw in parser["train"].items():
-            train_kwargs[key] = _parse_train_value(key, raw)
-
     try:
+        train_kwargs = ({key: _parse_train_value(key, raw)
+                         for key, raw in parser["train"].items()}
+                        if parser.has_section("train") else {})
         cfg = RunConfig(
             train_config=TrainConfig(**train_kwargs),
             **{field: parse(get(section, key))

@@ -466,6 +466,7 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     if hi <= lo:
         raise ValueError("empty fit range")
     Xf = np.asarray(X, dtype=np.float64)[lo:hi]
+    qs = np.arange(1, max_bins) / max_bins
     edges = []
     pops = []
     for f in range(Xf.shape[1]):
@@ -477,8 +478,7 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
             # Few distinct values: give each its own bin.
             cuts = 0.5 * (uniq[:-1] + uniq[1:])
         else:
-            qs = np.arange(1, max_bins) / max_bins
-            cand = np.quantile(col, qs)
+            cand = _linear_quantiles(np.sort(col), qs)
             # Quantiles that collapse onto the value span's endpoints
             # (heavy mass at zero output, say) would produce empty or
             # merged extreme bins; pull them strictly inside.
@@ -497,16 +497,46 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     )
 
 
+def _linear_quantiles(s: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(s, qs)`` (method ``linear``, Hyndman & Fan type 7)
+    of the sorted sample ``s``, for ``qs`` in [0, 1) and ``len(s) > 1``.
+
+    One sort instead of numpy's partition around two indices per
+    quantile; the arithmetic is numpy's ``_lerp``, so the values are
+    bit-identical (up to the sign of a zero edge between tied -0.0 and
+    +0.0, which numpy's partition leaves unspecified).
+    """
+    v = (len(s) - 1) * qs
+    below = np.floor(v)
+    g = v - below
+    k = below.astype(np.intp)
+    a, b = s[k], s[k + 1]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
+
+
 def apply_bins(bmap: BinningMap, X: np.ndarray) -> np.ndarray:
-    """Map every value to its bin index; total over all finite inputs."""
+    """Map every value to its bin index.
+
+    A value lands in bin ``searchsorted(edges, v, "right")``, so finite
+    values outside the fitted range clamp to the extreme bins. A
+    non-finite value raises ``ValueError`` naming its column: NaN would
+    land in the top bin and +-inf in an extreme one, giving a plausible
+    forecast from no data (``load_csv`` drops such rows for the same
+    reason).
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != bmap.n_features:
         raise ValueError(
             f"expected {bmap.n_features} feature columns, got shape {X.shape}"
         )
+    finite = np.isfinite(X)
+    if not finite.all():
+        f = int(np.flatnonzero(~finite.all(axis=0))[0])
+        raise ValueError(f"non-finite value in feature column {f}")
     out = np.empty(X.shape, dtype=np.int64)
-    for f in range(bmap.n_features):
-        out[:, f] = np.searchsorted(bmap.edges[f], X[:, f], side="right")
+    for f, edges in enumerate(bmap.edges):
+        out[:, f] = edges.searchsorted(X[:, f], side="right")
     return out
 
 

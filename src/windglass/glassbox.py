@@ -5,6 +5,13 @@ functions) plus one 2-D lookup table per selected feature pair
 (interaction terms). Prediction is the plain sum of table lookups, so
 every forecast decomposes exactly into per-term contributions.
 
+The term order (shape functions by feature index, then pairs) is written
+once, in ``GlassBoxModel._lookups``. A forecast starts at the intercept
+and adds one term's lookup at a time in that order; the breakdown adds
+the same floats in the same order, so the two agree bit for bit. Inputs
+are binned once per call, and a non-finite input raises ``ValueError``
+rather than landing in an edge bin.
+
 Training is cyclic gradient boosting: each round visits every term in
 round-robin order, fits a shallow bin-restricted tree to the current
 residuals, and adds a small multiple of the tree's lookup table into the
@@ -144,35 +151,44 @@ class GlassBoxModel:
                   for pt in self.pairs]
         return names
 
-    def _check_columns(self, X: np.ndarray):
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} feature columns, got shape {X.shape}"
-            )
+    def _lookups(self, X):
+        """Bin ``X`` once and yield each term's per-row contribution in
+        term order: shape functions by feature index, then pairs.
+
+        This is the one place that order is written down; ``predict``,
+        ``predict_with_breakdown`` and ``term_contributions`` all read
+        their terms from here. :func:`apply_bins` checks the column
+        count and rejects non-finite values.
+        """
+        Xb = apply_bins(self.bins, X)
+        for sf in self.shapes:
+            yield sf.values[Xb[:, sf.feature]]
+        cmaps = self.coarse_maps
+        for pt in self.pairs:
+            yield pt.grid[cmaps[pt.i][Xb[:, pt.i]], cmaps[pt.j][Xb[:, pt.j]]]
 
     def term_contributions(self, X: np.ndarray) -> np.ndarray:
         """Matrix of per-term contributions, columns in term order."""
-        X = np.asarray(X, dtype=np.float64)
-        self._check_columns(X)
-        Xb = apply_bins(self.bins, X)
-        cols = [sf.values[Xb[:, sf.feature]] for sf in self.shapes]
-        for pt in self.pairs:
-            ci = self.coarse_maps[pt.i][Xb[:, pt.i]]
-            cj = self.coarse_maps[pt.j][Xb[:, pt.j]]
-            cols.append(pt.grid[ci, cj])
-        return np.column_stack(cols)
+        return np.column_stack(list(self._lookups(X)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Forecast every row: intercept plus all table lookups.
+
+        Each row's sum starts at the intercept and adds the terms one at
+        a time in term order, the same float additions that
+        ``predict_with_breakdown`` itemizes, so the two agree bit for
+        bit. Non-finite inputs raise ``ValueError`` (see
+        :func:`apply_bins`).
 
         The sum is never clamped here; clamping to [0, 1] is a
         presentation step, and doing it inside the sum would break the
         exact additivity of the breakdown.
         """
-        contrib = self.term_contributions(X)
-        pred = np.full(len(contrib), self.intercept)
-        for k in range(contrib.shape[1]):
-            pred += contrib[:, k]
+        X = np.asarray(X, dtype=np.float64)
+        # ``shape[:1]``, not ``len``: a 0-d input must reach the column check.
+        pred = np.full(X.shape[:1], self.intercept)
+        for col in self._lookups(X):
+            pred += col
         return pred
 
     def predict_with_breakdown(self, row) -> tuple[float, float, list[tuple[str, float]]]:
@@ -180,15 +196,14 @@ class GlassBoxModel:
 
         Returns ``(forecast, intercept, contributions)`` where summing
         the intercept and the contributions in order reproduces the
-        forecast bit for bit.
+        forecast bit for bit, and equals ``predict`` on that row.
         """
         row = np.asarray(row, dtype=np.float64).reshape(1, -1)
-        contrib = self.term_contributions(row)[0]
+        contrib = [c.item() for c in self._lookups(row)]
         forecast = self.intercept
         for v in contrib:
             forecast += v
-        terms = list(zip(self.term_names(), (float(v) for v in contrib)))
-        return float(forecast), self.intercept, terms
+        return float(forecast), self.intercept, list(zip(self.term_names(), contrib))
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,15 @@ class TestTrain:
         assert main(["train", "--config", str(cfg),
                      "--set", "train.bogus=1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("setting", [
+        "train.max_rounds=abc", "train.learning_rate=fast",
+        "train.interaction_budget=some", "features.n_lags=abc",
+    ])
+    def test_unparseable_config_value_is_usage_error(self, run_dir, setting, capsys):
+        _, cfg, _ = run_dir
+        assert main(["train", "--config", str(cfg), "--set", setting]) == EXIT_USAGE
+        assert "bad config value" in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, run_dir):
         _, cfg, _ = run_dir
         assert main(["train", "--config", str(cfg),

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import windglass as wg
 from conftest import write_series_csv
@@ -25,6 +27,42 @@ def pearson_oracle(a, b):
     da = math.sqrt(sum((x - ma) ** 2 for x in a))
     db = math.sqrt(sum((y - mb) ** 2 for y in b))
     return num / (da * db)
+
+
+def np_quantile_edges(col, max_bins):
+    """``fit_bins``'s edges for one column as computed with ``np.quantile``."""
+    uniq = np.unique(col)
+    if len(uniq) < 2:
+        return np.empty(0)
+    if len(uniq) <= max_bins:
+        return 0.5 * (uniq[:-1] + uniq[1:])
+    cand = np.quantile(col, np.arange(1, max_bins) / max_bins)
+    cand = np.clip(cand, 0.5 * (uniq[0] + uniq[1]), 0.5 * (uniq[-2] + uniq[-1]))
+    return np.unique(cand)
+
+
+@st.composite
+def bin_columns(draw):
+    """Columns with ties, negative values, tiny spans and magnitudes
+    from 1e-300 to 1e300 (the sign of zero is left out: numpy's
+    partition may put either of a tied -0.0/+0.0 at an index)."""
+    n = draw(st.integers(2, 400))
+    kind = draw(st.sampled_from(["normal", "ties", "tiny_span", "drawn"]))
+    if kind == "drawn":
+        values = draw(st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=False)
+            | st.sampled_from([0.0, 1e-300, -1e-300, 1.0, -1.0]),
+            min_size=n, max_size=n))
+        return np.asarray(values) + 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    if kind == "normal":
+        col = rng.standard_normal(n)
+    elif kind == "ties":
+        col = rng.integers(-draw(st.integers(1, 40)), 40, n).astype(np.float64)
+    else:
+        col = 1.0 + rng.integers(0, 600, n) * np.finfo(np.float64).eps
+    return col * scale + 0.0
 
 
 class TestLoadCsv:
@@ -276,6 +314,13 @@ class TestBinning:
         centers = wg.bin_centers(bmap, 0)
         idx = wg.apply_bins(bmap, centers.reshape(-1, 1))[:, 0]
         np.testing.assert_array_equal(idx, np.arange(bmap.n_bins(0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(col=bin_columns(), max_bins=st.integers(2, 64))
+def test_fit_bins_edges_equal_np_quantile_bit_for_bit(col, max_bins):
+    bmap = wg.fit_bins(col.reshape(-1, 1), (0, len(col)), max_bins)
+    assert bmap.edges[0].tobytes() == np_quantile_edges(col, max_bins).tobytes()
 
 
 class TestPearson:
