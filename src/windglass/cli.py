@@ -417,9 +417,7 @@ def _require_glassbox(model, mode):
 
 
 def _pdp_grid(model, matrix, feature):
-    if isinstance(model, GlassBoxModel):
-        return bin_centers(model.bins, feature)
-    if isinstance(model, baselines.RTBaseline):
+    if isinstance(model, (GlassBoxModel, baselines.RTBaseline)):
         return bin_centers(model.bins, feature)
     qs = np.linspace(0.0, 1.0, 33)
     return np.unique(np.quantile(matrix.X[:, feature], qs))

@@ -433,9 +433,10 @@ class BinningMap:
     ``edges[f]`` holds the strictly increasing interior cut points of
     feature ``f``; a value lands in bin ``searchsorted(edges, v,
     "right")``, so anything outside the fitted range clamps to the
-    extreme bins. ``populations[f]`` counts fitting rows per bin and
-    ``vmin``/``vmax`` record the fitted value span (used for bin centers
-    and axis denormalization).
+    extreme bins. ``populations[f]`` counts fitting rows per bin: the
+    glass-box model's coarse pair bins and its bagged re-centering
+    weights come from it. ``vmin``/``vmax`` record the fitted value span
+    (used for bin centers and axis denormalization).
     """
 
     edges: tuple[np.ndarray, ...]

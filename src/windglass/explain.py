@@ -243,7 +243,8 @@ def pfi(predict_fn, X: np.ndarray, y: np.ndarray, metric=nrmse,
     ``metric(predict(X with column f permuted), y) - metric(predict(X), y)``.
     The default metric is NRMSE, so higher means more important.
     Permutations are seeded per (repeat, feature), making the result
-    independent of evaluation order.
+    independent of evaluation order. ``feature_names``, when given, must
+    name every column of ``X``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -254,6 +255,8 @@ def pfi(predict_fn, X: np.ndarray, y: np.ndarray, metric=nrmse,
     n = X.shape[1]
     if feature_names is None:
         feature_names = tuple(f"x{f}" for f in range(n))
+    elif len(feature_names) != n:
+        raise ValueError(f"{len(feature_names)} feature names for {n} columns")
     base = metric(predict_fn(X), y)
     deltas = np.empty((n_repeats, n))
     for rep in range(n_repeats):

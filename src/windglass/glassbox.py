@@ -23,8 +23,11 @@ then boosted on what is left.
 Both stages run the same engine, :func:`_boost`. A term is a tuple of
 features with a table of one axis (a shape function over bins) or two
 (a pair grid over coarse bins), and each row reaches its cell by a flat
-index into that table. :func:`_center` re-centers the tables of either
-stage, and of a bagged average, to training-weighted mean zero.
+index into that table; :func:`_pair_cells` builds a pair's cells.
+:func:`_center` re-centers the tables of either stage, and of a bagged
+average, to training-weighted mean zero. A feature's coarse bins are a
+function of its binning (:func:`_coarse_maps`): its main bins grouped
+into runs of near-equal ``BinningMap.populations``.
 """
 
 from __future__ import annotations
@@ -360,13 +363,10 @@ def _coarse_map(populations: np.ndarray, target_bins: int) -> np.ndarray:
     return c
 
 
-def _coarse_maps_from(Xb_train: np.ndarray, n_bins: list[int],
-                      pair_bins: int) -> dict[int, np.ndarray]:
-    maps = {}
-    for f in range(Xb_train.shape[1]):
-        pops = np.bincount(Xb_train[:, f], minlength=n_bins[f])
-        maps[f] = _coarse_map(pops, pair_bins)
-    return maps
+def _coarse_maps(bins: BinningMap, pair_bins: int) -> dict[int, np.ndarray]:
+    """Every feature's coarse map, from the populations its bins were
+    fit on (the training rows, when ``train`` fits them)."""
+    return {f: _coarse_map(pops, pair_bins) for f, pops in enumerate(bins.populations)}
 
 
 def _coarse(Xb: np.ndarray, cmaps: dict[int, np.ndarray]):
@@ -377,6 +377,13 @@ def _coarse(Xb: np.ndarray, cmaps: dict[int, np.ndarray]):
     return coarse, [int(cmaps[f].max()) + 1 for f in range(n)]
 
 
+def _pair_cells(coarse: np.ndarray, sizes: list[int], pairs):
+    """Yield each pair's grid shape and every row's flat cell in that
+    grid, one pair at a time."""
+    for i, j in pairs:
+        yield (sizes[i], sizes[j]), coarse[:, i] * sizes[j] + coarse[:, j]
+
+
 def _group_mean_fit(index: np.ndarray, values: np.ndarray, size: int) -> float:
     """SSE reduction of the per-group-mean model: sum of s^2/c."""
     cnt = np.bincount(index, minlength=size).astype(np.float64)
@@ -385,21 +392,23 @@ def _group_mean_fit(index: np.ndarray, values: np.ndarray, size: int) -> float:
     return float(np.sum(sums[nz] ** 2 / cnt[nz]))
 
 
-def _rank_with_maps(coarse, residuals, sizes) -> list[tuple[int, int, float]]:
+def _rank_pairs(Xb, residuals, cmaps) -> list[tuple[int, int, float]]:
+    """:func:`rank_interaction_pairs` of the binned rows ``Xb`` under
+    the coarse maps ``cmaps``."""
+    coarse, sizes = _coarse(Xb, cmaps)
     n = coarse.shape[1]
     marginal = [_group_mean_fit(coarse[:, f], residuals, sizes[f]) for f in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
     scored = []
-    for i, j in itertools.combinations(range(n), 2):
-        cell = coarse[:, i] * sizes[j] + coarse[:, j]
-        pair_fit = _group_mean_fit(cell, residuals, sizes[i] * sizes[j])
+    for (i, j), ((si, sj), cell) in zip(pairs, _pair_cells(coarse, sizes, pairs)):
+        pair_fit = _group_mean_fit(cell, residuals, si * sj)
         scored.append((i, j, pair_fit - marginal[i] - marginal[j]))
     scored.sort(key=lambda t: (-t[2], t[0], t[1]))
     return scored
 
 
 def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
-                           pair_bins: int = 32, n_bins=None,
-                           ) -> list[tuple[int, int, float]]:
+                           pair_bins: int = 32) -> list[tuple[int, int, float]]:
     """Score every feature pair by how much 2-D structure it explains.
 
     For each pair, the strength is the SSE reduction of the best
@@ -407,6 +416,7 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     reduction already available from each feature's own coarse-bin
     means. Purely additive structure therefore scores near zero. Pairs
     come back sorted by descending strength, ties broken by (i, j).
+    Coarse bins come from ``X_binned``'s own per-bin row counts.
     """
     Xb = np.asarray(X_binned)
     r = np.asarray(residuals, dtype=np.float64)
@@ -415,10 +425,8 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     n = Xb.shape[1]
     if n < 2:
         raise ValueError("need at least two features to rank pairs")
-    if n_bins is None:
-        n_bins = [int(Xb[:, f].max()) + 1 for f in range(n)]
-    coarse, sizes = _coarse(Xb, _coarse_maps_from(Xb, list(n_bins), pair_bins))
-    return _rank_with_maps(coarse, r, sizes)
+    cmaps = {f: _coarse_map(np.bincount(Xb[:, f]), pair_bins) for f in range(n)}
+    return _rank_pairs(Xb, r, cmaps)
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +435,14 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
 
 def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
                        split: DataSplit, residuals: np.ndarray,
-                       selected_pairs, config: TrainConfig,
-                       coarse_maps: dict[int, np.ndarray] | None = None,
-                       ) -> GlassBoxModel:
+                       selected_pairs, config: TrainConfig) -> GlassBoxModel:
     """Boost 2-D interaction grids on the main-effects residuals.
 
     Same cyclic schedule and early-stopping rule as the main stage, but
     each term is a feature pair fitted with pair-restricted trees over
-    coarse bins. Grids are re-centered to training-weighted mean zero at
-    the end, offsets folded into the intercept.
+    coarse bins: runs of main bins of near-equal ``model.bins.populations``,
+    i.e. of the rows the bins were fit on. Grids are re-centered to
+    training-weighted mean zero, offsets folded into the intercept.
     """
     n = model.n_features
     pairs: list[tuple[int, int]] = []
@@ -452,14 +459,11 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
 
     Xb = apply_bins(model.bins, matrix.X)
     tr, va = split.train_slice, split.val_slice
-    if coarse_maps is None:
-        n_bins = [model.bins.n_bins(f) for f in range(n)]
-        coarse_maps = _coarse_maps_from(Xb[tr], n_bins, config.pair_bins)
-    coarse, sizes = _coarse(Xb, coarse_maps)
-    C_tr, C_va = coarse[tr], coarse[va]
-    cells_tr = [C_tr[:, i] * sizes[j] + C_tr[:, j] for i, j in pairs]
-    cells_va = [C_va[:, i] * sizes[j] + C_va[:, j] for i, j in pairs]
-    cnts = [_cell_counts(c, (sizes[i], sizes[j])) for c, (i, j) in zip(cells_tr, pairs)]
+    cmaps = _coarse_maps(model.bins, config.pair_bins)
+    coarse, sizes = _coarse(Xb, cmaps)
+    shapes, cells_tr = zip(*_pair_cells(coarse[tr], sizes, pairs))
+    cells_va = [cell for _, cell in _pair_cells(coarse[va], sizes, pairs)]
+    cnts = [_cell_counts(c, shape) for c, shape in zip(cells_tr, shapes)]
     r = np.asarray(residuals, dtype=np.float64)
     grids, rounds, val_curve, loss_curve = _boost(
         pairs, cells_tr, cells_va, cnts, r[tr].copy(), r[va].copy(),
@@ -470,7 +474,7 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
         model,
         intercept=intercept,
         pairs=tuple(PairShapeFunction(i, j, g) for (i, j), g in zip(pairs, grids)),
-        coarse_maps={f: coarse_maps[f] for f in sorted(coarse_maps)},
+        coarse_maps=cmaps,
         rounds_pairs=rounds,
         val_curve_pairs=tuple(val_curve),
         train_loss_curve=model.train_loss_curve + tuple(loss_curve),
@@ -490,22 +494,15 @@ def _resolve_budget(budget, n: int) -> int:
     return min(int(budget), total)
 
 
-def _train_single(matrix, split, bins, config, coarse_maps=None) -> GlassBoxModel:
-    Xb = apply_bins(bins, matrix.X)
+def _train_single(matrix, split, bins, config, Xb) -> GlassBoxModel:
     model, residuals = _train_main_effects(matrix, split, bins, config, Xb)
     k = _resolve_budget(config.interaction_budget, matrix.n_features)
     if k == 0 or matrix.n_features < 2:
         return model
-    Xb_tr = Xb[split.train_slice]
-    cmaps = coarse_maps
-    if cmaps is None:
-        n_bins = [bins.n_bins(f) for f in range(matrix.n_features)]
-        cmaps = _coarse_maps_from(Xb_tr, n_bins, config.pair_bins)
-    coarse_tr, sizes = _coarse(Xb_tr, cmaps)
-    ranked = _rank_with_maps(coarse_tr, residuals[split.train_slice], sizes)
+    tr = split.train_slice
+    ranked = _rank_pairs(Xb[tr], residuals[tr], _coarse_maps(bins, config.pair_bins))
     selected = [(i, j) for i, j, _ in ranked[:k]]
-    return train_interactions(model, matrix, split, residuals, selected,
-                              config, coarse_maps=cmaps)
+    return train_interactions(model, matrix, split, residuals, selected, config)
 
 
 def train(matrix: SupervisedMatrix, split: DataSplit,
@@ -517,27 +514,22 @@ def train(matrix: SupervisedMatrix, split: DataSplit,
     With ``bagging_count > 1`` the training rows are bootstrap-resampled
     per bag (validation rows untouched), the bagged tables averaged, and
     the result re-centered against the original training populations.
-    Deterministic for a fixed config, seed, and data.
+    Deterministic for a fixed config, seed, and data. ``bins`` defaults
+    to bins fit on ``split.train``; coarse bins and bagged re-centering
+    follow ``bins.populations``, the rows the bins were fit on.
     """
     config = config or TrainConfig()
     if bins is None:
         bins = fit_bins(matrix.X, split.train, config.max_bins)
+    Xb = apply_bins(bins, matrix.X)
     if config.bagging_count == 1:
-        return _train_single(matrix, split, bins, config)
-    return _train_bagged(matrix, split, bins, config)
+        return _train_single(matrix, split, bins, config, Xb)
+    return _train_bagged(matrix, split, bins, config, Xb)
 
 
-def _train_bagged(matrix, split, bins, config) -> GlassBoxModel:
+def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
     n = matrix.n_features
     lo, hi = split.train
-    nb = [bins.n_bins(f) for f in range(n)]
-
-    # One coarse mapping shared by every bag, from the true training
-    # rows, so the bags' pair grids line up for averaging.
-    Xb = apply_bins(bins, matrix.X)
-    Xb_tr = Xb[split.train_slice]
-    cmaps = _coarse_maps_from(Xb_tr, nb, config.pair_bins)
-    coarse_tr, sizes = _coarse(Xb_tr, cmaps)
 
     bag_models = []
     for b in range(config.bagging_count):
@@ -550,16 +542,19 @@ def _train_bagged(matrix, split, bins, config) -> GlassBoxModel:
             feature_names=matrix.feature_names,
             norm_params=matrix.norm_params,
         )
-        bag_models.append(_train_single(bag_matrix, split, bins, config,
-                                        coarse_maps=cmaps))
+        bag_models.append(_train_single(bag_matrix, split, bins, config, Xb[order]))
 
     k = 1.0 / len(bag_models)
     intercept = sum(m.intercept for m in bag_models) * k
-    shape_values = [np.zeros(nb[f]) for f in range(n)]
+    shape_values = [np.zeros(bins.n_bins(f)) for f in range(n)]
     for m in bag_models:
         for sf in m.shapes:
             shape_values[sf.feature] += k * sf.values
 
+    # Every bag shares the binning, so their coarse maps and pair grids
+    # line up for averaging.
+    cmaps = _coarse_maps(bins, config.pair_bins)
+    coarse_tr, sizes = _coarse(Xb[lo:hi], cmaps)
     pair_keys = sorted({(pt.i, pt.j) for m in bag_models for pt in m.pairs})
     grids = {p: np.zeros((sizes[p[0]], sizes[p[1]])) for p in pair_keys}
     for m in bag_models:
@@ -567,9 +562,9 @@ def _train_bagged(matrix, split, bins, config) -> GlassBoxModel:
             grids[(pt.i, pt.j)] += k * pt.grid
 
     # Re-center everything against the true training populations.
-    weights = [_cell_counts(Xb_tr[:, f], (nb[f],)) for f in range(n)]
-    weights += [_cell_counts(coarse_tr[:, i] * sizes[j] + coarse_tr[:, j],
-                             (sizes[i], sizes[j])) for (i, j) in pair_keys]
+    weights = [pops.astype(np.float64) for pops in bins.populations]
+    weights += [_cell_counts(cell, shape)
+                for shape, cell in _pair_cells(coarse_tr, sizes, pair_keys)]
     intercept = _center(shape_values + list(grids.values()), weights, intercept)
 
     return GlassBoxModel(

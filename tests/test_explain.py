@@ -181,6 +181,13 @@ class TestPfi:
         b = wg.pfi(model.predict, X, y, n_repeats=3, seed=9)
         np.testing.assert_array_equal(a.importances, b.importances)
 
+    @pytest.mark.parametrize("n_names", [2, 4])
+    def test_feature_names_must_name_every_column(self, n_names):
+        X = np.random.default_rng(9).uniform(size=(20, 3))
+        names = [f"f{k}" for k in range(n_names)]
+        with pytest.raises(ValueError, match=f"{n_names} feature names for 3 columns"):
+            wg.pfi(lambda Z: Z[:, 0], X, X[:, 0], feature_names=names)
+
     def test_metric_failure_propagates(self):
         X = np.random.default_rng(8).uniform(size=(20, 2))
         y = np.full(20, 0.5)

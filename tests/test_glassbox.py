@@ -183,17 +183,19 @@ class TestInteractionRanking:
 
     def test_strengths_exact_under_coarse_remapping(self):
         """Fine bins (256) force real coarse re-mapping; scores must match
-        group-mean loops run over the same coarse columns."""
-        from windglass.glassbox import _coarse_maps_from
+        group-mean loops run over the same coarse columns, mapped from
+        each column's own bin counts."""
+        from windglass.glassbox import _coarse_map
         rng = np.random.default_rng(17)
         Xb = rng.integers(0, 256, size=(4000, 4))
         r = (Xb[:, 0] / 255.0 - 0.5) * (Xb[:, 3] / 255.0 - 0.5)
         r = r - r.mean()
         ranked = wg.rank_interaction_pairs(Xb, r, pair_bins=8)
         assert (ranked[0][0], ranked[0][1]) == (0, 3)
-        cmaps = _coarse_maps_from(Xb, [256] * 4, 8)
+        cmaps = [_coarse_map(np.bincount(Xb[:, f], minlength=256), 8) for f in range(4)]
         coarse = np.column_stack([cmaps[f][Xb[:, f]] for f in range(4)])
         sizes = [int(cmaps[f].max()) + 1 for f in range(4)]
+        assert max(sizes) == 8
         oracle = brute_pair_strength(coarse, r, sizes)
         for i, j, strength in ranked:
             assert strength == pytest.approx(oracle[(i, j)], abs=1e-8)
@@ -256,13 +258,17 @@ class TestInteractions:
         np.testing.assert_array_equal(no_pairs.predict(probe), mains.predict(probe))
 
     def test_staged_public_path_equals_train(self, trained_setup):
-        """train_main_effects then train_interactions on train's own
-        pairs rebuild train's model bit for bit."""
+        """train_main_effects, rank_interaction_pairs on the training
+        rows, then train_interactions on the top-ranked pairs rebuild
+        train's model bit for bit, pair order included."""
         model, matrix, split = trained_setup
         bins = wg.fit_bins(matrix.X, split.train, FAST.max_bins)
         mains, residuals = wg.train_main_effects(matrix, split, bins, FAST)
-        staged = wg.train_interactions(mains, matrix, split, residuals,
-                                       [(pt.i, pt.j) for pt in model.pairs], FAST)
+        tr = split.train_slice
+        ranked = wg.rank_interaction_pairs(wg.apply_bins(bins, matrix.X[tr]),
+                                           residuals[tr], FAST.pair_bins)
+        selected = [(i, j) for i, j, _ in ranked[:len(model.pairs)]]
+        staged = wg.train_interactions(mains, matrix, split, residuals, selected, FAST)
         assert staged.intercept == model.intercept
         assert (staged.rounds_main, staged.rounds_pairs) == (
             model.rounds_main, model.rounds_pairs)
@@ -277,6 +283,35 @@ class TestInteractions:
         assert staged.coarse_maps.keys() == model.coarse_maps.keys()
         for f, cmap in model.coarse_maps.items():
             np.testing.assert_array_equal(staged.coarse_maps[f], cmap)
+
+    def test_coarse_maps_follow_the_binning_populations(self):
+        """Bins fit on every row, not only the training rows: single and
+        2-bag fits on those bins carry the coarse maps of the bins'
+        populations, and the bagged shapes are centered on them."""
+        from dataclasses import replace
+        from windglass.glassbox import _coarse_map
+        raw = wg.make_interaction_data(1200, seed=8)
+        split = wg.chronological_split(raw.n_rows)
+        matrix = wg.normalize_fit_apply(raw, split.train)
+        cfg = replace(FAST, max_rounds=20, max_bins=64)
+        bins = wg.fit_bins(matrix.X, (0, matrix.n_rows), cfg.max_bins)
+        expected = [_coarse_map(pops, cfg.pair_bins) for pops in bins.populations]
+        # The training rows alone would map some feature differently.
+        Xb_tr = wg.apply_bins(bins, matrix.X[split.train_slice])
+        assert any(not np.array_equal(
+            _coarse_map(np.bincount(Xb_tr[:, f], minlength=bins.n_bins(f)),
+                        cfg.pair_bins), expected[f])
+            for f in range(matrix.n_features))
+        single = wg.train(matrix, split, cfg, bins=bins)
+        bagged = wg.train(matrix, split, replace(cfg, bagging_count=2), bins=bins)
+        for model in (single, bagged):
+            assert model.pairs
+            assert sorted(model.coarse_maps) == list(range(matrix.n_features))
+            for f, cmap in model.coarse_maps.items():
+                np.testing.assert_array_equal(cmap, expected[f])
+        for sf in bagged.shapes:
+            pops = bins.populations[sf.feature]
+            assert abs(pops @ sf.values / pops.sum()) <= 1e-12
 
     def test_unknown_pair_feature_errors(self, trained_setup):
         model, matrix, split = trained_setup

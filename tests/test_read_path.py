@@ -1,5 +1,6 @@
 """The read path on random small fits: ``predict``, the per-term
-breakdown and ``term_contributions``, plus the non-finite input policy.
+breakdown and ``term_contributions``, plus the non-finite input policy
+and the training loss curve of the same fits.
 
 The reference below builds the rows x terms contribution matrix from
 the model's tables, one column per term in term order, and sums it from
@@ -118,6 +119,18 @@ def test_every_table_is_centered(fit):
         assert abs(w @ pt.grid.ravel() / w.sum()) <= 1e-12
     assert model.intercept == pytest.approx(
         matrix.y[split.train_slice].mean(), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit=fits)
+def test_training_loss_never_increases(fit):
+    """Each boosting step, main effects then pairs, is a least-squares
+    fit scaled by a learning rate below one, so the training MSE never
+    rises (up to rounding)."""
+    model, _, _ = fit
+    curve = np.asarray(model.train_loss_curve)
+    assert len(curve) >= 2 * model.n_features
+    assert np.all(np.diff(curve) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
