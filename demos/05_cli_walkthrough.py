@@ -74,6 +74,10 @@ run("explain", "--config", str(config_path), "--model", model,
     "--mode", "local", "--row", "5")
 run("explain", "--config", str(config_path), "--model", model,
     "--mode", "shape", "--feature", "lag_0")
+run("explain", "--config", str(config_path), "--model", model,
+    "--mode", "pdp", "--feature", "lag_0")
+run("explain", "--config", str(config_path), "--model", model,
+    "--mode", "pfi")
 
 print(f"\nartifacts in {work / 'out'}:")
 for p in sorted((work / "out").iterdir()):

@@ -465,7 +465,7 @@ def cmd_explain(args) -> int:
         curve = explain.export_shape(model, f, denormalize=args.denormalize)
         path = out / f"shape_{args.feature}.csv"
         _write_csv(path, ["bin_center", "value"],
-                   [[repr(x), repr(v)] for x, v in zip(curve.x, curve.values)])
+                   [[repr(float(x)), repr(float(v))] for x, v in zip(curve.x, curve.values)])
         print(f"wrote {path} ({len(curve.x)} bins)")
     elif mode == "heatmap":
         _require_glassbox(model, mode)
@@ -479,7 +479,8 @@ def cmd_explain(args) -> int:
         i, j = min(i, j), max(i, j)
         path = out / f"heatmap_{names[i]}_{names[j]}.csv"
         _write_csv(path, ["row", "col", "value"],
-                   [[repr(curve.x[r]), repr(curve.y[c]), repr(curve.values[r, c])]
+                   [[repr(float(curve.x[r])), repr(float(curve.y[c])),
+                     repr(float(curve.values[r, c]))]
                     for r in range(len(curve.x)) for c in range(len(curve.y))])
         print(f"wrote {path} ({curve.values.shape[0]}x{curve.values.shape[1]} grid)")
     elif mode == "pdp":
@@ -488,7 +489,7 @@ def cmd_explain(args) -> int:
         curve = explain.pdp(model.predict, matrix.X[split.train_slice], f, grid)
         path = out / f"pdp_{args.feature}.csv"
         _write_csv(path, ["bin_center", "value"],
-                   [[repr(x), repr(v)] for x, v in zip(curve.x, curve.values)])
+                   [[repr(float(x)), repr(float(v))] for x, v in zip(curve.x, curve.values)])
         print(f"wrote {path} (range {explain.pdp_importance(curve):.4f})")
     elif mode == "pfi":
         rows = _range_slice(split, args.range)
@@ -497,7 +498,7 @@ def cmd_explain(args) -> int:
                              seed=cfg.train_config.seed,
                              feature_names=names)
         _write_csv(out / "pfi.csv", ["feature", "importance", "std"],
-                   [[n, repr(v), repr(s)] for n, v, s in
+                   [[n, repr(float(v)), repr(float(s))] for n, v, s in
                     zip(names, result.importances, result.stds)])
         for n in result.ordering():
             k = names.index(n)

@@ -30,6 +30,7 @@ __all__ = [
     "chronological_split",
     "fit_bins",
     "apply_bins",
+    "bin_values",
     "bin_centers",
     "bin_boundaries",
     "pearson_correlation",
@@ -531,13 +532,29 @@ def apply_bins(bmap: BinningMap, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {bmap.n_features} feature columns, got shape {X.shape}"
         )
+    return _bin(bmap, X, range(bmap.n_features))
+
+
+def bin_values(bmap: BinningMap, feature: int, values) -> np.ndarray:
+    """Bin index of every value of one feature, by the rule of
+    :func:`apply_bins`: ``bin_values(bmap, f, X[:, f])`` equals
+    ``apply_bins(bmap, X)[:, f]``, and a non-finite value raises the same
+    ``ValueError`` naming column ``feature``."""
+    values = np.asarray(values, dtype=np.float64)
+    return _bin(bmap, values.reshape(-1, 1), (feature,))[:, 0]
+
+
+def _bin(bmap: BinningMap, X: np.ndarray, features) -> np.ndarray:
+    """Bin column k of the 2-D ``X`` by the edges of ``features[k]``,
+    raising on the first column (in that order) holding a non-finite
+    value."""
     finite = np.isfinite(X)
     if not finite.all():
-        f = int(np.flatnonzero(~finite.all(axis=0))[0])
-        raise ValueError(f"non-finite value in feature column {f}")
+        k = int(np.flatnonzero(~finite.all(axis=0))[0])
+        raise ValueError(f"non-finite value in feature column {features[k]}")
     out = np.empty(X.shape, dtype=np.int64)
-    for f, edges in enumerate(bmap.edges):
-        out[:, f] = edges.searchsorted(X[:, f], side="right")
+    for k, f in enumerate(features):
+        out[:, k] = bmap.edges[f].searchsorted(X[:, k], side="right")
     return out
 
 

@@ -5,7 +5,8 @@ partial dependence, permutation importance, and ranking agreement.
 glass-box model's own tables. ``pdp`` and ``pfi`` are model-agnostic:
 they only call an opaque ``predict(X)`` function, so they apply to the
 baselines as well, and they are what the cross-method consistency check
-compares against.
+compares against. Given a glass-box model's own ``predict`` they bin the
+rows once and perturb the binned matrix, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import bin_boundaries, bin_centers
+from .data import apply_bins, bin_boundaries, bin_centers, bin_values
 from .glassbox import GlassBoxModel
 from .metrics import nrmse
 
@@ -205,12 +206,36 @@ def export_pair_heatmap(model: GlassBoxModel, pair, denormalize: bool = False) -
 # Model-agnostic tools
 # ---------------------------------------------------------------------------
 
+def _perturbable(predict_fn, X: np.ndarray):
+    """The matrix that :func:`pdp` and :func:`pfi` perturb and score,
+    as ``(matrix, encode, score)``: ``encode(f, values)`` maps values of
+    column ``f`` into the matrix, and ``score(matrix)`` predicts.
+
+    When ``predict_fn`` is a :class:`GlassBoxModel`'s own bound
+    ``predict``, the matrix is ``X`` binned once: binning is element-wise
+    (:func:`apply_bins`), so permuting a binned column or writing a
+    value's bin into it gives the binned copy of the perturbed ``X``, and
+    ``_predict_binned`` of that copy is ``predict`` of the perturbed
+    ``X``, bit for bit. Any other predictor (a lambda, a wrapped or
+    clipped ``predict``, a baseline) gets ``X`` and itself.
+    """
+    model = getattr(predict_fn, "__self__", None)
+    if isinstance(model, GlassBoxModel) and predict_fn == model.predict:
+        return (apply_bins(model.bins, X),
+                lambda f, values: bin_values(model.bins, f, values),
+                model._predict_binned)
+    return X, lambda f, values: values, predict_fn
+
+
 def pdp(predict_fn, X: np.ndarray, feature: int, grid) -> CurveExport:
     """Partial dependence: mean prediction as one feature sweeps a grid.
 
     For each grid value the feature column is overwritten everywhere and
     the predictor re-evaluated, so this works for any forecaster, not
-    just the glass-box model.
+    just the glass-box model. For a :class:`GlassBoxModel`'s own bound
+    ``predict`` the rows are binned once and each grid value's bin is
+    written into the binned column, which gives the same curve, bit for
+    bit, and the same ``ValueError`` for a non-finite grid value.
     """
     X = np.asarray(X, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
@@ -222,10 +247,14 @@ def pdp(predict_fn, X: np.ndarray, feature: int, grid) -> CurveExport:
     if not 0 <= f < X.shape[1]:
         raise ValueError(f"feature index {f} out of range")
     curve = np.empty(len(grid))
+    # Column f as at the first grid point, so the binned path bins (and
+    # rejects) exactly what the first generic call would see.
     Xv = X.copy()
-    for k, v in enumerate(grid):
-        Xv[:, f] = v
-        curve[k] = float(np.mean(predict_fn(Xv)))
+    Xv[:, f] = grid[0]
+    M, encode, score = _perturbable(predict_fn, Xv)
+    for k, v in enumerate(encode(f, grid)):
+        M[:, f] = v
+        curve[k] = float(np.mean(score(M)))
     return CurveExport(name=f"pdp[{f}]", x=grid.copy(), values=curve)
 
 
@@ -245,6 +274,12 @@ def pfi(predict_fn, X: np.ndarray, y: np.ndarray, metric=nrmse,
     Permutations are seeded per (repeat, feature), making the result
     independent of evaluation order. ``feature_names``, when given, must
     name every column of ``X``.
+
+    For a :class:`GlassBoxModel`'s own bound ``predict``, ``X`` is
+    binned once and each permutation permutes the binned column, so the
+    rows are not binned again per permutation; importances and stds are
+    the same, bit for bit. The unpermuted score always calls
+    ``predict_fn``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -258,13 +293,14 @@ def pfi(predict_fn, X: np.ndarray, y: np.ndarray, metric=nrmse,
     elif len(feature_names) != n:
         raise ValueError(f"{len(feature_names)} feature names for {n} columns")
     base = metric(predict_fn(X), y)
+    M, _, score = _perturbable(predict_fn, X)
     deltas = np.empty((n_repeats, n))
     for rep in range(n_repeats):
         for f in range(n):
             rng = np.random.default_rng((seed, rep, f))
-            Xp = X.copy()
-            Xp[:, f] = X[rng.permutation(len(X)), f]
-            deltas[rep, f] = metric(predict_fn(Xp), y) - base
+            Mp = M.copy()
+            Mp[:, f] = M[rng.permutation(len(M)), f]
+            deltas[rep, f] = metric(score(Mp), y) - base
     return PfiResult(
         feature_names=tuple(feature_names),
         importances=deltas.mean(axis=0),

@@ -6,11 +6,12 @@ functions) plus one 2-D lookup table per selected feature pair
 every forecast decomposes exactly into per-term contributions.
 
 The term order (shape functions by feature index, then pairs) is written
-once, in ``GlassBoxModel._lookups``. A forecast starts at the intercept
-and adds one term's lookup at a time in that order; the breakdown adds
-the same floats in the same order, so the two agree bit for bit. Inputs
-are binned once per call, and a non-finite input raises ``ValueError``
-rather than landing in an edge bin.
+once, in ``GlassBoxModel._lookups``, which reads binned rows. A forecast
+starts at the intercept and adds one term's lookup at a time in that
+order (``_predict_binned``); the breakdown adds the same floats in the
+same order, so the two agree bit for bit. Inputs are binned once per
+call, and a non-finite input raises ``ValueError`` rather than landing
+in an edge bin.
 
 Training is cyclic gradient boosting: each round visits every term in
 round-robin order, fits a shallow bin-restricted tree to the current
@@ -154,16 +155,15 @@ class GlassBoxModel:
                   for pt in self.pairs]
         return names
 
-    def _lookups(self, X):
-        """Bin ``X`` once and yield each term's per-row contribution in
-        term order: shape functions by feature index, then pairs.
+    def _lookups(self, Xb):
+        """Yield each term's per-row contribution to the binned rows
+        ``Xb`` (:func:`apply_bins`) in term order: shape functions by
+        feature index, then pairs.
 
         This is the one place that order is written down; ``predict``,
-        ``predict_with_breakdown`` and ``term_contributions`` all read
-        their terms from here. :func:`apply_bins` checks the column
-        count and rejects non-finite values.
+        ``predict_with_breakdown``, ``term_contributions`` and
+        ``_predict_binned`` all read their terms from here.
         """
-        Xb = apply_bins(self.bins, X)
         for sf in self.shapes:
             yield sf.values[Xb[:, sf.feature]]
         cmaps = self.coarse_maps
@@ -172,7 +172,7 @@ class GlassBoxModel:
 
     def term_contributions(self, X: np.ndarray) -> np.ndarray:
         """Matrix of per-term contributions, columns in term order."""
-        return np.column_stack(list(self._lookups(X)))
+        return np.column_stack(list(self._lookups(apply_bins(self.bins, X))))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Forecast every row: intercept plus all table lookups.
@@ -187,10 +187,12 @@ class GlassBoxModel:
         presentation step, and doing it inside the sum would break the
         exact additivity of the breakdown.
         """
-        X = np.asarray(X, dtype=np.float64)
-        # ``shape[:1]``, not ``len``: a 0-d input must reach the column check.
-        pred = np.full(X.shape[:1], self.intercept)
-        for col in self._lookups(X):
+        return self._predict_binned(apply_bins(self.bins, X))
+
+    def _predict_binned(self, Xb: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of rows already binned by :func:`apply_bins`."""
+        pred = np.full(len(Xb), self.intercept)
+        for col in self._lookups(Xb):
             pred += col
         return pred
 
@@ -202,7 +204,7 @@ class GlassBoxModel:
         forecast bit for bit, and equals ``predict`` on that row.
         """
         row = np.asarray(row, dtype=np.float64).reshape(1, -1)
-        contrib = [c.item() for c in self._lookups(row)]
+        contrib = [c.item() for c in self._lookups(apply_bins(self.bins, row))]
         forecast = self.intercept
         for v in contrib:
             forecast += v
@@ -359,8 +361,9 @@ def _coarse_map(populations: np.ndarray, target_bins: int) -> np.ndarray:
     mid = np.cumsum(pops) - pops / 2.0
     c = np.floor(mid / pops.sum() * target_bins).astype(np.int64)
     c = np.clip(c, 0, target_bins - 1)
-    _, c = np.unique(c, return_inverse=True)  # compress to 0..K-1, order kept
-    return c
+    # ``c`` is non-decreasing (``mid`` is, for non-negative counts), so
+    # numbering its runs compresses it to 0..K-1 with the order kept.
+    return np.concatenate(([0], np.cumsum(np.diff(c) != 0))).astype(np.int64)
 
 
 def _coarse_maps(bins: BinningMap, pair_bins: int) -> dict[int, np.ndarray]:

@@ -57,6 +57,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def numeric_cells(rows, first):
+    """Every cell from column ``first`` on, parsed by ``float``, which
+    rejects anything but a plain number (``np.float64(0.5)`` included)."""
+    return [float(c) for row in rows for c in row[first:]]
+
+
 class TestTrain:
     def test_train_writes_model_and_log(self, run_dir):
         _, cfg, out = run_dir
@@ -311,24 +317,30 @@ class TestExplain:
         cfg, out, model = trained
         assert main(["explain", "--config", str(cfg), "--model", str(model),
                      "--mode", "shape", "--feature", "lag_0"]) == EXIT_OK
-        assert (out / "shape_lag_0.csv").exists()
+        rows = read_csv(out / "shape_lag_0.csv")
+        assert rows[0] == ["bin_center", "value"]
+        assert numeric_cells(rows[1:], 0)
         assert main(["explain", "--config", str(cfg), "--model", str(model),
                      "--mode", "heatmap", "--pair", "lag_1,lag_0"]) == EXIT_OK
         heatmaps = list(out.glob("heatmap_*.csv"))
         assert len(heatmaps) == 1
         rows = read_csv(heatmaps[0])
         assert rows[0] == ["row", "col", "value"]
+        assert numeric_cells(rows[1:], 0)
 
     def test_pdp_and_pfi(self, trained):
         cfg, out, model = trained
         assert main(["explain", "--config", str(cfg), "--model", str(model),
                      "--mode", "pdp", "--feature", "lag_0"]) == EXIT_OK
-        assert (out / "pdp_lag_0.csv").exists()
+        rows = read_csv(out / "pdp_lag_0.csv")
+        assert rows[0] == ["bin_center", "value"]
+        assert numeric_cells(rows[1:], 0)
         assert main(["explain", "--config", str(cfg), "--model", str(model),
                      "--mode", "pfi", "--repeats", "2"]) == EXIT_OK
         rows = read_csv(out / "pfi.csv")
         assert rows[0] == ["feature", "importance", "std"]
         assert len(rows) == 5
+        assert numeric_cells(rows[1:], 1)
 
     def test_unknown_feature_lists_valid_names(self, trained, capsys):
         cfg, out, model = trained

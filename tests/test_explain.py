@@ -3,9 +3,13 @@ cross-method ranking agreement."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import windglass as wg
-from conftest import FAST
+import windglass.explain
+import windglass.glassbox
+from conftest import FAST, fits
 
 
 class TestGlobalImportance:
@@ -193,6 +197,103 @@ class TestPfi:
         y = np.full(20, 0.5)
         with pytest.raises(ValueError, match="zero variance"):
             wg.pfi(lambda Z: Z[:, 0], X, y, metric=wg.r2, n_repeats=2)
+
+
+class TestBinSpacePath:
+    """``pdp`` and ``pfi`` given a glass-box model's own bound ``predict``
+    perturb the binned rows; wrapping the same ``predict`` in a lambda
+    takes the generic path, which re-bins every perturbed copy. Both must
+    give the same floats and the same errors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fit=fits, seed=st.integers(0, 2**32 - 1), n_repeats=st.integers(1, 3))
+    def test_pfi_matches_generic_path_bit_for_bit(self, fit, seed, n_repeats):
+        model, matrix, _ = fit
+        X, y = matrix.X, matrix.y
+        a = wg.pfi(model.predict, X, y, n_repeats=n_repeats, seed=seed)
+        b = wg.pfi(lambda Z: model.predict(Z), X, y, n_repeats=n_repeats, seed=seed)
+        assert a.importances.tobytes() == b.importances.tobytes()
+        assert a.stds.tobytes() == b.stds.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(fit=fits, data=st.data())
+    def test_pdp_matches_generic_path_bit_for_bit(self, fit, data):
+        """Grids reach outside the fitted [0, 1] range, so they clamp to
+        the extreme bins, and may repeat values and bin edges."""
+        model, matrix, _ = fit
+        f = data.draw(st.integers(0, model.n_features - 1))
+        edges = model.bins.edges[f].tolist()
+        value = st.floats(-1.0, 2.0) | (st.sampled_from(edges) if edges else st.just(0.5))
+        grid = data.draw(st.lists(value, min_size=1, max_size=12))
+        a = wg.pdp(model.predict, matrix.X, f, grid)
+        b = wg.pdp(lambda Z: model.predict(Z), matrix.X, f, grid)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.x.tobytes() == b.x.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(fit=fits, data=st.data())
+    def test_pdp_non_finite_grid_value_raises_the_same_error(self, fit, data):
+        model, matrix, _ = fit
+        f = data.draw(st.integers(0, model.n_features - 1))
+        grid = data.draw(st.lists(st.floats(-1.0, 2.0), min_size=0, max_size=4))
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        grid.insert(data.draw(st.integers(0, len(grid))), bad)
+        with pytest.raises(ValueError) as bound:
+            wg.pdp(model.predict, matrix.X, f, grid)
+        with pytest.raises(ValueError) as wrapped:
+            wg.pdp(lambda Z: model.predict(Z), matrix.X, f, grid)
+        assert str(bound.value) == str(wrapped.value)
+        assert str(bound.value) == f"non-finite value in feature column {f}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_pdp_never_reads_the_swept_column(self, trained_setup, bad):
+        """The swept column is overwritten before anything is binned, so
+        a non-finite value there is no error on either path."""
+        model, matrix, _ = trained_setup
+        X = matrix.X[:200].copy()
+        X[5, 2] = bad
+        grid = np.linspace(0.0, 1.0, 5)
+        a = wg.pdp(model.predict, X, 2, grid)
+        b = wg.pdp(lambda Z: model.predict(Z), X, 2, grid)
+        assert a.values.tobytes() == b.values.tobytes()
+        with pytest.raises(ValueError, match="non-finite value in feature column 2"):
+            wg.pdp(model.predict, X, 1, grid)
+
+    @pytest.fixture
+    def bin_calls(self, monkeypatch):
+        """Count every ``apply_bins`` call made by the model or by the
+        explanation tools."""
+        calls = []
+        real = wg.apply_bins
+
+        def counted(bmap, X):
+            calls.append(len(X))
+            return real(bmap, X)
+
+        for mod in (windglass.glassbox, windglass.explain):
+            monkeypatch.setattr(mod, "apply_bins", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_repeats", [1, 3])
+    def test_pfi_bins_the_rows_at_most_twice(self, trained_setup, bin_calls, n_repeats):
+        model, matrix, split = trained_setup
+        X = matrix.X[split.test_slice]
+        y = matrix.y[split.test_slice]
+        wg.pfi(model.predict, X, y, n_repeats=n_repeats)
+        assert 1 <= len(bin_calls) <= 2
+        # The generic path, for contrast, bins every permuted copy.
+        bin_calls.clear()
+        wg.pfi(lambda Z: model.predict(Z), X, y, n_repeats=n_repeats)
+        assert len(bin_calls) == 1 + n_repeats * model.n_features
+
+    @pytest.mark.parametrize("n_points", [1, 7, 40])
+    def test_pdp_bins_the_rows_once_whatever_the_grid(self, trained_setup, bin_calls,
+                                                      n_points):
+        model, matrix, _ = trained_setup
+        for f in range(model.n_features):
+            bin_calls.clear()
+            wg.pdp(model.predict, matrix.X[:300], f, np.linspace(-0.2, 1.2, n_points))
+            assert len(bin_calls) == 1
 
 
 class TestRankingConsistency:

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import windglass as wg
 from conftest import FAST
@@ -199,6 +201,33 @@ class TestInteractionRanking:
         oracle = brute_pair_strength(coarse, r, sizes)
         for i, j, strength in ranked:
             assert strength == pytest.approx(oracle[(i, j)], abs=1e-8)
+
+
+def reference_coarse_map(populations, target_bins):
+    """The coarse map compressed by sorting, ``np.unique``'s inverse."""
+    nb = len(populations)
+    if nb <= target_bins:
+        return np.arange(nb)
+    pops = populations.astype(np.float64)
+    mid = np.cumsum(pops) - pops / 2.0
+    c = np.floor(mid / pops.sum() * target_bins).astype(np.int64)
+    c = np.clip(c, 0, target_bins - 1)
+    return np.unique(c, return_inverse=True)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pops=st.lists(st.integers(0, 3) | st.integers(0, 10_000), min_size=1, max_size=300)
+       .filter(lambda p: sum(p) > 0),
+       target_bins=st.integers(2, 40))
+def test_coarse_map_equals_unique_inverse(pops, target_bins):
+    """Numbering the runs of the non-decreasing coarse indices equals
+    sorting them, zero-population bins and single-bin runs included."""
+    from windglass.glassbox import _coarse_map
+    pops = np.asarray(pops, dtype=np.int64)
+    got = _coarse_map(pops, target_bins)
+    want = reference_coarse_map(pops, target_bins)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
 
 
 class TestInteractions:

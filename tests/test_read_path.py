@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
+from conftest import fits, small_fit
 
 
 # ---------------------------------------------------------------------------
@@ -36,29 +37,6 @@ def reference_predict(model, X):
     for k in range(contrib.shape[1]):
         pred += contrib[:, k]
     return pred
-
-
-def small_fit(seed, n_features, rounds, learning_rate=0.3):
-    """A ~60-row fit with every pair, its matrix and split."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(size=(60, n_features))
-    # Ties and a value repeated across rows exercise shared bins.
-    X[::7, 0] = 0.5
-    y = (np.sin(3 * X[:, 0]) + X[:, 1] * X[:, -1]
-         + 0.1 * rng.standard_normal(60))
-    raw = wg.SupervisedMatrix(X=X, y=y,
-                              feature_names=[f"x{k}" for k in range(n_features)])
-    split = wg.chronological_split(raw.n_rows)
-    matrix = wg.normalize_fit_apply(raw, split.train)
-    config = wg.TrainConfig(learning_rate=learning_rate, max_rounds=rounds,
-                            max_bins=16, pair_bins=4, interaction_budget="all",
-                            min_samples_split=2)
-    return wg.train(matrix, split, config), matrix, split
-
-
-fits = st.builds(small_fit, seed=st.integers(0, 2**32 - 1),
-                 n_features=st.integers(2, 4), rounds=st.integers(2, 3),
-                 learning_rate=st.sampled_from([0.05, 0.3, 0.9]))
 
 
 def probe_rows(model, matrix, seed):
