@@ -26,15 +26,16 @@ features with a table of one axis (a shape function over bins) or two
 (a pair grid over coarse bins), and each row reaches its cell by a flat
 index into that table; :func:`_pair_cells` builds a pair's cells.
 :func:`_center` re-centers the tables of either stage, and of a bagged
-average, to training-weighted mean zero. A feature's coarse bins are a
-function of its binning (:func:`_coarse_maps`): its main bins grouped
-into runs of near-equal ``BinningMap.populations``.
+average, to training-weighted mean zero. A feature's coarse bins are
+derived, never stored (``GlassBoxModel.coarse_maps``): its main bins
+grouped into runs of near-equal ``BinningMap.populations``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,12 +93,19 @@ class TrainConfig:
             raise ValueError("bin counts must be >= 2")
         if self.bagging_count < 1:
             raise ValueError("bagging_count must be >= 1")
+        for depth in (self.main_depth, self.pair_depth):
+            self._tree_params(depth)
         if isinstance(self.interaction_budget, str):
             if self.interaction_budget not in ("auto", "all"):
                 raise ValueError(
                     "interaction_budget must be 'auto', 'all', or a count")
         elif self.interaction_budget < 0:
             raise ValueError("interaction budget must be >= 0")
+
+    def _tree_params(self, depth: int) -> TreeParams:
+        """A boosting tree's settings; TreeParams checks them."""
+        return TreeParams(max_depth=depth, min_samples_split=self.min_samples_split,
+                          min_samples_leaf=self.min_samples_leaf)
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,6 @@ class GlassBoxModel:
     intercept: float
     shapes: tuple[ShapeFunction, ...]
     pairs: tuple[PairShapeFunction, ...]
-    coarse_maps: dict[int, np.ndarray]
     bins: BinningMap
     feature_names: tuple[str, ...]
     norm_params: NormParams | None = None
@@ -147,6 +154,13 @@ class GlassBoxModel:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+    @cached_property
+    def coarse_maps(self) -> dict[int, np.ndarray]:
+        """Each feature's main bins grouped into at most ``pair_bins``
+        runs of near-equal ``bins.populations``; derived on first read."""
+        return {f: _coarse_map(pops, self.config.pair_bins)
+                for f, pops in enumerate(self.bins.populations)}
 
     def term_names(self) -> list[str]:
         """Canonical term order: features by index, then pairs."""
@@ -166,9 +180,9 @@ class GlassBoxModel:
         """
         for sf in self.shapes:
             yield sf.values[Xb[:, sf.feature]]
-        cmaps = self.coarse_maps
         for pt in self.pairs:
-            yield pt.grid[cmaps[pt.i][Xb[:, pt.i]], cmaps[pt.j][Xb[:, pt.j]]]
+            ci, cj = self.coarse_maps[pt.i], self.coarse_maps[pt.j]
+            yield pt.grid[ci[Xb[:, pt.i]], cj[Xb[:, pt.j]]]
 
     def term_contributions(self, X: np.ndarray) -> np.ndarray:
         """Matrix of per-term contributions, columns in term order."""
@@ -232,12 +246,7 @@ def _boost(terms, cells_tr, cells_va, cnts, r_train, val_err, depth, config):
     Returns the tables, the round count, the per-round validation curve
     and the per-step training loss curve.
     """
-    params = TreeParams(
-        max_depth=depth,
-        min_samples_split=config.min_samples_split,
-        min_samples_leaf=config.min_samples_leaf,
-        split_criterion="sse",
-    )
+    params = config._tree_params(depth)
     tables = [np.zeros(cnt.shape) for cnt in cnts]
     # Everything a step reads that never changes is built before the
     # rounds; the boosting loop is the training hot path.
@@ -332,7 +341,6 @@ def _train_main_effects(matrix, split, bins, config, Xb):
         intercept=intercept,
         shapes=tuple(ShapeFunction(f, shape_values[f]) for f in range(n)),
         pairs=(),
-        coarse_maps={},
         bins=bins,
         feature_names=matrix.feature_names,
         norm_params=matrix.norm_params,
@@ -364,12 +372,6 @@ def _coarse_map(populations: np.ndarray, target_bins: int) -> np.ndarray:
     # ``c`` is non-decreasing (``mid`` is, for non-negative counts), so
     # numbering its runs compresses it to 0..K-1 with the order kept.
     return np.concatenate(([0], np.cumsum(np.diff(c) != 0))).astype(np.int64)
-
-
-def _coarse_maps(bins: BinningMap, pair_bins: int) -> dict[int, np.ndarray]:
-    """Every feature's coarse map, from the populations its bins were
-    fit on (the training rows, when ``train`` fits them)."""
-    return {f: _coarse_map(pops, pair_bins) for f, pops in enumerate(bins.populations)}
 
 
 def _coarse(Xb: np.ndarray, cmaps: dict[int, np.ndarray]):
@@ -421,6 +423,8 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     come back sorted by descending strength, ties broken by (i, j).
     Coarse bins come from ``X_binned``'s own per-bin row counts.
     """
+    if pair_bins < 2:
+        raise ValueError("pair_bins must be >= 2")
     Xb = np.asarray(X_binned)
     r = np.asarray(residuals, dtype=np.float64)
     if Xb.ndim != 2 or len(Xb) != len(r):
@@ -445,7 +449,8 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
     each term is a feature pair fitted with pair-restricted trees over
     coarse bins: runs of main bins of near-equal ``model.bins.populations``,
     i.e. of the rows the bins were fit on. Grids are re-centered to
-    training-weighted mean zero, offsets folded into the intercept.
+    training-weighted mean zero, offsets folded into the intercept. The
+    model returned records ``config``, whose ``pair_bins`` its grids use.
     """
     n = model.n_features
     pairs: list[tuple[int, int]] = []
@@ -460,10 +465,10 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
     if not pairs:
         return model
 
+    model = replace(model, config=config)
     Xb = apply_bins(model.bins, matrix.X)
     tr, va = split.train_slice, split.val_slice
-    cmaps = _coarse_maps(model.bins, config.pair_bins)
-    coarse, sizes = _coarse(Xb, cmaps)
+    coarse, sizes = _coarse(Xb, model.coarse_maps)
     shapes, cells_tr = zip(*_pair_cells(coarse[tr], sizes, pairs))
     cells_va = [cell for _, cell in _pair_cells(coarse[va], sizes, pairs)]
     cnts = [_cell_counts(c, shape) for c, shape in zip(cells_tr, shapes)]
@@ -477,7 +482,6 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
         model,
         intercept=intercept,
         pairs=tuple(PairShapeFunction(i, j, g) for (i, j), g in zip(pairs, grids)),
-        coarse_maps=cmaps,
         rounds_pairs=rounds,
         val_curve_pairs=tuple(val_curve),
         train_loss_curve=model.train_loss_curve + tuple(loss_curve),
@@ -503,7 +507,7 @@ def _train_single(matrix, split, bins, config, Xb) -> GlassBoxModel:
     if k == 0 or matrix.n_features < 2:
         return model
     tr = split.train_slice
-    ranked = _rank_pairs(Xb[tr], residuals[tr], _coarse_maps(bins, config.pair_bins))
+    ranked = _rank_pairs(Xb[tr], residuals[tr], model.coarse_maps)
     selected = [(i, j) for i, j, _ in ranked[:k]]
     return train_interactions(model, matrix, split, residuals, selected, config)
 
@@ -539,12 +543,7 @@ def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
         rng = np.random.default_rng((config.seed, b))
         take = np.sort(rng.integers(lo, hi, size=hi - lo))
         order = np.concatenate([take, np.arange(hi, split.n_rows)])
-        bag_matrix = SupervisedMatrix(
-            X=matrix.X[order],
-            y=matrix.y[order],
-            feature_names=matrix.feature_names,
-            norm_params=matrix.norm_params,
-        )
+        bag_matrix = replace(matrix, X=matrix.X[order], y=matrix.y[order])
         bag_models.append(_train_single(bag_matrix, split, bins, config, Xb[order]))
 
     k = 1.0 / len(bag_models)
@@ -554,10 +553,9 @@ def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
         for sf in m.shapes:
             shape_values[sf.feature] += k * sf.values
 
-    # Every bag shares the binning, so their coarse maps and pair grids
-    # line up for averaging.
-    cmaps = _coarse_maps(bins, config.pair_bins)
-    coarse_tr, sizes = _coarse(Xb[lo:hi], cmaps)
+    # Every bag shares the binning and config, so their coarse maps and
+    # pair grids line up for averaging.
+    coarse_tr, sizes = _coarse(Xb[lo:hi], bag_models[0].coarse_maps)
     pair_keys = sorted({(pt.i, pt.j) for m in bag_models for pt in m.pairs})
     grids = {p: np.zeros((sizes[p[0]], sizes[p[1]])) for p in pair_keys}
     for m in bag_models:
@@ -574,7 +572,6 @@ def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
         intercept=intercept,
         shapes=tuple(ShapeFunction(f, shape_values[f]) for f in range(n)),
         pairs=tuple(PairShapeFunction(i, j, grids[(i, j)]) for (i, j) in pair_keys),
-        coarse_maps=cmaps if pair_keys else {},
         bins=bins,
         feature_names=matrix.feature_names,
         norm_params=matrix.norm_params,

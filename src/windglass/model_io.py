@@ -8,6 +8,10 @@ checks that the tables, trees and column indices fit together, so a
 truncated, tampered or inconsistent file fails loudly instead of
 predicting garbage.
 
+A glass-box file's coarse maps are never read back: the model derives
+them from its binning, and a file whose stored maps differ from what
+:func:`save_model` writes for that model is refused.
+
 File invariants:
 
 - The file is exactly ``json.dump(doc, fh, indent=1)`` of the document,
@@ -140,8 +144,13 @@ def _glassbox_doc(m: GlassBoxModel) -> dict:
         "pair_terms": [
             {"i": pt.i, "j": pt.j, "grid": pt.grid.tolist()} for pt in m.pairs
         ],
-        "coarse_maps": {str(f): cm.tolist() for f, cm in m.coarse_maps.items()},
+        "coarse_maps": _coarse_maps_doc(m),
     }
+
+
+def _coarse_maps_doc(m: GlassBoxModel) -> dict:
+    """The stored coarse maps: every feature's if the model has pairs."""
+    return {str(f): cm.tolist() for f, cm in m.coarse_maps.items()} if m.pairs else {}
 
 
 def _glassbox_from(doc) -> GlassBoxModel:
@@ -157,10 +166,6 @@ def _glassbox_from(doc) -> GlassBoxModel:
                               np.asarray(p["grid"], dtype=np.float64))
             for p in doc["pair_terms"]
         ),
-        coarse_maps={
-            int(f): np.asarray(cm, dtype=np.int64)
-            for f, cm in doc["coarse_maps"].items()
-        },
         bins=_bins_from_doc(doc),
         feature_names=tuple(doc["feature_names"]),
         norm_params=_norm_from_doc(doc["normalization"]),
@@ -170,43 +175,39 @@ def _glassbox_from(doc) -> GlassBoxModel:
         val_curve_main=tuple(meta["val_curve_main"]),
         val_curve_pairs=tuple(meta["val_curve_pairs"]),
     )
-    _check_glassbox(model)
+    _check_glassbox(model, doc["coarse_maps"])
     return model
 
 
-def _check_glassbox(m: GlassBoxModel) -> None:
+def _check_glassbox(m: GlassBoxModel, stored_coarse_maps) -> None:
     """Raise ValueError unless every table lookup ``predict`` makes is
-    in range: shape ``f`` is indexed by feature ``f``'s bin, and a pair
-    grid by the coarse maps of its two features at their bins."""
+    in range and :func:`save_model` would write the stored coarse maps:
+    feature ``f`` has populations (which fix its coarse map) and shape
+    function ``f``, each one entry per bin; pairs are distinct."""
     n = m.n_features
-    if m.bins.n_features != n:
-        raise ValueError(f"{m.bins.n_features} binned features for {n} feature names")
-    for sf in m.shapes:
-        if not 0 <= sf.feature < n:
-            raise ValueError(f"shape function for feature {sf.feature} of {n}")
-        if sf.values.shape != (m.bins.n_bins(sf.feature),):
-            raise ValueError(
-                f"shape function of feature {sf.feature} has shape {sf.values.shape}, "
-                f"the feature has {m.bins.n_bins(sf.feature)} bins")
-    for f, cmap in m.coarse_maps.items():
-        if not 0 <= f < n:
-            raise ValueError(f"coarse map for feature {f} of {n}")
-        if cmap.shape != (m.bins.n_bins(f),):
-            raise ValueError(
-                f"coarse map of feature {f} has shape {cmap.shape}, "
-                f"the feature has {m.bins.n_bins(f)} bins")
-        if cmap[0] < 0 or np.any(np.diff(cmap) < 0):
-            raise ValueError(f"coarse map of feature {f} is negative or decreasing")
+    counts = (m.bins.n_features, len(m.bins.populations), len(m.shapes))
+    if counts != (n, n, n):
+        raise ValueError(f"{counts} binnings, populations and shape functions "
+                         f"for {n} features")
+    for f, (pops, sf) in enumerate(zip(m.bins.populations, m.shapes)):
+        nb = (m.bins.n_bins(f),)
+        if pops.shape != nb or pops.min() < 0 or pops.sum() <= 0:
+            raise ValueError(f"populations of feature {f} are not {nb[0]} "
+                             f"non-negative counts with a positive total")
+        if sf.feature != f or sf.values.shape != nb:
+            raise ValueError(f"shape function {f} is for feature {sf.feature} with shape "
+                             f"{sf.values.shape}, not feature {f} with {nb[0]} bins")
+    if stored_coarse_maps != _coarse_maps_doc(m):
+        raise ValueError("stored coarse maps are not the ones the binning gives")
+    if len({(pt.i, pt.j) for pt in m.pairs}) != len(m.pairs):
+        raise ValueError("a pair term is repeated")
     for pt in m.pairs:
         if not 0 <= pt.i < pt.j < n:
             raise ValueError(f"pair ({pt.i}, {pt.j}) is not 0 <= i < j < {n}")
-        if pt.i not in m.coarse_maps or pt.j not in m.coarse_maps:
-            raise ValueError(f"pair ({pt.i}, {pt.j}) lacks a coarse map")
         need = (int(m.coarse_maps[pt.i].max()) + 1, int(m.coarse_maps[pt.j].max()) + 1)
         if pt.grid.ndim != 2 or pt.grid.shape[0] < need[0] or pt.grid.shape[1] < need[1]:
-            raise ValueError(
-                f"grid of pair ({pt.i}, {pt.j}) has shape {pt.grid.shape}, "
-                f"its coarse maps reach {need}")
+            raise ValueError(f"grid of pair ({pt.i}, {pt.j}) has shape "
+                             f"{pt.grid.shape}, its coarse maps reach {need}")
 
 
 def _linear_doc(m: LinearModel) -> dict:

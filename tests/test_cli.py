@@ -93,6 +93,14 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--set", setting]) == EXIT_USAGE
         assert "bad config value" in capsys.readouterr().err
 
+    def test_bad_tree_setting_is_usage_error(self, run_dir, capsys):
+        """A tree setting TrainConfig refuses is a bad config value,
+        found before the data are read."""
+        _, cfg, _ = run_dir
+        assert main(["train", "--config", str(cfg),
+                     "--set", "train.main_depth=-1"]) == EXIT_USAGE
+        assert "bad config value" in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, run_dir):
         _, cfg, _ = run_dir
         assert main(["train", "--config", str(cfg),

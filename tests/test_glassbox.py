@@ -138,6 +138,18 @@ class TestMainEffects:
         with pytest.raises(ValueError, match="learning_rate"):
             wg.TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"main_depth": -1}, "max_depth must be >= 0"),
+        ({"pair_depth": -1}, "max_depth must be >= 0"),
+        ({"min_samples_split": 1}, "min_samples_split must be >= 2"),
+        ({"min_samples_leaf": 0}, "min_samples_leaf must be >= 1"),
+    ], ids=["main_depth", "pair_depth", "min_samples_split", "min_samples_leaf"])
+    def test_bad_tree_setting_rejected_when_built(self, setting, message):
+        """The tree settings follow TreeParams' rules, checked before
+        any training starts."""
+        with pytest.raises(ValueError, match=message):
+            wg.TrainConfig(**setting)
+
 
 class TestInteractionRanking:
     def test_product_signal_pair_ranked_first(self):
@@ -177,6 +189,12 @@ class TestInteractionRanking:
     def test_single_feature_errors(self):
         with pytest.raises(ValueError, match="two features"):
             wg.rank_interaction_pairs(np.zeros((10, 1), dtype=int), np.zeros(10))
+
+    @pytest.mark.parametrize("pair_bins", [1, 0, -3])
+    def test_pair_bins_below_two_rejected(self, pair_bins):
+        Xb = np.random.default_rng(4).integers(0, 6, size=(200, 3))
+        with pytest.raises(ValueError, match="pair_bins must be >= 2"):
+            wg.rank_interaction_pairs(Xb, np.ones(200), pair_bins)
 
     def test_deterministic_tie_break_order(self):
         Xb = np.zeros((30, 3), dtype=int)  # constant features: all ties
@@ -312,6 +330,23 @@ class TestInteractions:
         assert staged.coarse_maps.keys() == model.coarse_maps.keys()
         for f, cmap in model.coarse_maps.items():
             np.testing.assert_array_equal(staged.coarse_maps[f], cmap)
+
+    def test_staged_pair_stage_records_its_config(self, trained_setup, tmp_path):
+        """A staged pair stage with its own ``pair_bins`` returns a model
+        that records that config, so its coarse maps are the ones its
+        grids were built on, in memory and after a file round trip."""
+        from dataclasses import replace
+        model, matrix, split = trained_setup
+        bins = wg.fit_bins(matrix.X, split.train, FAST.max_bins)
+        mains, residuals = wg.train_main_effects(matrix, split, bins, FAST)
+        coarser = replace(FAST, pair_bins=4)
+        staged = wg.train_interactions(mains, matrix, split, residuals, [(0, 1)], coarser)
+        assert staged.config == coarser
+        assert staged.pairs[0].grid.shape == (4, 4)
+        assert [int(staged.coarse_maps[f].max()) + 1 for f in (0, 1)] == [4, 4]
+        wg.save_model(staged, tmp_path / "m.json")
+        loaded = wg.load_model(tmp_path / "m.json")
+        np.testing.assert_array_equal(loaded.predict(matrix.X), staged.predict(matrix.X))
 
     def test_coarse_maps_follow_the_binning_populations(self):
         """Bins fit on every row, not only the training rows: single and

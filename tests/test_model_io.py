@@ -121,16 +121,27 @@ class TestFailureModes:
         lambda doc: doc["pair_terms"][0].update(
             grid=[row[:-1] for row in doc["pair_terms"][0]["grid"]]),
         lambda doc: doc["bin_edges"].pop(),
+        lambda doc: doc["shape_functions"].reverse(),
+        lambda doc: doc["shape_functions"].append(doc["shape_functions"][0]),
+        lambda doc: doc["shape_functions"].pop(),
+        lambda doc: doc["pair_terms"].append(doc["pair_terms"][0]),
+        lambda doc: doc["coarse_maps"].update({"0": [0] * len(doc["coarse_maps"]["0"])}),
+        lambda doc: doc["bin_populations"][0].pop(),
     ], ids=["short_shape", "shape_feature_out_of_range", "pair_index_out_of_range",
             "pair_not_ordered", "pair_without_coarse_map", "short_coarse_map",
             "decreasing_coarse_map", "negative_coarse_map", "grid_missing_row",
-            "grid_missing_column", "fewer_binned_features"])
+            "grid_missing_column", "fewer_binned_features", "shapes_reordered",
+            "shape_repeated", "shape_missing", "pair_repeated",
+            "coarse_map_monotone_but_wrong", "short_populations"])
     def test_structurally_inconsistent_glassbox_rejected(self, trained_setup,
                                                          tmp_path, edit):
         """Checksummed files whose tables would index out of range at
-        predict time are rejected on load."""
+        predict time, or that are not what ``save_model`` writes for the
+        model they describe, are rejected on load."""
         model, _, _ = trained_setup
         assert model.pairs
+        # An all-zero coarse map of feature 0 is monotone but wrong.
+        assert model.bins.n_bins(0) > model.config.pair_bins
         path = tmp_path / "m.json"
         wg.save_model(model, path)
         resign_model_file(path, edit)

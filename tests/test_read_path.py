@@ -1,6 +1,6 @@
 """The read path on random small fits: ``predict``, the per-term
-breakdown and ``term_contributions``, plus the non-finite input policy
-and the training loss curve of the same fits.
+breakdown and ``term_contributions``, plus the non-finite input policy,
+the training loss curve and the derived coarse maps of the same fits.
 
 The reference below builds the rows x terms contribution matrix from
 the model's tables, one column per term in term order, and sums it from
@@ -8,12 +8,19 @@ the intercept one column at a time in that order. The read path must
 give the same floats bit for bit.
 """
 
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
+from windglass import glassbox
+from windglass.glassbox import _coarse_map
 from conftest import fits, small_fit
 
 
@@ -109,6 +116,55 @@ def test_training_loss_never_increases(fit):
     curve = np.asarray(model.train_loss_curve)
     assert len(curve) >= 2 * model.n_features
     assert np.all(np.diff(curve) <= 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Coarse maps are derived from the binning, once per model
+# ---------------------------------------------------------------------------
+
+def check_coarse_maps(model, matrix, tmp_dir):
+    """The model stores no coarse maps: the first read derives every
+    feature's from its binning, and nothing on the read path derives
+    them again. The file round trip re-saves byte for byte."""
+    assert "coarse_maps" not in {f.name for f in fields(wg.GlassBoxModel)}
+    want = [_coarse_map(pops, model.config.pair_bins) for pops in model.bins.populations]
+    fresh = replace(model)  # a new instance: nothing derived yet
+    X, y = matrix.X, matrix.y
+    with mock.patch.object(glassbox, "_coarse_map", wraps=_coarse_map) as derive:
+        maps = fresh.coarse_maps
+        assert derive.call_count == fresh.n_features
+        fresh.predict(X)
+        fresh.predict_with_breakdown(X[0])
+        fresh.term_contributions(X)
+        wg.pfi(fresh.predict, X, y, n_repeats=1)
+        wg.pdp(fresh.predict, X, 0, [0.2, 0.8])
+        assert derive.call_count == fresh.n_features
+    assert sorted(maps) == list(range(model.n_features))
+    for f, cmap in enumerate(want):
+        np.testing.assert_array_equal(maps[f], cmap)
+
+    first, second = tmp_dir / "a.json", tmp_dir / "b.json"
+    wg.save_model(model, first)
+    loaded = wg.load_model(first)
+    wg.save_model(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    for f, cmap in enumerate(want):
+        np.testing.assert_array_equal(loaded.coarse_maps[f], cmap)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit=fits)
+def test_coarse_maps_are_derived_from_the_binning_once(fit):
+    model, matrix, _ = fit
+    with tempfile.TemporaryDirectory() as tmp:
+        check_coarse_maps(model, matrix, Path(tmp))
+
+
+def test_bagged_coarse_maps_are_derived_from_the_binning_once(tmp_path):
+    model, matrix, split = small_fit(seed=9, n_features=3, rounds=2)
+    bagged = wg.train(matrix, split, replace(model.config, bagging_count=2))
+    assert bagged.pairs
+    check_coarse_maps(bagged, matrix, tmp_path)
 
 
 # ---------------------------------------------------------------------------
