@@ -151,8 +151,7 @@ def fit_rt_baseline(matrix: SupervisedMatrix, fit_range: tuple[int, int],
         raise ValueError("empty fit range")
     bins = fit_bins(matrix.X, fit_range, max_bins)
     Xb = apply_bins(bins, matrix.X[lo:hi])
-    n_bins = [bins.n_bins(f) for f in range(matrix.n_features)]
-    tree = fit_cart(Xb, matrix.y[lo:hi], params, n_bins=n_bins)
+    tree = fit_cart(Xb, matrix.y[lo:hi], params)
     return RTBaseline(
         tree=tree,
         bins=bins,

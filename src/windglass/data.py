@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -45,7 +45,8 @@ __all__ = [
 class CsvSchema:
     """Column roles for :func:`load_csv`.
 
-    ``timestamp_format`` is ``"iso8601"`` or ``"epoch"`` (seconds).
+    ``timestamp_format`` is ``"iso8601"`` (a stamp without a zone is
+    UTC) or ``"epoch"`` (seconds).
     ``exogenous_columns=None`` takes every remaining column in header
     order; pass ``()`` for none.
     """
@@ -227,9 +228,13 @@ def _parse_timestamp(raw: str, fmt: str) -> float:
             raise ValueError(f"unparseable timestamp {raw!r}") from None
     if fmt == "iso8601":
         try:
-            return datetime.fromisoformat(raw.strip().replace("Z", "+00:00")).timestamp()
+            stamp = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
         except ValueError:
             raise ValueError(f"unparseable timestamp {raw!r}") from None
+        # A naive timestamp is UTC, so the host's DST shifts never apply.
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        return stamp.timestamp()
     raise ValueError(f"unknown timestamp format {fmt!r}")
 
 
@@ -245,8 +250,9 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
     """Read a time-series CSV into a validated :class:`TimeSeriesFrame`.
 
     Rows containing missing or non-finite values in any declared column
-    are dropped and counted in ``frame.dropped_rows``. Duplicate or
-    out-of-order timestamps raise, they are never silently reordered.
+    are dropped and counted in ``frame.dropped_rows``. A row too short
+    to hold every declared column raises. Duplicate or out-of-order
+    timestamps raise, they are never silently reordered.
 
     Parameters
     ----------
@@ -255,7 +261,7 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
     schema : CsvSchema
         Column roles, timestamp format, and delimiter.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader)
@@ -278,6 +284,7 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
         ts_idx = header.index(schema.timestamp_column)
         y_idx = header.index(schema.target_column)
         exo_idx = [header.index(c) for c in exo_names]
+        n_fields = max(ts_idx, y_idx, *exo_idx) + 1
 
         timestamps: list[float] = []
         target: list[float] = []
@@ -286,6 +293,9 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) < n_fields:
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                                 f"fields, {n_fields} needed")
             ts = _parse_timestamp(row[ts_idx], schema.timestamp_format)
             y = _parse_float(row[y_idx])
             exo_vals = [_parse_float(row[i]) for i in exo_idx]

@@ -5,13 +5,14 @@ a sample goes left when ``bin <= threshold``. That makes every tree
 restricted to one or two features an exact lookup table over its bins,
 which is what the additive model's shape functions are built from.
 
-Split criteria:
+One fitter per criterion:
 
-* ``"sse"``: squared-error reduction, mean leaf values. Used by the
-  boosting weak learners; mean leaves are what make each boosting step
-  non-increasing in training MSE.
-* ``"mae"``: absolute-error reduction, median leaf values. Used by the
-  standalone regression-tree baseline.
+* squared error, mean leaves: :func:`restricted_tree_from_histogram`,
+  the boosting engine's weak learner on one feature or a pair. Mean
+  leaves are what make each boosting step non-increasing in training
+  MSE.
+* absolute error, median leaves: :func:`fit_cart`, the standalone
+  regression-tree baseline on rows of every column.
 
 Tie-breaking is deterministic: among equal-gain splits the lowest
 feature index wins, then the lowest threshold bin.
@@ -102,19 +103,6 @@ class RegressionTree:
     nodes: tuple[TreeNode, ...]
     params: TreeParams
 
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for nd in self.nodes if nd.is_leaf)
-
-    @property
-    def depth(self) -> int:
-        def walk(nid, d):
-            nd = self.nodes[nid]
-            if nd.is_leaf:
-                return d
-            return max(walk(nd.left, d + 1), walk(nd.right, d + 1))
-        return walk(0, 0)
-
     def features_used(self) -> set[int]:
         return {nd.feature for nd in self.nodes if not nd.is_leaf}
 
@@ -123,70 +111,43 @@ class RegressionTree:
 # Split searches
 # ---------------------------------------------------------------------------
 
-def _best_split_sse(xb: np.ndarray, y: np.ndarray, n_bins: int,
-                    min_leaf: int) -> tuple[float, int] | None:
-    """Best (gain, threshold) under squared error, or None.
-
-    SSE gain only needs per-bin counts and sums:
-    gain = sL^2/cL + sR^2/cR - s^2/c.
-    """
-    cnt = np.bincount(xb, minlength=n_bins).astype(np.float64)
-    sums = np.bincount(xb, weights=y, minlength=n_bins)
-    c_left = np.cumsum(cnt)[:-1]
-    s_left = np.cumsum(sums)[:-1]
-    c_total = cnt.sum()
-    s_total = sums.sum()
-    c_right = c_total - c_left
-    s_right = s_total - s_left
-    valid = (c_left >= min_leaf) & (c_right >= min_leaf)
-    if not valid.any():
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (s_left ** 2 / c_left + s_right ** 2 / c_right
-                - s_total ** 2 / c_total)
-    gain[~valid] = -np.inf
-    t = int(np.argmax(gain))  # first max: lowest threshold wins ties
-    return float(gain[t]), t
-
-
-def _best_split_mae_node(cols, idx, y_node, n_bins, min_leaf):
+def _best_split_mae_node(cols, idx, y_node, min_leaf):
     """Best (row of ``cols``, threshold) under absolute error, or None.
 
-    ``cols`` holds the binned columns to search, one row per feature,
-    and ``n_bins`` their bin counts; ``idx`` selects the node's samples
-    and ``y_node`` is their targets. A side's cost is the sum of
-    absolute deviations around its median: with ``h = m // 2`` it is
-    its total minus the sum of its ``m - h`` smallest values minus the
-    sum of its ``h`` smallest, read off prefix sums in sorted-value
-    order. Every feature is scored in one pass over blocks of
-    (feature, threshold) candidates x rows.
+    ``cols`` holds the binned columns, one row per feature; ``idx``
+    selects the node's samples and ``y_node`` is their targets. A
+    side's cost is the sum of absolute deviations around its median:
+    with ``h = m // 2`` it is its total minus the sum of its ``m - h``
+    smallest values minus the sum of its ``h`` smallest, read off prefix
+    sums in sorted-value order. Every feature is scored in one pass over
+    blocks of (feature, threshold) candidates x rows.
 
     Only thresholds at bins present in the node are candidates, minus
     its top bin: a threshold between two present bins has the same left
-    set, and so the same cost, as the lower one. The search returns
-    what scoring every threshold ``0 .. n_bins - 2`` one feature at a
-    time does: the first minimum cost per feature, then the first
-    maximum gain over features. Its costs are bit for bit those of that
-    search, because a side's prefix sums come from the same sums: the
-    left side's from the ``cumsum`` of the node's values masked to its
-    members, the right side's as the ``cumsum`` of all values minus
-    that, and the right total as the grand total minus the left one.
+    set, and so the same cost, as the lower one, and one at or above the
+    top bin leaves the right side empty. The search returns what scoring
+    every threshold ``0 .. max bin - 1`` one feature at a time does: the
+    first minimum cost per feature, then the first maximum gain over
+    features. Its costs are bit for bit those of that search, because a
+    side's prefix sums come from the same sums: the left side's from
+    the ``cumsum`` of the node's values masked to its members, the right
+    side's as the ``cumsum`` of all values minus that, and the right
+    total as the grand total minus the left one.
     """
     n = len(y_node)
     order = np.argsort(y_node, kind="stable")
     ys = y_node[order]
     bs = cols[:, idx[order]]
 
-    # A candidate is the lowest threshold in 0 .. n_bins - 2 with a given
-    # left set, one that leaves both sides non-empty: a present bin, or
-    # 0 for bins below 0.
-    last = n_bins - 2
-    width = max(int(last.max()) + 1, 1)
+    # A candidate is the lowest threshold >= 0 with a given left set, one
+    # that leaves both sides non-empty: a present bin, or 0 for bins
+    # below 0.
+    top = bs.max(axis=1)
+    width = max(int(top.max()), 1)
     present = np.zeros((len(bs), width), dtype=bool)
     present[np.arange(len(bs))[:, None], np.clip(bs, 0, width - 1)] = True
     t = np.arange(width)
-    present &= ((t >= np.maximum(bs.min(axis=1), 0)[:, None])
-                & (t <= np.minimum(bs.max(axis=1) - 1, last)[:, None]))
+    present &= (t >= np.maximum(bs.min(axis=1), 0)[:, None]) & (t < top[:, None])
     feat, thr = np.nonzero(present)
     if not len(thr):
         return None
@@ -241,35 +202,32 @@ def _best_split_mae_node(cols, idx, y_node, n_bins, min_leaf):
 # Fitting and prediction
 # ---------------------------------------------------------------------------
 
-def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams,
-             allowed_features=None, n_bins=None) -> RegressionTree:
-    """Grow a CART tree by greedy best-split recursion on binned data.
+def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree:
+    """Grow the regression-tree baseline: an absolute-error CART tree
+    with median leaves, by greedy best-split recursion on binned data.
 
     Recursion stops on ``max_depth``, ``min_samples_split``, or when no
     candidate split improves the criterion. Deterministic given inputs.
-
-    Under ``"sse"`` each feature is scored from its per-bin counts and
-    sums. Under ``"mae"`` one search per node scores all allowed
-    features at once, skipping thresholds at bins absent from the node.
-    Its costs are bit-identical to scoring each feature's every
-    threshold ``0 .. n_bins[f] - 2`` separately: both sides' prefix sums
-    come from the same masked ``cumsum`` in sorted-value order. Either
-    way the lowest threshold, then the lowest feature, wins ties, and a
-    split needs a gain above ``MIN_GAIN``.
+    One search per node scores every column at once, skipping
+    thresholds at bins absent from the node (see
+    :func:`_best_split_mae_node`). The lowest threshold, then the
+    lowest feature, wins ties, and a split needs a gain above
+    ``MIN_GAIN``.
 
     Parameters
     ----------
     X_binned : int array, shape (m, n)
-        Bin indices per feature.
+        Bin indices per feature. To restrict the tree to some columns,
+        pass ``X_binned[:, cols]``.
     y : float array, shape (m,)
-        Targets (or boosting residuals).
+        Targets.
     params : TreeParams
-    allowed_features : iterable of int, optional
-        Restrict the split search to these columns (the weak-learner
-        path); default searches every column.
-    n_bins : sequence of int, optional
-        Bin count per feature; derived from the data when omitted.
+        Must use the ``"mae"`` criterion; squared-error trees come from
+        :func:`restricted_tree_from_histogram`.
     """
+    if params.split_criterion != "mae":
+        raise ValueError("fit_cart supports the mae criterion only; fit "
+                         "squared-error trees with restricted_tree_from_histogram")
     Xb = np.asarray(X_binned)
     y = np.asarray(y, dtype=np.float64)
     if Xb.ndim != 2 or len(Xb) != len(y):
@@ -278,55 +236,16 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams,
         raise ValueError("empty data")
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite targets")
-    if allowed_features is None:
-        allowed = list(range(Xb.shape[1]))
-    else:
-        allowed = sorted(set(int(f) for f in allowed_features))
-        if not allowed:
-            raise ValueError("allowed_features must not be empty")
-        for f in allowed:
-            if not 0 <= f < Xb.shape[1]:
-                raise ValueError(f"feature index {f} out of range")
-    if n_bins is None:
-        # Only the searched columns need a bin count.
-        n_bins = {f: int(Xb[:, f].max()) + 1 for f in allowed}
-
-    if params.split_criterion == "sse":
-        def leaf_value(v):
-            return float(v.mean())
-
-        def best_split(idx, y_node):
-            best = None  # (gain, feature, threshold)
-            for f in allowed:
-                found = _best_split_sse(Xb[idx, f], y_node, n_bins[f],
-                                        params.min_samples_leaf)
-                if found is None:
-                    continue
-                gain, t = found
-                if gain > MIN_GAIN and (best is None or gain > best[0]):
-                    best = (gain, f, t)
-            return None if best is None else best[1:]
-    else:
-        cols = np.ascontiguousarray(Xb[:, allowed].T, dtype=np.int64)
-        col_bins = np.array([n_bins[f] for f in allowed])
-
-        def leaf_value(v):
-            return float(np.median(v))
-
-        def best_split(idx, y_node):
-            found = _best_split_mae_node(cols, idx, y_node, col_bins,
-                                         params.min_samples_leaf)
-            return None if found is None else (allowed[found[0]], found[1])
-
+    cols = np.ascontiguousarray(Xb.T, dtype=np.int64)
     nodes: list[TreeNode] = []
 
     def grow(idx: np.ndarray, depth: int) -> int:
         y_node = y[idx]
         nid = len(nodes)
-        nodes.append(TreeNode(-1, -1, -1, -1, leaf_value(y_node), len(idx)))
+        nodes.append(TreeNode(-1, -1, -1, -1, float(np.median(y_node)), len(idx)))
         if depth >= params.max_depth or len(idx) < params.min_samples_split:
             return nid
-        best = best_split(idx, y_node)
+        best = _best_split_mae_node(cols, idx, y_node, params.min_samples_leaf)
         if best is None:
             return nid
         bf, bt = best
@@ -469,9 +388,8 @@ def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
 
     ``cnt``/``sums`` are the per-bin (or per bin-pair) row counts and
     residual sums; ``features`` maps histogram axes to global feature
-    indices. This is the boosting engine's fast path; it produces the
-    same trees as :func:`fit_cart` with ``allowed_features`` set to
-    ``features``, without touching rows.
+    indices. This is the boosting engine's weak learner: it fits the
+    squared-error tree of those features without touching rows.
 
     A pair tree grows level-wise: all open nodes of one depth are
     scored in a single vectorised pass. A single-feature tree grows

@@ -70,6 +70,18 @@ def write_series_csv(path, timestamps, target, exogenous=None, delimiter=","):
     return path
 
 
+def tree_depth(tree, nid=0):
+    """Edges on the longest path from node ``nid`` of a tree to a leaf."""
+    nd = tree.nodes[nid]
+    if nd.is_leaf:
+        return 0
+    return 1 + max(tree_depth(tree, nd.left), tree_depth(tree, nd.right))
+
+
+def n_leaves(tree):
+    return sum(nd.is_leaf for nd in tree.nodes)
+
+
 def resign_model_file(path, edit):
     """Apply ``edit`` to a saved model document and re-sign it, so only
     the payload's contents, not its checksum, are wrong."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import windglass as wg
+from conftest import tree_depth
 
 
 def lag_setup(n=600, n_lags=6, horizon=1, seed=3):
@@ -122,7 +123,7 @@ class TestRtBaseline:
         matrix, split = lag_setup(n=2000)
         model = wg.fit_rt_baseline(matrix, split.train, max_bins=64)
         te = split.test_slice
-        assert model.tree.depth <= 4
+        assert tree_depth(model.tree) <= 4
         r2 = wg.r2(model.predict(matrix.X[te]), matrix.y[te])
         assert r2 > 0.5
 

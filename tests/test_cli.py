@@ -106,6 +106,13 @@ class TestTrain:
         assert main(["train", "--config", str(cfg),
                      "--set", "data.path=/nope.csv"]) == EXIT_DATA
 
+    def test_short_csv_row_is_data_error(self, run_dir, capsys):
+        tmp_path, cfg, _ = run_dir
+        with open(tmp_path / "wind.csv", "a") as fh:
+            fh.write("2020-01-01 01:00:00\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+        assert "line 1202" in capsys.readouterr().err
+
     def test_pm_with_exogenous_mode_rejected(self, run_dir):
         _, cfg, _ = run_dir
         assert main(["train", "--config", str(cfg),

@@ -2,6 +2,8 @@
 splitting, binning, and correlation."""
 
 import math
+import time
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -133,6 +135,44 @@ class TestLoadCsv:
                               exogenous_columns=("u10",))
         frame = wg.load_csv(path, schema)
         assert list(frame.exogenous) == ["u10"]
+
+
+    def test_short_row_errors_with_line_number(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("time,power\n2020-01-01 00:00:00,0.5\n"
+                        "2020-01-01 01:00:00\n2020-01-01 02:00:00,0.6\n")
+        with pytest.raises(ValueError, match="line 3"):
+            wg.load_csv(path, SCHEMA)
+        path.write_text("time,power,u10\n100,0.5,1.0\n200,0.6\n")
+        schema = wg.CsvSchema(timestamp_column="time", target_column="power",
+                              timestamp_format="epoch")
+        with pytest.raises(ValueError, match="line 3"):
+            wg.load_csv(path, schema)
+
+    def test_naive_timestamps_are_utc(self, tmp_path, monkeypatch):
+        """A naive series across a local DST change keeps whole hours."""
+        if not hasattr(time, "tzset"):
+            pytest.skip("time.tzset is unavailable")
+        path = tmp_path / "a.csv"
+        path.write_text("time,power\n" + "".join(
+            f"2012-03-25T{h:02d}:00:00,0.5\n" for h in range(5)))
+        # Central European rules, spelled out so no zone database is needed.
+        monkeypatch.setenv("TZ", "CET-1CEST,M3.5.0,M10.5.0/3")
+        time.tzset()
+        try:
+            frame = wg.load_csv(path, SCHEMA)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        start = datetime(2012, 3, 25, tzinfo=timezone.utc).timestamp()
+        np.testing.assert_array_equal(frame.timestamps, start + 3600.0 * np.arange(5))
+
+    def test_utf8_bom_before_header(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("time,power\n100,0.5\n200,0.6\n", encoding="utf-8-sig")
+        schema = wg.CsvSchema(timestamp_column="time", target_column="power",
+                              timestamp_format="epoch")
+        np.testing.assert_allclose(wg.load_csv(path, schema).target, [0.5, 0.6])
 
 
 class TestLagFeatures:

@@ -90,15 +90,10 @@ def reference_best_split_mae(xb, y, n_bins, min_leaf):
     return parent_cost - best_cost, best_t
 
 
-def reference_fit_cart_mae(Xb, y, params, allowed_features=None, n_bins=None):
-    """``fit_cart``'s recursion, one feature search per allowed column."""
+def reference_fit_cart_mae(Xb, y, params):
+    """``fit_cart``'s recursion, one feature search per column."""
     y = np.asarray(y, dtype=np.float64)
-    if allowed_features is None:
-        allowed = list(range(Xb.shape[1]))
-    else:
-        allowed = sorted(set(int(f) for f in allowed_features))
-    if n_bins is None:
-        n_bins = {f: int(Xb[:, f].max()) + 1 for f in allowed}
+    n_bins = Xb.max(axis=0) + 1
     nodes = []
 
     def grow(idx, depth):
@@ -108,7 +103,7 @@ def reference_fit_cart_mae(Xb, y, params, allowed_features=None, n_bins=None):
         if depth >= params.max_depth or len(idx) < params.min_samples_split:
             return nid
         best = None  # (gain, feature, threshold)
-        for f in allowed:
+        for f in range(Xb.shape[1]):
             found = reference_best_split_mae(Xb[idx, f], y_node, n_bins[f],
                                              params.min_samples_leaf)
             if found is None:
@@ -142,15 +137,13 @@ PARAMS = st.builds(
 
 @st.composite
 def binned_data(draw):
-    """Bins, targets, a feature subset and an ``n_bins`` argument.
+    """Bins and targets.
 
     Each feature draws its bins from a random subset of its range, so
     bins go missing inside nodes and at the top of the range; in some
     cases every bin is shifted down by 2, so some fall below 0. Targets
     are continuous, continuous over six orders of magnitude (so sums
-    round), whole numbers, or three values with heavy ties. ``n_bins``
-    is left to ``fit_cart``, given exactly, given wider than the data,
-    or given narrower than the data.
+    round), whole numbers, or three values with heavy ties.
     """
     m = draw(st.integers(1, 90))
     n_features = draw(st.integers(1, 6))
@@ -172,26 +165,13 @@ def binned_data(draw):
         y = rng.integers(-3, 4, size=m).astype(np.float64)
     else:
         y = rng.choice([0.0, 0.1, 1.0], p=[0.6, 0.3, 0.1], size=m)
-    allowed = draw(st.one_of(
-        st.none(),
-        st.sets(st.integers(0, n_features - 1), min_size=1).map(sorted)))
-    mode = draw(st.sampled_from(["derived", "exact", "wide", "narrow"]))
-    top = Xb.max(axis=0) + 1
-    if mode == "derived":
-        n_bins = None
-    elif mode == "exact":
-        n_bins = [int(t) for t in top]
-    elif mode == "wide":
-        n_bins = [int(t + rng.integers(0, 4)) for t in top]
-    else:
-        n_bins = [int(rng.integers(1, max(t, 1) + 1)) for t in top]
-    return Xb, y, allowed, n_bins
+    return Xb, y
 
 
 def _assert_same_tree(data, params):
-    Xb, y, allowed, n_bins = data
-    tree = wg.fit_cart(Xb, y, params, allowed_features=allowed, n_bins=n_bins)
-    assert tree.nodes == reference_fit_cart_mae(Xb, y, params, allowed, n_bins)
+    Xb, y = data
+    tree = wg.fit_cart(Xb, y, params)
+    assert tree.nodes == reference_fit_cart_mae(Xb, y, params)
 
 
 @settings(max_examples=400, deadline=None)

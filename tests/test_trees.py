@@ -1,4 +1,5 @@
-"""Tree tests: brute-force split oracles, partition property, lookup
+"""Tree tests: brute-force split oracles for both fitters (absolute
+error on rows, squared error on histograms), partition property, lookup
 table equivalence, and determinism."""
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import windglass as wg
 from windglass.trees import MIN_GAIN, restricted_tree_from_histogram
+from conftest import n_leaves, tree_depth
 
 
 def hist_tree(Xb, y, allowed, params):
@@ -52,105 +54,78 @@ def brute_best_split(Xb, y, allowed, n_bins, min_leaf, criterion="sse"):
     return best
 
 
+def mae(**kw):
+    return wg.TreeParams(split_criterion="mae", **kw)
+
+
 class TestFitCart:
-    def test_depth_zero_single_leaf_mean(self):
+    """The regression-tree baseline's absolute-error fitter."""
+
+    def test_depth_zero_single_leaf_median(self):
         y = np.array([1.0, 2.0, 3.0, 6.0])
         Xb = np.zeros((4, 1), dtype=int)
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=0))
-        assert tree.n_leaves == 1
-        assert tree.nodes[0].value == pytest.approx(3.0)
+        tree = wg.fit_cart(Xb, y, mae(max_depth=0))
+        assert n_leaves(tree) == 1
+        assert tree.nodes[0].value == 2.5
 
     def test_binary_feature_perfect_split(self):
         """One binary-binned feature, y = bin: one split, leaves 0 and 1."""
         Xb = np.repeat([[0], [1]], 10, axis=0)
         y = Xb[:, 0].astype(float)
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=3))
-        assert tree.depth == 1
-        assert tree.n_leaves == 2
+        tree = wg.fit_cart(Xb, y, mae(max_depth=3))
+        assert tree_depth(tree) == 1
+        assert n_leaves(tree) == 2
         pred = wg.predict_tree(tree, Xb)
-        assert np.sum((pred - y) ** 2) == 0.0
+        assert np.sum(np.abs(pred - y)) == 0.0
 
     def test_min_samples_split_stops(self):
         Xb = np.arange(4).reshape(-1, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=3, min_samples_split=5))
-        assert tree.n_leaves == 1
+        tree = wg.fit_cart(Xb, y, mae(max_depth=3, min_samples_split=5))
+        assert n_leaves(tree) == 1
 
     def test_empty_data_errors(self):
         with pytest.raises(ValueError, match="empty"):
-            wg.fit_cart(np.zeros((0, 1), dtype=int), np.zeros(0), wg.TreeParams())
+            wg.fit_cart(np.zeros((0, 1), dtype=int), np.zeros(0), mae())
 
-    @pytest.mark.parametrize("criterion", ["sse", "mae"])
-    def test_root_split_matches_brute_force(self, criterion):
+    def test_refuses_squared_error(self):
+        Xb = np.repeat([[0], [1]], 5, axis=0)
+        with pytest.raises(ValueError, match="restricted_tree_from_histogram"):
+            wg.fit_cart(Xb, Xb[:, 0].astype(float), wg.TreeParams())
+
+    def test_root_split_matches_brute_force(self):
         rng = np.random.default_rng(17)
         for trial in range(15):
             m = int(rng.integers(20, 80))
-            n_bins = [int(rng.integers(2, 9)) for _ in range(3)]
-            Xb = np.column_stack([rng.integers(0, nb, size=m) for nb in n_bins])
+            Xb = np.column_stack([rng.integers(0, rng.integers(2, 9), size=m)
+                                  for _ in range(3)])
             y = rng.normal(size=m)
-            params = wg.TreeParams(max_depth=1, min_samples_leaf=2,
-                                   split_criterion=criterion)
-            tree = wg.fit_cart(Xb, y, params, n_bins=n_bins)
-            oracle = brute_best_split(Xb, y, [0, 1, 2], n_bins, 2, criterion)
+            tree = wg.fit_cart(Xb, y, mae(max_depth=1, min_samples_leaf=2))
+            n_bins = Xb.max(axis=0) + 1
+            oracle = brute_best_split(Xb, y, [0, 1, 2], n_bins, 2, "mae")
             if oracle is None or oracle[0] <= MIN_GAIN:
-                assert tree.n_leaves == 1
+                assert n_leaves(tree) == 1
                 continue
             root = tree.nodes[0]
             assert (root.feature, root.threshold) == (oracle[1], oracle[2])
-
-    def test_chosen_gain_dominates_every_candidate(self):
-        """The SSE invariant: no enumerated candidate beats the chosen split."""
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            m = int(rng.integers(30, 90))
-            n_bins = [6, 6]
-            Xb = np.column_stack([rng.integers(0, 6, size=m) for _ in range(2)])
-            y = rng.normal(size=m)
-            tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=1), n_bins=n_bins)
-            if tree.n_leaves == 1:
-                continue
-            root = tree.nodes[0]
-            left = y[Xb[:, root.feature] <= root.threshold]
-            right = y[Xb[:, root.feature] > root.threshold]
-            chosen_gain = sse_of(y) - sse_of(left) - sse_of(right)
-            for f in range(2):
-                for t in range(5):
-                    lo = y[Xb[:, f] <= t]
-                    hi = y[Xb[:, f] > t]
-                    if len(lo) < 1 or len(hi) < 1:
-                        continue
-                    cand = sse_of(y) - sse_of(lo) - sse_of(hi)
-                    assert cand <= chosen_gain + 1e-9
-
-    def test_leaf_values_are_leaf_means(self):
-        rng = np.random.default_rng(4)
-        Xb = rng.integers(0, 8, size=(1000, 3))
-        y = rng.normal(size=1000)
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=3))
-        pred = wg.predict_tree(tree, Xb)
-        # group rows by leaf through their prediction value
-        for value in np.unique(pred):
-            members = y[pred == value]
-            assert value == pytest.approx(members.mean(), abs=1e-9)
 
     def test_mae_criterion_leaf_values_are_medians(self):
         rng = np.random.default_rng(5)
         Xb = rng.integers(0, 6, size=(300, 2))
         y = rng.normal(size=300)
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=2, split_criterion="mae"))
+        tree = wg.fit_cart(Xb, y, mae(max_depth=2))
         pred = wg.predict_tree(tree, Xb)
-        leaf_ids = {}
         for value in np.unique(pred):
             members = y[pred == value]
             assert value == pytest.approx(np.median(members), abs=1e-9)
-        assert tree.depth <= 2
+        assert tree_depth(tree) <= 2
 
     def test_deterministic_fit(self):
         rng = np.random.default_rng(6)
         Xb = rng.integers(0, 10, size=(200, 4))
         y = rng.normal(size=200)
-        t1 = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=4))
-        t2 = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=4))
+        t1 = wg.fit_cart(Xb, y, mae(max_depth=4))
+        t2 = wg.fit_cart(Xb, y, mae(max_depth=4))
         assert t1 == t2
 
     def test_mae_split_cost_optimal_under_heavy_ties(self):
@@ -162,8 +137,7 @@ class TestFitCart:
             nb = int(rng.integers(2, 7))
             xb = rng.integers(0, nb, size=m)
             y = rng.integers(-3, 4, size=m).astype(float)
-            params = wg.TreeParams(max_depth=1, split_criterion="mae")
-            tree = wg.fit_cart(xb.reshape(-1, 1), y, params, n_bins=[nb])
+            tree = wg.fit_cart(xb.reshape(-1, 1), y, mae(max_depth=1))
             best = None
             for t in range(nb - 1):
                 left, right = y[xb <= t], y[xb > t]
@@ -172,7 +146,7 @@ class TestFitCart:
                 cost = abs_dev_of(left) + abs_dev_of(right)
                 best = cost if best is None else min(best, cost)
             if best is None or abs_dev_of(y) - best <= MIN_GAIN:
-                assert tree.n_leaves == 1
+                assert n_leaves(tree) == 1
             else:
                 root = tree.nodes[0]
                 got = (abs_dev_of(y[xb <= root.threshold])
@@ -183,37 +157,38 @@ class TestFitCart:
 class TestPredictTree:
     def test_single_leaf_constant(self):
         tree = wg.fit_cart(np.zeros((5, 1), dtype=int), np.full(5, 0.4),
-                           wg.TreeParams(max_depth=0))
+                           mae(max_depth=0))
         np.testing.assert_array_equal(
             wg.predict_tree(tree, np.zeros((7, 1), dtype=int)), np.full(7, 0.4))
 
     def test_routing_by_construction(self):
         Xb = np.repeat([[0], [1]], 10, axis=0)
         y = Xb[:, 0].astype(float)
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=1))
+        tree = wg.fit_cart(Xb, y, mae(max_depth=1))
         assert wg.predict_tree(tree, np.array([[1]]))[0] == 1.0
         assert wg.predict_tree(tree, np.array([[0]]))[0] == 0.0
 
     def test_out_of_range_bins_route_without_error(self):
         Xb = np.repeat([[0], [1]], 10, axis=0)
-        tree = wg.fit_cart(Xb, Xb[:, 0].astype(float), wg.TreeParams(max_depth=1))
+        tree = wg.fit_cart(Xb, Xb[:, 0].astype(float), mae(max_depth=1))
         pred = wg.predict_tree(tree, np.array([[99], [-3]]))
         assert pred[0] == 1.0  # clamps into the high branch
         assert pred[1] == 0.0
 
     def test_partition_property_fuzz(self):
-        """Every row reaches exactly one leaf: prediction equals the mean
-        of the training rows routed to the same leaf."""
+        """Every row reaches exactly one leaf and takes its value."""
         rng = np.random.default_rng(11)
         Xb = rng.integers(0, 12, size=(1000, 5))
         y = rng.normal(size=1000)
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=4))
+        tree = wg.fit_cart(Xb, y, mae(max_depth=4))
         pred = wg.predict_tree(tree, Xb)
         leaf_values = sorted(nd.value for nd in tree.nodes if nd.is_leaf)
         assert np.isin(pred, leaf_values).all()
 
 
 class TestRestrictedTrees:
+    """The squared-error histogram kernel, the boosting weak learner."""
+
     def test_reproduces_per_bin_means(self):
         """Deterministic per-bin residuals: table equals the bin means."""
         rng = np.random.default_rng(13)
@@ -241,26 +216,65 @@ class TestRestrictedTrees:
     def test_zero_residuals_single_leaf_zero(self):
         Xb = np.arange(8).reshape(-1, 1) % 4
         tree = hist_tree(Xb, np.zeros(8), [0], wg.TreeParams())
-        assert tree.n_leaves == 1
+        assert n_leaves(tree) == 1
         assert tree.nodes[0].value == 0.0
 
-    def test_matches_generic_cart_path(self):
-        """The histogram fast path fits the same trees as generic CART
-        restricted to the same features."""
-        rng = np.random.default_rng(15)
-        for _ in range(10):
-            m = int(rng.integers(50, 200))
-            Xb = np.column_stack([rng.integers(0, 9, size=m),
-                                  rng.integers(0, 7, size=m),
-                                  rng.integers(0, 5, size=m)])
+    def test_root_split_matches_brute_force(self):
+        """On every single feature and every pair, the root split is the
+        best squared-error candidate of an exhaustive search over rows.
+        Bins are drawn from a subset of each range, so empty bins make
+        equal-gain thresholds and the lowest one must win."""
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            m = int(rng.integers(6, 60))
+            Xb = np.column_stack([rng.choice(rng.permutation(8)[:k], size=m)
+                                  for k in rng.integers(2, 6, size=3)])
             y = rng.normal(size=m)
-            for allowed in ([0], [1], [0, 2], [1, 2]):
-                params = wg.TreeParams(max_depth=3, min_samples_leaf=2)
-                fast = hist_tree(Xb, y, allowed, params)
-                generic = wg.fit_cart(Xb, y, params, allowed_features=allowed)
-                np.testing.assert_allclose(
-                    wg.predict_tree(fast, Xb), wg.predict_tree(generic, Xb),
-                    atol=1e-10)
+            n_bins = Xb.max(axis=0) + 1
+            min_leaf = int(rng.integers(1, 4))
+            params = wg.TreeParams(max_depth=1, min_samples_leaf=min_leaf)
+            for allowed in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
+                tree = hist_tree(Xb, y, allowed, params)
+                oracle = brute_best_split(Xb, y, allowed, n_bins, min_leaf)
+                if oracle is None or oracle[0] <= MIN_GAIN:
+                    assert n_leaves(tree) == 1
+                    continue
+                root = tree.nodes[0]
+                assert (root.feature, root.threshold) == (oracle[1], oracle[2])
+
+    def test_chosen_gain_dominates_every_candidate(self):
+        """The SSE invariant: no enumerated candidate beats the chosen split."""
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            m = int(rng.integers(30, 90))
+            Xb = np.column_stack([rng.integers(0, 6, size=m) for _ in range(2)])
+            y = rng.normal(size=m)
+            tree = hist_tree(Xb, y, [0, 1], wg.TreeParams(max_depth=1))
+            if n_leaves(tree) == 1:
+                continue
+            root = tree.nodes[0]
+            left = y[Xb[:, root.feature] <= root.threshold]
+            right = y[Xb[:, root.feature] > root.threshold]
+            chosen_gain = sse_of(y) - sse_of(left) - sse_of(right)
+            for f in range(2):
+                for t in range(5):
+                    lo = y[Xb[:, f] <= t]
+                    hi = y[Xb[:, f] > t]
+                    if len(lo) < 1 or len(hi) < 1:
+                        continue
+                    cand = sse_of(y) - sse_of(lo) - sse_of(hi)
+                    assert cand <= chosen_gain + 1e-9
+
+    def test_leaf_values_are_leaf_means(self):
+        rng = np.random.default_rng(4)
+        Xb = rng.integers(0, 8, size=(1000, 3))
+        y = rng.normal(size=1000)
+        tree = hist_tree(Xb, y, [0, 2], wg.TreeParams(max_depth=3))
+        pred = wg.predict_tree(tree, Xb)
+        # group rows by leaf through their prediction value
+        for value in np.unique(pred):
+            members = y[pred == value]
+            assert value == pytest.approx(members.mean(), abs=1e-9)
 
     def test_empty_histogram_errors(self):
         for cnt in (np.zeros(4), np.zeros((3, 2))):
@@ -273,7 +287,7 @@ class TestBinTable:
     def test_two_leaf_tree_table(self):
         Xb = np.repeat([[0], [1]], 10, axis=0)
         y = np.array([0.0] * 10 + [1.0] * 10)
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=1))
+        tree = wg.fit_cart(Xb, y, mae(max_depth=1))
         np.testing.assert_array_equal(wg.tree_as_bin_table(tree, {0: 2}), [0.0, 1.0])
 
     def test_pair_grid_matches_predictions_exhaustively(self):
@@ -290,7 +304,7 @@ class TestBinTable:
 
     def test_depth_zero_constant_table(self):
         tree = wg.fit_cart(np.zeros((5, 1), dtype=int), np.full(5, 0.7),
-                           wg.TreeParams(max_depth=0))
+                           mae(max_depth=0))
         np.testing.assert_array_equal(wg.tree_as_bin_table(tree, {0: 6}),
                                       np.full(6, 0.7))
 
@@ -307,7 +321,7 @@ class TestBinTable:
     def test_disallowed_feature_errors(self):
         rng = np.random.default_rng(21)
         Xb = rng.integers(0, 4, size=(50, 2))
-        tree = wg.fit_cart(Xb, rng.normal(size=50), wg.TreeParams(max_depth=2))
+        tree = wg.fit_cart(Xb, rng.normal(size=50), mae(max_depth=2))
         if tree.features_used() == {0}:
             with pytest.raises(ValueError, match="outside"):
                 wg.tree_as_bin_table(tree, {1: 4})
