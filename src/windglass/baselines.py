@@ -143,15 +143,14 @@ def persistence_forecast(matrix: SupervisedMatrix) -> np.ndarray:
 
 
 def fit_rt_baseline(matrix: SupervisedMatrix, fit_range: tuple[int, int],
-                    params: TreeParams = RT_BASELINE_PARAMS,
                     max_bins: int = 256) -> RTBaseline:
-    """Fit the standalone regression-tree baseline on the fit range."""
+    """Fit the regression-tree baseline (``RT_BASELINE_PARAMS``)."""
     lo, hi = fit_range
     if hi <= lo:
         raise ValueError("empty fit range")
     bins = fit_bins(matrix.X, fit_range, max_bins)
     Xb = apply_bins(bins, matrix.X[lo:hi])
-    tree = fit_cart(Xb, matrix.y[lo:hi], params)
+    tree = fit_cart(Xb, matrix.y[lo:hi], RT_BASELINE_PARAMS)
     return RTBaseline(
         tree=tree,
         bins=bins,

@@ -63,8 +63,8 @@ class TimeSeriesFrame:
     """A validated univariate power series plus optional exogenous columns.
 
     Invariants enforced at construction: strictly increasing timestamps,
-    equal column lengths, all values finite. ``dropped_rows`` records how
-    many raw rows were discarded during ingestion.
+    equal column lengths, all values (timestamps too) finite.
+    ``dropped_rows`` records how many raw rows ingestion discarded.
     """
 
     timestamps: np.ndarray
@@ -83,6 +83,8 @@ class TimeSeriesFrame:
             raise ValueError("timestamps and target lengths differ")
         if len(ts) == 0:
             raise ValueError("empty frame")
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("non-finite timestamps")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("non-monotone timestamps")
         if not np.all(np.isfinite(y)):
@@ -251,8 +253,8 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
 
     Rows containing missing or non-finite values in any declared column
     are dropped and counted in ``frame.dropped_rows``. A row too short
-    to hold every declared column raises. Duplicate or out-of-order
-    timestamps raise, they are never silently reordered.
+    to hold every declared column raises. Duplicate, out-of-order or
+    non-finite timestamps raise; rows are never silently reordered.
 
     Parameters
     ----------

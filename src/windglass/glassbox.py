@@ -23,12 +23,13 @@ then boosted on what is left.
 
 Both stages run the same engine, :func:`_boost`. A term is a tuple of
 features with a table of one axis (a shape function over bins) or two
-(a pair grid over coarse bins), and each row reaches its cell by a flat
-index into that table; :func:`_pair_cells` builds a pair's cells.
-:func:`_center` re-centers the tables of either stage, and of a bagged
-average, to training-weighted mean zero. A feature's coarse bins are
-derived, never stored (``GlassBoxModel.coarse_maps``): its main bins
-grouped into runs of near-equal ``BinningMap.populations``.
+(a pair grid over coarse bins, cells from :func:`_pair_cells`). A stage
+hands it every row's flat cell in each table and every row's residual;
+it checks them against the split, counts training rows per cell,
+boosts, and centers the tables with :func:`_center`, which also serves
+a bagged average. A feature's coarse bins are derived, never stored
+(``GlassBoxModel.coarse_maps``): its main bins grouped into runs of
+near-equal ``BinningMap.populations``.
 """
 
 from __future__ import annotations
@@ -229,28 +230,35 @@ class GlassBoxModel:
 # The cyclic boosting engine
 # ---------------------------------------------------------------------------
 
-def _boost(terms, cells_tr, cells_va, cnts, r_train, val_err, depth, config):
-    """Cyclic boosting of additive lookup-table terms.
+def _boost(terms, shapes, cells, r, split, depth, config, intercept):
+    """Cyclic boosting of lookup-table terms, from row cells to centered tables.
 
-    Term ``t`` is the feature tuple ``terms[t]`` with the training count
-    table ``cnts[t]``: one axis for a shape function, two for a pair
-    grid. ``cells_tr[t]``/``cells_va[t]`` give each training/validation
-    row's cell as a flat index into that table. Each round visits the
-    terms in order, fits a depth-``depth`` tree restricted to the term's
-    features on the residual histogram, and adds ``learning_rate`` times
-    its lookup table to the term, updating ``r_train`` and ``val_err``
-    in place. Rounds stop at ``max_rounds`` or after
-    ``early_stop_patience`` rounds whose validation RMSE fails to beat
-    the best seen by ``early_stop_tol``.
+    Term ``t`` is the feature tuple ``terms[t]`` with a table of shape
+    ``shapes[t]`` (one axis for a shape function, two for a pair grid);
+    ``cells[t]`` holds every row's flat cell in it and ``r`` every row's
+    residual, each with ``split.n_rows`` entries or ``ValueError``. Each
+    round visits the terms in order, fits a depth-``depth`` tree
+    restricted to the term's features on the training rows' residual
+    histogram, and adds ``learning_rate`` times its lookup table to the
+    term. Rounds stop at ``max_rounds`` or after ``early_stop_patience``
+    rounds whose validation RMSE fails to beat the best seen by
+    ``early_stop_tol``. The tables are then centered on the training
+    rows per cell (:func:`_center`).
 
-    Returns the tables, the round count, the per-round validation curve
-    and the per-step training loss curve.
+    Returns the tables, ``intercept`` plus the centering offsets, the
+    round count, the validation curve and the training loss curve.
     """
+    if len(r) != split.n_rows or any(len(c) != split.n_rows for c in cells):
+        raise ValueError("rows do not match the split's row count")
+    tr, va = split.train_slice, split.val_slice
     params = config._tree_params(depth)
-    tables = [np.zeros(cnt.shape) for cnt in cnts]
+    r_train, val_err = r[tr].copy(), r[va].copy()
+    cells_tr, cells_va = ([np.ascontiguousarray(c[rows]) for c in cells] for rows in (tr, va))
+    cnts = [_cell_counts(c, shape) for c, shape in zip(cells_tr, shapes)]
+    tables = [np.zeros(shape) for shape in shapes]
     # Everything a step reads that never changes is built before the
     # rounds; the boosting loop is the training hot path.
-    steps =[(term, cnt, dict(zip(term, cnt.shape)), table, c_tr, c_va)
+    steps = [(term, cnt, dict(zip(term, cnt.shape)), table, c_tr, c_va)
              for term, cnt, table, c_tr, c_va
              in zip(terms, cnts, tables, cells_tr, cells_va)]
     best, wait = np.inf, 0
@@ -276,7 +284,8 @@ def _boost(terms, cells_tr, cells_va, cnts, r_train, val_err, depth, config):
             wait += 1
         if wait >= config.early_stop_patience:
             break
-    return tables, rounds, val_curve, loss_curve
+    intercept = _center(tables, cnts, intercept)
+    return tables, intercept, rounds, val_curve, loss_curve
 
 
 def _cell_counts(cells: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -289,7 +298,8 @@ def _center(tables, weights, intercept: float) -> float:
     """Shift each table in place to ``weights``-weighted mean zero and
     return ``intercept`` plus the offsets, which leaves predictions
     untouched. Shape functions and grids keep their own summation
-    (``w @ t`` and ``np.sum(w * t)``), which the model bytes depend on."""
+    (``w @ t`` and ``np.sum(w * t)``): they round differently, and the
+    model bytes depend on both."""
     for t, w in zip(tables, weights):
         total = w @ t if t.ndim == 1 else np.sum(w * t)
         offset = float(total / w.sum())
@@ -323,19 +333,12 @@ def train_main_effects(matrix: SupervisedMatrix, split: DataSplit,
 
 def _train_main_effects(matrix, split, bins, config, Xb):
     """:func:`train_main_effects` on the already binned ``Xb``."""
-    if split.n_rows != matrix.n_rows:
-        raise ValueError("split does not match matrix row count")
     y = matrix.y
-    tr, va = split.train_slice, split.val_slice
     n = matrix.n_features
-    intercept = float(y[tr].mean())
-    cells_tr = [np.ascontiguousarray(Xb[tr, f]) for f in range(n)]
-    cells_va = [np.ascontiguousarray(Xb[va, f]) for f in range(n)]
-    cnts = [_cell_counts(cells_tr[f], (bins.n_bins(f),)) for f in range(n)]
-    shape_values, rounds, val_curve, loss_curve = _boost(
-        [(f,) for f in range(n)], cells_tr, cells_va, cnts,
-        y[tr] - intercept, y[va] - intercept, config.main_depth, config)
-    intercept = _center(shape_values, cnts, intercept)
+    intercept = float(y[split.train_slice].mean())
+    shape_values, intercept, rounds, val_curve, loss_curve = _boost(
+        [(f,) for f in range(n)], [(bins.n_bins(f),) for f in range(n)], Xb.T,
+        y - intercept, split, config.main_depth, config, intercept)
 
     model = GlassBoxModel(
         intercept=intercept,
@@ -467,16 +470,11 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
 
     model = replace(model, config=config)
     Xb = apply_bins(model.bins, matrix.X)
-    tr, va = split.train_slice, split.val_slice
     coarse, sizes = _coarse(Xb, model.coarse_maps)
-    shapes, cells_tr = zip(*_pair_cells(coarse[tr], sizes, pairs))
-    cells_va = [cell for _, cell in _pair_cells(coarse[va], sizes, pairs)]
-    cnts = [_cell_counts(c, shape) for c, shape in zip(cells_tr, shapes)]
-    r = np.asarray(residuals, dtype=np.float64)
-    grids, rounds, val_curve, loss_curve = _boost(
-        pairs, cells_tr, cells_va, cnts, r[tr].copy(), r[va].copy(),
-        config.pair_depth, config)
-    intercept = _center(grids, cnts, model.intercept)
+    shapes, cells = zip(*_pair_cells(coarse, sizes, pairs))
+    grids, intercept, rounds, val_curve, loss_curve = _boost(
+        pairs, shapes, cells, np.asarray(residuals, dtype=np.float64), split,
+        config.pair_depth, config, model.intercept)
 
     return replace(
         model,

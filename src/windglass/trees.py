@@ -23,7 +23,8 @@ interpreter overhead, not rows, sets the cost. Pair trees therefore
 grow level-wise, scoring every node of a depth in one vectorised pass;
 single-feature trees, with at most three internal nodes at the default
 depth, grow depth-first. Both reproduce a node-at-a-time recursion bit
-for bit (the exactness rule is in that function's docstring).
+for bit (the exactness rule is in that function's docstring), and
+one fill turns either into its table (:func:`tree_as_bin_table`).
 
 The regression-tree baseline's absolute-error search scores a node's
 features together: it sorts the node's targets once and scores every
@@ -287,7 +288,8 @@ def _grow_1d(cnt, sums, feature, params) -> tuple[TreeNode, ...]:
     slices of the histogram's global ones minus their first value. A
     depth-2 tree has at most three internal nodes: growing it
     level-wise saves one scoring pass but spends more than that
-    gathering the nodes into padded rows.
+    gathering the nodes into padded rows. It is kept apart from
+    :func:`_grow_2d`: their exact summation rules differ.
     """
     cum = np.zeros((2, len(cnt) + 1))
     np.cumsum(np.stack((cnt, sums)), axis=1, out=cum[:, 1:])
@@ -324,7 +326,8 @@ def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
     candidate is scored in one pass. A node takes the first maximum
     over its axis-0 thresholds followed by its axis-1 thresholds, so
     the lowest axis and then the lowest threshold win ties. The nodes
-    come back in preorder, as a depth-first recursion makes them.
+    come back in preorder, as a depth-first recursion makes them. Slice
+    sums, not :func:`_grow_1d`'s cumulative differences, keep it exact.
     """
     both = np.stack((cnt2, sum2))
     level = [(0, cnt2.shape[0], 0, cnt2.shape[1], total)]
@@ -450,51 +453,33 @@ def tree_as_bin_table(tree: RegressionTree, feature_bins: dict[int, int]) -> np.
 
     Leaf regions of a bin-split tree are axis-aligned bin rectangles, so
     the table is filled by interval narrowing; looking it up reproduces
-    ``predict_tree`` for every bin combination. The 1-D and 2-D fills
-    stay separate: this runs once per boosting step, and one n-D fill
-    measured slower per call.
+    ``predict_tree`` for every bin combination. One fill serves both
+    cases: a 1-D table is filled through a one-column view of it.
     """
     feats = sorted(feature_bins)
     if len(feats) not in (1, 2):
         raise ValueError("feature_bins must describe 1 or 2 features")
     if not tree.features_used() <= set(feats):
         raise ValueError("tree references a feature outside feature_bins")
-
-    if len(feats) == 1:
-        f0 = feats[0]
-        table = np.zeros(feature_bins[f0])
-
-        def fill(nid, lo, hi):
-            if lo >= hi:
-                return
-            nd = tree.nodes[nid]
-            if nd.is_leaf:
-                table[lo:hi] = nd.value
-                return
-            cut = nd.threshold + 1
-            fill(nd.left, lo, min(hi, cut))
-            fill(nd.right, max(lo, cut), hi)
-
-        fill(0, 0, feature_bins[f0])
-        return table
-
-    f0, f1 = feats
-    grid = np.zeros((feature_bins[f0], feature_bins[f1]))
+    table = np.zeros([feature_bins[f] for f in feats])
+    grid = table if table.ndim == 2 else table[:, None]
 
     def fill(nid, lo0, hi0, lo1, hi1):
-        if lo0 >= hi0 or lo1 >= hi1:
-            return
         nd = tree.nodes[nid]
         if nd.is_leaf:
             grid[lo0:hi0, lo1:hi1] = nd.value
             return
         cut = nd.threshold + 1
-        if nd.feature == f0:
-            fill(nd.left, lo0, min(hi0, cut), lo1, hi1)
-            fill(nd.right, max(lo0, cut), hi0, lo1, hi1)
+        if nd.feature == feats[0]:
+            if lo0 < cut:
+                fill(nd.left, lo0, min(hi0, cut), lo1, hi1)
+            if cut < hi0:
+                fill(nd.right, max(lo0, cut), hi0, lo1, hi1)
         else:
-            fill(nd.left, lo0, hi0, lo1, min(hi1, cut))
-            fill(nd.right, lo0, hi0, max(lo1, cut), hi1)
+            if lo1 < cut:
+                fill(nd.left, lo0, hi0, lo1, min(hi1, cut))
+            if cut < hi1:
+                fill(nd.right, lo0, hi0, max(lo1, cut), hi1)
 
-    fill(0, 0, feature_bins[f0], 0, feature_bins[f1])
-    return grid
+    fill(0, 0, grid.shape[0], 0, grid.shape[1])
+    return table

@@ -113,6 +113,17 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
         assert "line 1202" in capsys.readouterr().err
 
+    def test_non_finite_timestamp_is_data_error(self, run_dir, capsys):
+        tmp_path, cfg, _ = run_dir
+        frame = wg.make_autocorrelated_series(1200, seed=6)
+        rows = [f"{t:.0f},{y:.17g}" for t, y in zip(frame.timestamps, frame.target)]
+        rows[600] = "nan" + rows[600][rows[600].index(","):]
+        (tmp_path / "epoch.csv").write_text("time,power\n" + "\n".join(rows) + "\n")
+        assert main(["train", "--config", str(cfg),
+                     "--set", f"data.path={tmp_path / 'epoch.csv'}",
+                     "--set", "data.timestamp_format=epoch"]) == EXIT_DATA
+        assert "non-finite timestamps" in capsys.readouterr().err
+
     def test_pm_with_exogenous_mode_rejected(self, run_dir):
         _, cfg, _ = run_dir
         assert main(["train", "--config", str(cfg),

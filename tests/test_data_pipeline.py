@@ -174,6 +174,18 @@ class TestLoadCsv:
                               timestamp_format="epoch")
         np.testing.assert_allclose(wg.load_csv(path, schema).target, [0.5, 0.6])
 
+    @pytest.mark.parametrize("times", [["1", "nan", "0.5", "4"],
+                                       ["1", "2", "3", "inf"]])
+    def test_non_finite_timestamps_error(self, tmp_path, times):
+        """A NaN stamp would hide the out-of-order row after it, and an
+        infinite one passes any order check."""
+        path = tmp_path / "a.csv"
+        path.write_text("time,power\n" + "".join(f"{t},0.5\n" for t in times))
+        schema = wg.CsvSchema(timestamp_column="time", target_column="power",
+                              timestamp_format="epoch")
+        with pytest.raises(ValueError, match="non-finite timestamps"):
+            wg.load_csv(path, schema)
+
 
 class TestLagFeatures:
     def test_enumeration_by_definition(self):

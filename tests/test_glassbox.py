@@ -2,6 +2,7 @@
 monotone loss, interaction ranking, and determinism."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,13 @@ class TestMainEffects:
         with pytest.raises(ValueError, match=message):
             wg.TrainConfig(**setting)
 
+    @pytest.mark.parametrize("extra", [-100, 100])
+    def test_split_for_other_row_count_errors(self, trained_setup, extra):
+        model, matrix, _ = trained_setup
+        split = wg.chronological_split(matrix.n_rows + extra)
+        with pytest.raises(ValueError, match="split's row count"):
+            wg.train_main_effects(matrix, split, model.bins, FAST)
+
 
 class TestInteractionRanking:
     def test_product_signal_pair_ranked_first(self):
@@ -295,7 +303,6 @@ class TestInteractions:
         raw = wg.make_interaction_data(1200, seed=8)
         split = wg.chronological_split(raw.n_rows)
         matrix = wg.normalize_fit_apply(raw, split.train)
-        from dataclasses import replace
         no_pairs = wg.train(matrix, split, replace(FAST, interaction_budget=0))
         bins = wg.fit_bins(matrix.X, split.train, FAST.max_bins)
         mains, _ = wg.train_main_effects(matrix, split, bins, FAST)
@@ -335,7 +342,6 @@ class TestInteractions:
         """A staged pair stage with its own ``pair_bins`` returns a model
         that records that config, so its coarse maps are the ones its
         grids were built on, in memory and after a file round trip."""
-        from dataclasses import replace
         model, matrix, split = trained_setup
         bins = wg.fit_bins(matrix.X, split.train, FAST.max_bins)
         mains, residuals = wg.train_main_effects(matrix, split, bins, FAST)
@@ -352,7 +358,6 @@ class TestInteractions:
         """Bins fit on every row, not only the training rows: single and
         2-bag fits on those bins carry the coarse maps of the bins'
         populations, and the bagged shapes are centered on them."""
-        from dataclasses import replace
         from windglass.glassbox import _coarse_map
         raw = wg.make_interaction_data(1200, seed=8)
         split = wg.chronological_split(raw.n_rows)
@@ -376,6 +381,22 @@ class TestInteractions:
         for sf in bagged.shapes:
             pops = bins.populations[sf.feature]
             assert abs(pops @ sf.values / pops.sum()) <= 1e-12
+
+    @pytest.mark.parametrize("extra", [-50, 50])
+    def test_residuals_of_wrong_length_error(self, trained_setup, extra):
+        model, matrix, split = trained_setup
+        mains = replace(model, pairs=())
+        with pytest.raises(ValueError, match="split's row count"):
+            wg.train_interactions(mains, matrix, split,
+                                  np.zeros(matrix.n_rows + extra), [(0, 1)], FAST)
+
+    @pytest.mark.parametrize("extra", [-100, 100])
+    def test_split_for_other_row_count_errors(self, trained_setup, extra):
+        model, matrix, _ = trained_setup
+        split = wg.chronological_split(matrix.n_rows + extra)
+        with pytest.raises(ValueError, match="split's row count"):
+            wg.train_interactions(replace(model, pairs=()), matrix, split,
+                                  np.zeros(split.n_rows), [(0, 1)], FAST)
 
     def test_unknown_pair_feature_errors(self, trained_setup):
         model, matrix, split = trained_setup
@@ -445,7 +466,6 @@ class TestModelInvariants:
             model.predict(np.zeros((5, 99)))
 
     def test_bagging_keeps_structure_and_determinism(self):
-        from dataclasses import replace
         raw = wg.make_interaction_data(800, seed=12)
         split = wg.chronological_split(raw.n_rows)
         matrix = wg.normalize_fit_apply(raw, split.train)

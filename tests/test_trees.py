@@ -4,6 +4,8 @@ table equivalence, and determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import windglass as wg
 from windglass.trees import MIN_GAIN, restricted_tree_from_histogram
@@ -52,6 +54,35 @@ def brute_best_split(Xb, y, allowed, n_bins, min_leaf, criterion="sse"):
             if best is None or gain > best[0] + 1e-9:
                 best = (gain, f, t)
     return best
+
+
+@st.composite
+def bin_trees(draw):
+    """A tree on one feature or a pair with its table's bin counts:
+    either the histogram kernel's, on counts with empty bins and
+    features at any index, or ``fit_cart``'s on one or two columns,
+    whose tables may reach past the top bin seen."""
+    n_axes = draw(st.integers(1, 2))
+    depth = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        shape = tuple(draw(st.lists(st.integers(1, 16), min_size=n_axes,
+                                    max_size=n_axes)))
+        cnt = rng.integers(0, 4, size=shape).astype(np.float64)
+        assume(cnt.sum() > 0)
+        sums = rng.normal(size=shape) * cnt
+        features = tuple(sorted(draw(st.sets(st.integers(0, 5), min_size=n_axes,
+                                             max_size=n_axes))))
+        params = wg.TreeParams(max_depth=depth,
+                               min_samples_leaf=draw(st.integers(1, 2)))
+        tree = restricted_tree_from_histogram(cnt, sums, features, params)
+        return tree, dict(zip(features, shape))
+    m = draw(st.integers(2, 80))
+    Xb = rng.integers(0, draw(st.integers(1, 16)), size=(m, n_axes))
+    y = rng.normal(size=m)
+    tree = wg.fit_cart(Xb, y, mae(max_depth=depth))
+    extra = draw(st.integers(0, 2))
+    return tree, {f: int(Xb[:, f].max()) + 1 + extra for f in range(n_axes)}
 
 
 def mae(**kw):
@@ -308,15 +339,20 @@ class TestBinTable:
         np.testing.assert_array_equal(wg.tree_as_bin_table(tree, {0: 6}),
                                       np.full(6, 0.7))
 
-    def test_exhaustive_equivalence_on_larger_tables(self):
-        rng = np.random.default_rng(20)
-        Xb = rng.integers(0, 16, size=(500, 2))
-        y = rng.normal(size=500)
-        tree = hist_tree(Xb, y, [1], wg.TreeParams(max_depth=4))
-        table = wg.tree_as_bin_table(tree, {1: 16})
-        probe = np.zeros((16, 2), dtype=int)
-        probe[:, 1] = np.arange(16)
-        np.testing.assert_array_equal(table, wg.predict_tree(tree, probe))
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=bin_trees())
+    def test_exhaustive_equivalence_on_larger_tables(self, drawn):
+        """Looking up any bin combination in the table gives the tree's
+        own prediction for it."""
+        tree, feature_bins = drawn
+        feats = sorted(feature_bins)
+        table = wg.tree_as_bin_table(tree, feature_bins)
+        assert table.shape == tuple(feature_bins[f] for f in feats)
+        combos = np.indices(table.shape).reshape(len(feats), -1).T
+        probe = np.zeros((len(combos), max(feats) + 1), dtype=int)
+        probe[:, feats] = combos
+        np.testing.assert_array_equal(table[tuple(combos.T)],
+                                      wg.predict_tree(tree, probe))
 
     def test_disallowed_feature_errors(self):
         rng = np.random.default_rng(21)
