@@ -20,11 +20,18 @@ File invariants:
   document without its checksum, as sorted compact text
   (``json.dumps(doc, sort_keys=True, separators=(",", ":"))``).
 - :func:`save_model` formats every number once: each list of plain
-  scalars (a table, grid row, edge vector or coarse map) is encoded by
-  the C JSON encoder into compact text, the checksum is hashed piece by
-  piece from those strings in sorted-key order (:func:`_digest`), and
-  the indented file is streamed from the same strings in insertion
-  order. Neither layout is ever held whole in memory.
+  scalars (a table, grid row, edge vector or coarse map) becomes compact
+  text of the C JSON encoder, the checksum is hashed piece by piece
+  from those strings in sorted-key order (:func:`_digest`), and the
+  indented file is streamed from the same strings in insertion order.
+  Neither layout is ever held whole in memory.
+- Each distinct float of a top-level member is formatted only once
+  (:func:`_format_floats`), and its text is reused wherever the float
+  repeats. Floats repeat a lot in these files: a boosted shape function
+  is a step function, and the lags of one series share quantile edges.
+  A 48-lag file holds about 35,000 floats, of which 7.6-20% are distinct.
+  Floats are told apart by their bits, so each text is still exactly
+  ``float.__repr__`` of its own value.
 - :func:`load_model` verifies the checksum with the same encoder and
   :func:`_digest`, on the parsed document.
 """
@@ -34,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -323,7 +331,7 @@ class _Text(str):
 
 
 class _Object(list):
-    """A dict's ``(key, key text, encoded value)`` items in insertion order."""
+    """A dict's ``[key, key text, encoded value]`` items in insertion order."""
 
     __slots__ = ()
 
@@ -335,24 +343,83 @@ def _encode_leaves(obj):
 
     The C encoder formats numbers exactly as ``json.dump`` does
     (``float.__repr__``, ``NaN``/``Infinity``), so each number is
-    formatted here once and reused by both layouts.
+    formatted here once and reused by both layouts. Lists of only
+    ``float`` are formatted together, one batch per member of a
+    document (:func:`_format_floats`), so that a float repeated
+    anywhere in the batch is formatted once.
     """
+    if isinstance(obj, dict):
+        return _Object([key, _key_text(key), _encode_batch(value)]
+                       for key, value in obj.items())
+    return _encode_batch(obj)
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"model document keys must be str, got {key!r}")
+    return _compact(key)
+
+
+def _encode_batch(obj):
+    """``obj`` encoded, with its float lists formatted as one batch."""
+    root = [None]
+    float_lists = []
+    _encode_into(root, 0, obj, float_lists)
+    _format_floats(float_lists)
+    return root[0]
+
+
+def _encode_into(holder, index, obj, float_lists) -> None:
+    """Set ``holder[index]`` to ``obj`` encoded, except that a non-empty
+    list of only ``float`` is appended to ``float_lists`` with its slot,
+    for :func:`_format_floats` to fill."""
     if isinstance(obj, dict):
         items = _Object()
         for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"model document keys must be str, got {key!r}")
-            items.append((key, _compact(key), _encode_leaves(value)))
-        return items
+            item = [key, _key_text(key), None]
+            items.append(item)
+            _encode_into(item, 2, value, float_lists)
+        holder[index] = items
+        return
     if isinstance(obj, (list, tuple)):
         if obj and not isinstance(obj[0], (list, tuple, dict, str)):
+            if type(obj[0]) is float and set(map(type, obj)) == {float}:
+                float_lists.append((holder, index, obj))
+                return
             text = _compact(obj)
             # No string (so no key of a non-empty object) and no inner
             # list: every comma separates two scalars or empty objects.
             if '"' not in text and "[" not in text[1:]:
-                return _Text(text)
-        return [_encode_leaves(v) for v in obj]
-    return _Text(_compact(obj))
+                holder[index] = _Text(text)
+                return
+        node = [None] * len(obj)
+        for k, value in enumerate(obj):
+            _encode_into(node, k, value, float_lists)
+        holder[index] = node
+        return
+    holder[index] = _Text(_compact(obj))
+
+
+def _format_floats(float_lists) -> None:
+    """Fill each ``(holder, index, floats)`` slot with the compact text
+    of its list, formatting each distinct float of all the lists once.
+
+    Floats are told apart by their bit pattern, so ``0.0`` and ``-0.0``
+    keep their own texts. The distinct floats are formatted by one
+    :data:`_compact` call, and no float's text holds a comma.
+    """
+    if not float_lists:
+        return
+    sizes = [len(floats) for _, _, floats in float_lists]
+    values = np.fromiter(chain.from_iterable(floats for _, _, floats in float_lists),
+                         np.float64, sum(sizes))
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    piece = _compact(bits.view(np.float64).tolist())[1:-1].split(",").__getitem__
+    which = which.tolist()
+    start = 0
+    for (holder, index, _), size in zip(float_lists, sizes):
+        holder[index] = _Text("[" + ",".join(map(piece, which[start:start + size])) + "]")
+        start += size
 
 
 def _hash_sorted(node, update) -> None:
@@ -415,7 +482,7 @@ def _write_document(doc: dict, path) -> None:
     by a newline, encoding each number once."""
     tree = _encode_leaves(doc)
     checksum = _digest(tree)
-    tree.append(("checksum", '"checksum"', _Text(_compact(checksum))))
+    tree.append(["checksum", '"checksum"', _Text(_compact(checksum))])
     with open(path, "w") as fh:
         _write_indented(tree, 0, fh.write)
         fh.write("\n")
@@ -456,7 +523,8 @@ def load_model(path):
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError(f"corrupt model file: {path} (no format_version)")
     version = doc["format_version"]
-    if not isinstance(version, int) or version < 1 or version > FORMAT_VERSION:
+    # bool is an int subclass; ``true`` is no version.
+    if type(version) is not int or version < 1 or version > FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {version!r} "
             f"(this build reads up to {FORMAT_VERSION})"

@@ -197,6 +197,14 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(cfg),
                      "--model", str(path)]) == EXIT_MODEL
 
+    def test_boolean_format_version_is_model_error(self, run_dir):
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg), "--set", "model.kind=lr"]) == EXIT_OK
+        path = out / "lr.model.json"
+        resign_model_file(path, lambda doc: doc.update(format_version=True))
+        assert main(["evaluate", "--config", str(cfg),
+                     "--model", str(path)]) == EXIT_MODEL
+
     def test_mismatched_dimensions_is_data_error(self, run_dir):
         _, cfg, out = run_dir
         main(["train", "--config", str(cfg), "--set", "model.kind=lr"])

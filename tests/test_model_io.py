@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import windglass as wg
 from windglass.model_io import FORMAT_VERSION, ModelFormatError
-from conftest import resign_model_file
+from conftest import resign_model_file, small_fit
 
 
 @pytest.fixture
@@ -74,6 +76,17 @@ class TestFailureModes:
         doc = json.loads(path.read_text())
         doc["format_version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="unsupported model format version"):
+            wg.load_model(path)
+
+    @pytest.mark.parametrize("version", [True, False, 1.0, "1", None],
+                             ids=["true", "false", "float", "string", "null"])
+    def test_non_integer_version_rejected(self, tmp_path, version):
+        """``true`` parses to a bool, which is an int subclass equal to 1;
+        a re-signed file carrying it is still not version 1."""
+        path = tmp_path / "m.json"
+        wg.save_model(wg.LinearModel(0.5, np.array([1.0]), ("a",)), path)
+        resign_model_file(path, lambda doc: doc.update(format_version=version))
         with pytest.raises(ModelFormatError, match="unsupported model format version"):
             wg.load_model(path)
 
@@ -185,3 +198,36 @@ class TestFailureModes:
     def test_unserializable_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize"):
             wg.save_model(object(), tmp_path / "m.json")
+
+
+@pytest.fixture(scope="module")
+def small_glassbox_file(tmp_path_factory):
+    """A ~6 KB glass-box file with pair grids, its model and probe rows."""
+    model, _, _ = small_fit(seed=4, n_features=3, rounds=3)
+    assert model.pairs
+    path = tmp_path_factory.mktemp("flips") / "m.json"
+    wg.save_model(model, path)
+    probe = np.random.default_rng(0).uniform(-0.2, 1.2, size=(200, 3))
+    return path, model, probe
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_byte_change_refused_or_harmless(small_glassbox_file, data):
+    """Changing any one byte of a file either gets it refused or leaves
+    a model whose every table and forecast are bit-identical, e.g. a
+    changed space or an exponent's ``e`` made ``E``."""
+    path, model, probe = small_glassbox_file
+    original = path.read_bytes()
+    at = data.draw(st.integers(0, len(original) - 1), label="at")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != original[at]), label="byte")
+    flipped = path.with_name("flipped.json")
+    flipped.write_bytes(original[:at] + bytes([byte]) + original[at + 1:])
+    try:
+        loaded = wg.load_model(flipped)
+    except ModelFormatError:
+        return
+    resaved = path.with_name("resaved.json")
+    wg.save_model(loaded, resaved)
+    assert resaved.read_bytes() == original
+    assert loaded.predict(probe).tobytes() == model.predict(probe).tobytes()

@@ -10,6 +10,7 @@ model kind, and the loader the same checksum for any parsed document.
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ values = st.recursive(
     max_leaves=40,
 )
 documents = st.dictionaries(keys.filter(lambda k: k != "checksum"), values, max_size=8)
+# Float lists drawn from a pool of a few values repeat floats within
+# and across lists, as step-function tables and shared bin edges do;
+# 0.0 and -0.0 are equal but must keep their own texts.
+float_pools = st.lists(st.sampled_from([0.0, -0.0]) | floats, min_size=1, max_size=4)
+
+
+def pooled_documents(pool):
+    pooled = st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+    members = (pooled | st.lists(pooled, max_size=4).map(tuple)
+               | st.lists(pooled | st.dictionaries(keys, pooled, max_size=3), max_size=4))
+    return st.dictionaries(keys.filter(lambda k: k != "checksum"), members, max_size=4)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +89,18 @@ def test_loader_digest_matches_reference(doc):
     assert model_io._digest(model_io._encode_leaves(parsed)) == reference_checksum(doc)
 
 
+@settings(max_examples=250, deadline=None)
+@given(doc=float_pools.flatmap(pooled_documents))
+def test_repeated_floats_byte_identical(workdir, doc):
+    assert writer_bytes(doc, workdir / "new.json") == reference_bytes(doc, workdir / "ref.json")
+    parsed = json.loads(json.dumps(doc))
+    assert model_io._digest(model_io._encode_leaves(parsed)) == reference_checksum(doc)
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 @pytest.mark.parametrize("doc", [
     {},
     {"empty": [], "nested": [[], [[]], {}], "obj": {"": {}}},
@@ -85,6 +109,17 @@ def test_loader_digest_matches_reference(doc):
     {"tuple": (1.0, (2.0, 3.0)), "lead_list": [[1], 2, "x"], "lead_num": [1, [2], {"k": 3}]},
     {"str_after_number": [1, "a,b", 2.5], "dict_after_number": [1.5, {"x,": [2]}]},
     {"ключ": "значение", "b": [" ", "é"], "a": {"z": 1, "y": 2}},
+    {"zeros": [0.0, -0.0, 0.0, -0.0]},
+    {"zeros": [[0.0, 1.5], [-0.0, 1.5]], "a": [0.0], "b": [-0.0]},
+    {"zeros": {"x": [-0.0], "y": [0.0, -0.0]}},
+    {"specials": [from_bits(0x7FF8_0000_0000_0123), float("nan"),
+                  from_bits(0xFFF0_0000_0000_0001), float("inf"), -float("inf"),
+                  5e-324, -5e-324, 1.5],
+     "again": [[float("inf"), 5e-324], [from_bits(0x7FF8_0000_0000_0123)]]},
+    {"repeats": [[0.1, 0.2, 0.1], [0.2, 0.1], [0.1]], "more": {"k": [0.2, 0.1]}},
+    {"np": [np.float64(0.1), np.float64(-0.0), 0.1], "all_np": [np.float64(1.5)] * 3,
+     "mixed": [[0.1, -0.0], [np.float64(0.1), np.float64(0.0)], [0.1, np.float64(0.1)]]},
+    {"tuple": ([0.5, -0.0], (0.5, 0.0), {"t": (0.0, 0.5)}), "flat": (1e-7, 1e22, 1e-7)},
 ])
 def test_edge_documents_byte_identical(tmp_path, doc):
     assert writer_bytes(doc, tmp_path / "new.json") == reference_bytes(doc, tmp_path / "ref.json")
