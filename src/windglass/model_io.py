@@ -3,14 +3,17 @@
 Every forecaster serializes to a self-describing JSON document with a
 ``format_version``, a ``kind`` tag, its lookup tables or coefficients in
 full-precision decimal, and a SHA-256 integrity checksum over the
-payload. Loading verifies the checksum, rejects unknown versions and
-checks that the tables, trees and column indices fit together, so a
-truncated, tampered or inconsistent file fails loudly instead of
-predicting garbage.
+payload. Loading rejects unknown versions and checks that the tables,
+trees and column indices fit together and that every number a forecast
+uses is finite, so a truncated, tampered or inconsistent file fails
+loudly instead of predicting garbage.
 
-A glass-box file's coarse maps are never read back: the model derives
-them from its binning, and a file whose stored maps differ from what
-:func:`save_model` writes for that model is refused.
+One rule decides whether a file loads: the model read from it must
+write the stored checksum back. So a re-signed field of the wrong JSON
+type (a string intercept, a numeric feature name) is refused, while an
+edit that leaves the model unchanged (whitespace, an exponent's ``e``
+made ``E``, the stored coarse maps, which load derives) loads as the
+original model.
 
 File invariants:
 
@@ -32,8 +35,9 @@ File invariants:
   A 48-lag file holds about 35,000 floats, of which 7.6-20% are distinct.
   Floats are told apart by their bits, so each text is still exactly
   ``float.__repr__`` of its own value.
-- :func:`load_model` verifies the checksum with the same encoder and
-  :func:`_digest`, on the parsed document.
+- :func:`load_model` checks the stored checksum against the model's
+  document (:func:`_document`); it digests the parsed document only to
+  word a refusal.
 """
 
 from __future__ import annotations
@@ -63,26 +67,35 @@ class ModelFormatError(ValueError):
 # Shared pieces
 # ---------------------------------------------------------------------------
 
+def _require_finite(what: str, *arrays) -> None:
+    """Raise ValueError unless every number of ``arrays`` is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"non-finite {what}")
+
+
 def _norm_to_doc(p: NormParams | None):
     if p is None:
         return None
     return {
         "feature_min": p.feature_min.tolist(),
         "feature_max": p.feature_max.tolist(),
-        "target_min": p.target_min,
-        "target_max": p.target_max,
+        "target_min": float(p.target_min),
+        "target_max": float(p.target_max),
     }
 
 
 def _norm_from_doc(d) -> NormParams | None:
     if d is None:
         return None
-    return NormParams(
+    p = NormParams(
         feature_min=np.asarray(d["feature_min"], dtype=np.float64),
         feature_max=np.asarray(d["feature_max"], dtype=np.float64),
         target_min=float(d["target_min"]),
         target_max=float(d["target_max"]),
     )
+    _require_finite("normalization bound", p.feature_min, p.feature_max,
+                    p.target_min, p.target_max)
+    return p
 
 
 def _bins_to_doc(b: BinningMap):
@@ -97,7 +110,7 @@ def _bins_to_doc(b: BinningMap):
 
 
 def _bins_from_doc(d) -> BinningMap:
-    return BinningMap(
+    b = BinningMap(
         edges=tuple(np.asarray(e, dtype=np.float64) for e in d["bin_edges"]),
         vmin=np.asarray(d["bin_vmin"], dtype=np.float64),
         vmax=np.asarray(d["bin_vmax"], dtype=np.float64),
@@ -105,6 +118,8 @@ def _bins_from_doc(d) -> BinningMap:
                           for p in d["bin_populations"]),
         max_bins=int(d["max_bins"]),
     )
+    _require_finite("bin edge, vmin or vmax", *b.edges, b.vmin, b.vmax)
+    return b
 
 
 def _tree_to_doc(t: RegressionTree):
@@ -115,7 +130,8 @@ def _tree_to_doc(t: RegressionTree):
         "right": [nd.right for nd in t.nodes],
         "value": [nd.value for nd in t.nodes],
         "count": [nd.count for nd in t.nodes],
-        "params": asdict(t.params),
+        # Every fit_cart tree is an absolute-error tree.
+        "params": {**asdict(t.params), "split_criterion": "mae"},
     }
 
 
@@ -125,7 +141,8 @@ def _tree_from_doc(d) -> RegressionTree:
         for f, t, l, r, v, c in zip(d["feature"], d["threshold"], d["left"],
                                     d["right"], d["value"], d["count"])
     )
-    return RegressionTree(nodes=nodes, params=TreeParams(**d["params"]))
+    params = {k: int(v) for k, v in d["params"].items() if k != "split_criterion"}
+    return RegressionTree(nodes=nodes, params=TreeParams(**params))
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +156,11 @@ def _glassbox_doc(m: GlassBoxModel) -> dict:
             "config": asdict(m.config),
             "rounds_main": m.rounds_main,
             "rounds_pairs": m.rounds_pairs,
-            "val_curve_main": list(m.val_curve_main),
-            "val_curve_pairs": list(m.val_curve_pairs),
+            "val_curve_main": list(map(float, m.val_curve_main)),
+            "val_curve_pairs": list(map(float, m.val_curve_pairs)),
         },
-        "intercept": m.intercept,
-        "feature_names": list(m.feature_names),
+        "intercept": float(m.intercept),
+        "feature_names": list(map(str, m.feature_names)),
         "normalization": _norm_to_doc(m.norm_params),
         **_bins_to_doc(m.bins),
         "shape_functions": [
@@ -152,13 +169,9 @@ def _glassbox_doc(m: GlassBoxModel) -> dict:
         "pair_terms": [
             {"i": pt.i, "j": pt.j, "grid": pt.grid.tolist()} for pt in m.pairs
         ],
-        "coarse_maps": _coarse_maps_doc(m),
+        "coarse_maps": ({str(f): cm.tolist() for f, cm in m.coarse_maps.items()}
+                        if m.pairs else {}),
     }
-
-
-def _coarse_maps_doc(m: GlassBoxModel) -> dict:
-    """The stored coarse maps: every feature's if the model has pairs."""
-    return {str(f): cm.tolist() for f, cm in m.coarse_maps.items()} if m.pairs else {}
 
 
 def _glassbox_from(doc) -> GlassBoxModel:
@@ -175,23 +188,25 @@ def _glassbox_from(doc) -> GlassBoxModel:
             for p in doc["pair_terms"]
         ),
         bins=_bins_from_doc(doc),
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=tuple(map(str, doc["feature_names"])),
         norm_params=_norm_from_doc(doc["normalization"]),
         config=TrainConfig(**meta["config"]),
         rounds_main=int(meta["rounds_main"]),
         rounds_pairs=int(meta["rounds_pairs"]),
-        val_curve_main=tuple(meta["val_curve_main"]),
-        val_curve_pairs=tuple(meta["val_curve_pairs"]),
+        val_curve_main=tuple(map(float, meta["val_curve_main"])),
+        val_curve_pairs=tuple(map(float, meta["val_curve_pairs"])),
     )
-    _check_glassbox(model, doc["coarse_maps"])
+    _check_glassbox(model)
     return model
 
 
-def _check_glassbox(m: GlassBoxModel, stored_coarse_maps) -> None:
-    """Raise ValueError unless every table lookup ``predict`` makes is
-    in range and :func:`save_model` would write the stored coarse maps:
-    feature ``f`` has populations (which fix its coarse map) and shape
-    function ``f``, each one entry per bin; pairs are distinct."""
+def _check_glassbox(m: GlassBoxModel) -> None:
+    """Raise ValueError unless every table lookup ``predict`` makes is in
+    range and finite: feature ``f`` has populations (which fix its coarse
+    map) and shape function ``f``, each one entry per bin; pairs differ."""
+    _require_finite("intercept", m.intercept)
+    _require_finite("shape table", *(sf.values for sf in m.shapes))
+    _require_finite("pair grid", *(pt.grid for pt in m.pairs))
     n = m.n_features
     counts = (m.bins.n_features, len(m.bins.populations), len(m.shapes))
     if counts != (n, n, n):
@@ -205,8 +220,6 @@ def _check_glassbox(m: GlassBoxModel, stored_coarse_maps) -> None:
         if sf.feature != f or sf.values.shape != nb:
             raise ValueError(f"shape function {f} is for feature {sf.feature} with shape "
                              f"{sf.values.shape}, not feature {f} with {nb[0]} bins")
-    if stored_coarse_maps != _coarse_maps_doc(m):
-        raise ValueError("stored coarse maps are not the ones the binning gives")
     if len({(pt.i, pt.j) for pt in m.pairs}) != len(m.pairs):
         raise ValueError("a pair term is repeated")
     for pt in m.pairs:
@@ -222,9 +235,9 @@ def _linear_doc(m: LinearModel) -> dict:
     return {
         "kind": "linear",
         "metadata": {},
-        "intercept": m.intercept,
+        "intercept": float(m.intercept),
         "weights": m.weights.tolist(),
-        "feature_names": list(m.feature_names),
+        "feature_names": list(map(str, m.feature_names)),
         "normalization": _norm_to_doc(m.norm_params),
     }
 
@@ -233,7 +246,7 @@ def _linear_from(doc) -> LinearModel:
     return LinearModel(
         intercept=float(doc["intercept"]),
         weights=np.asarray(doc["weights"], dtype=np.float64),
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=tuple(map(str, doc["feature_names"])),
         norm_params=_norm_from_doc(doc["normalization"]),
     )
 
@@ -243,7 +256,7 @@ def _persistence_doc(m: PersistenceModel) -> dict:
         "kind": "persistence",
         "metadata": {},
         "lag_column": m.lag_column,
-        "feature_names": list(m.feature_names),
+        "feature_names": list(map(str, m.feature_names)),
         "normalization": _norm_to_doc(m.norm_params),
     }
 
@@ -251,7 +264,7 @@ def _persistence_doc(m: PersistenceModel) -> dict:
 def _persistence_from(doc) -> PersistenceModel:
     model = PersistenceModel(
         lag_column=int(doc["lag_column"]),
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=tuple(map(str, doc["feature_names"])),
         norm_params=_norm_from_doc(doc["normalization"]),
     )
     if not 0 <= model.lag_column < len(model.feature_names):
@@ -266,7 +279,7 @@ def _rt_doc(m: RTBaseline) -> dict:
         "metadata": {},
         "tree": _tree_to_doc(m.tree),
         **_bins_to_doc(m.bins),
-        "feature_names": list(m.feature_names),
+        "feature_names": list(map(str, m.feature_names)),
         "normalization": _norm_to_doc(m.norm_params),
     }
 
@@ -275,7 +288,7 @@ def _rt_from(doc) -> RTBaseline:
     model = RTBaseline(
         tree=_tree_from_doc(doc["tree"]),
         bins=_bins_from_doc(doc),
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=tuple(map(str, doc["feature_names"])),
         norm_params=_norm_from_doc(doc["normalization"]),
     )
     _check_rt(model)
@@ -283,13 +296,14 @@ def _rt_from(doc) -> RTBaseline:
 
 
 def _check_rt(m: RTBaseline) -> None:
-    """Raise ValueError unless ``predict`` can route every row: the tree
-    has a root, each split names a binned feature, and each split's
-    children come after it in the node list, so every path ends in a
-    leaf."""
+    """Raise ValueError unless ``predict`` can route every row to a
+    finite leaf: the tree has a root, each split names a binned feature,
+    and each split's children come after it in the node list, so every
+    path ends in a leaf."""
     nodes = m.tree.nodes
     if not nodes:
         raise ValueError("tree has no nodes")
+    _require_finite("leaf value", *(nd.value for nd in nodes if nd.is_leaf))
     n = m.bins.n_features
     if n != len(m.feature_names):
         raise ValueError(f"{n} binned features for {len(m.feature_names)} feature names")
@@ -494,33 +508,34 @@ def _write_document(doc: dict, path) -> None:
 # Public API
 # ---------------------------------------------------------------------------
 
-def save_model(model, path) -> None:
-    """Write any supported forecaster to a versioned model file."""
-    doc = None
+def _document(model) -> dict:
+    """The document :func:`save_model` writes for ``model``, less the checksum."""
     for cls, writer in _WRITERS:
         if isinstance(model, cls):
-            doc = writer(model)
-            break
-    if doc is None:
-        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    doc["format_version"] = FORMAT_VERSION
-    _write_document(doc, path)
+            return {**writer(model), "format_version": FORMAT_VERSION}
+    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+
+
+def save_model(model, path) -> None:
+    """Write any supported forecaster to a versioned model file."""
+    _write_document(_document(model), path)
 
 
 def load_model(path):
     """Read a model file back; predictions round-trip bit-identically.
 
+    A file loads only if its model writes the stored checksum back.
     Raises :class:`ModelFormatError` for corrupt files, checksum
     mismatches, unsupported versions, unknown model kinds, and payloads
-    that pass the checksum but lack a field or carry one of the wrong
-    shape, type, name or range.
+    that pass the checksum but do not fit together, hold a non-finite
+    table value, or are not what :func:`save_model` writes for them.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {path} ({exc})") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"corrupt model file: {path} ({exc})") from None
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError(f"corrupt model file: {path} (no format_version)")
@@ -532,15 +547,24 @@ def load_model(path):
             f"(this build reads up to {FORMAT_VERSION})"
         )
     stored = doc.pop("checksum", None)
+    kind = doc.get("kind")
+    reader = _READERS.get(kind) if isinstance(kind, str) else None
+    if reader is not None:
+        try:
+            model = reader(doc)
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+            problem = f"{type(exc).__name__}: {exc}"
+        else:
+            # Hold one document at a time; parse again to word a refusal.
+            del doc
+            if stored == _digest(_encode_leaves(_document(model))):
+                return model
+            with open(path) as fh:
+                doc = json.load(fh)
+            doc.pop("checksum", None)
+            problem = "not what save_model writes for its model"
     if stored != _digest(_encode_leaves(doc)):
         raise ModelFormatError(f"model file checksum mismatch: {path}")
-    kind = doc.get("kind")
-    reader = _READERS.get(kind)
     if reader is None:
         raise ModelFormatError(f"unknown model kind {kind!r} in {path}")
-    try:
-        return reader(doc)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ModelFormatError(
-            f"malformed {kind} model file: {path} ({type(exc).__name__}: {exc})"
-        ) from None
+    raise ModelFormatError(f"malformed {kind} model file: {path} ({problem})")

@@ -5,7 +5,7 @@ a sample goes left when ``bin <= threshold``. That makes every tree
 restricted to one or two features an exact lookup table over its bins,
 which is what the additive model's shape functions are built from.
 
-One fitter per criterion:
+One fitter per criterion (:class:`TreeParams` names none):
 
 * squared error, mean leaves: :func:`restricted_tree_from_histogram`,
   the boosting engine's weak learner on one feature or a pair. Mean
@@ -63,12 +63,11 @@ _MAE_BLOCK_CELLS = 16_384
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Stopping rules and split criterion for tree induction."""
+    """Stopping rules for tree induction; the fitter fixes the criterion."""
 
     max_depth: int = 2
     min_samples_split: int = 2
     min_samples_leaf: int = 1
-    split_criterion: str = "sse"
 
     def __post_init__(self):
         if self.max_depth < 0:
@@ -77,8 +76,6 @@ class TreeParams:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if self.split_criterion not in ("sse", "mae"):
-            raise ValueError(f"unknown split criterion {self.split_criterion!r}")
 
 
 @dataclass(frozen=True)
@@ -223,12 +220,9 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams) -> Regress
     y : float array, shape (m,)
         Targets.
     params : TreeParams
-        Must use the ``"mae"`` criterion; squared-error trees come from
+        Stopping rules; squared-error trees come from
         :func:`restricted_tree_from_histogram`.
     """
-    if params.split_criterion != "mae":
-        raise ValueError("fit_cart supports the mae criterion only; fit "
-                         "squared-error trees with restricted_tree_from_histogram")
     Xb = np.asarray(X_binned)
     y = np.asarray(y, dtype=np.float64)
     if Xb.ndim != 2 or len(Xb) != len(y):
@@ -407,8 +401,6 @@ def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
     marginal is exact; a summed-area table of the sums is not, since it
     rounds differently.
     """
-    if params.split_criterion != "sse":
-        raise ValueError("histogram fitting supports the sse criterion only")
     total = float(cnt.sum())
     if total <= 0:
         raise ValueError("histogram holds no rows")

@@ -117,7 +117,6 @@ class TestRtBaseline:
         assert wg.RT_BASELINE_PARAMS.max_depth == 4
         assert wg.RT_BASELINE_PARAMS.min_samples_split == 4
         assert wg.RT_BASELINE_PARAMS.min_samples_leaf == 1
-        assert wg.RT_BASELINE_PARAMS.split_criterion == "mae"
 
     def test_beats_climatology_on_autocorrelated_data(self):
         matrix, split = lag_setup(n=2000)

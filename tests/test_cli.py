@@ -205,6 +205,32 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(cfg),
                      "--model", str(path)]) == EXIT_MODEL
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("windebm", lambda doc: doc.update(intercept=str(doc["intercept"]))),
+        ("windebm", lambda doc: doc["metadata"].update(rounds_main=1.5)),
+        ("windebm", lambda doc: doc["feature_names"].__setitem__(0, 7)),
+        ("windebm", lambda doc: doc["metadata"].update(rounds_main=float("inf"))),
+        ("rt", lambda doc: doc["tree"]["params"].update(split_criterion="sse")),
+        ("rt", lambda doc: doc["tree"]["threshold"].__setitem__(0, float("inf"))),
+    ], ids=["string_intercept", "fractional_rounds", "numeric_feature_name",
+            "infinite_rounds", "sse_tree", "infinite_threshold"])
+    def test_resigned_model_not_written_back_is_model_error(self, run_dir, kind, edit):
+        """A re-signed file whose model does not write it back exits 4,
+        as does one whose integer field overflows ``int``."""
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg), "--set", f"model.kind={kind}"]) == EXIT_OK
+        path = out / f"{kind}.model.json"
+        resign_model_file(path, edit)
+        assert main(["evaluate", "--config", str(cfg),
+                     "--model", str(path)]) == EXIT_MODEL
+
+    def test_deeply_nested_model_file_is_model_error(self, run_dir, tmp_path):
+        _, cfg, _ = run_dir
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 2000 + "]" * 2000)
+        assert main(["evaluate", "--config", str(cfg),
+                     "--model", str(deep)]) == EXIT_MODEL
+
     def test_mismatched_dimensions_is_data_error(self, run_dir):
         _, cfg, out = run_dir
         main(["train", "--config", str(cfg), "--set", "model.kind=lr"])

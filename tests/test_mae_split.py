@@ -130,8 +130,7 @@ def reference_fit_cart_mae(Xb, y, params):
 
 PARAMS = st.builds(
     lambda depth, split, leaf: wg.TreeParams(
-        max_depth=depth, min_samples_split=split, min_samples_leaf=leaf,
-        split_criterion="mae"),
+        max_depth=depth, min_samples_split=split, min_samples_leaf=leaf),
     st.integers(0, 5), st.integers(2, 8), st.integers(1, 5))
 
 

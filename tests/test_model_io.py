@@ -1,6 +1,7 @@
 """Model file round trips and failure modes."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
+from windglass import model_io
 from windglass.model_io import FORMAT_VERSION, ModelFormatError
 from conftest import resign_model_file, small_fit
+
+INF, NAN = float("inf"), float("nan")
 
 
 @pytest.fixture
@@ -107,6 +111,13 @@ class TestFailureModes:
         with pytest.raises(ModelFormatError, match="unknown model kind"):
             wg.load_model(path)
 
+    def test_unhashable_kind_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        wg.save_model(wg.LinearModel(0.5, np.array([1.0]), ("a",)), path)
+        resign_model_file(path, lambda doc: doc.update(kind=["linear"]))
+        with pytest.raises(ModelFormatError, match="unknown model kind"):
+            wg.load_model(path)
+
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["metadata"]["config"].update(bogus_key=1),  # TypeError
         lambda doc: doc.pop("intercept"),  # KeyError
@@ -201,23 +212,162 @@ class TestFailureModes:
 
 
 @pytest.fixture(scope="module")
-def small_glassbox_file(tmp_path_factory):
-    """A ~6 KB glass-box file with pair grids, its model and probe rows."""
-    model, _, _ = small_fit(seed=4, n_features=3, rounds=3)
-    assert model.pairs
-    path = tmp_path_factory.mktemp("flips") / "m.json"
-    wg.save_model(model, path)
+def model_files(tmp_path_factory):
+    """A small file of every kind (the glass-box one ~6 KB, with pair
+    grids) with its model, and probe rows for all of them."""
+    glassbox, _, _ = small_fit(seed=4, n_features=3, rounds=3)
+    assert glassbox.pairs
+    frame = wg.make_autocorrelated_series(200, seed=2)
+    raw = wg.build_lag_features(frame, n_lags=3, horizon_steps=1)
+    split = wg.chronological_split(raw.n_rows)
+    matrix = wg.normalize_fit_apply(raw, split.train)
+    models = {
+        "glassbox": glassbox,
+        "rt": wg.fit_rt_baseline(matrix, split.train, max_bins=8),
+        "linear": wg.fit_ols(matrix, split.train),
+        "persistence": wg.PersistenceModel.from_matrix(matrix),
+    }
+    assert not models["rt"].tree.nodes[0].is_leaf
+    folder = tmp_path_factory.mktemp("kinds")
+    files = {}
+    for kind, model in models.items():
+        files[kind] = (folder / f"{kind}.json", model)
+        wg.save_model(model, files[kind][0])
     probe = np.random.default_rng(0).uniform(-0.2, 1.2, size=(200, 3))
-    return path, model, probe
+    return files, probe
 
 
+def resigned_copy(source, folder, edit):
+    """A copy of model file ``source`` in ``folder``, edited and re-signed."""
+    path = folder / source.name
+    path.write_bytes(source.read_bytes())
+    resign_model_file(path, edit)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["glassbox", "rt", "linear", "persistence"])
+def test_load_encodes_one_document(model_files, kind):
+    """A successful load encodes only the loaded model's document: the
+    one the stored checksum is checked against."""
+    path, model = model_files[0][kind]
+    with mock.patch.object(model_io, "_encode_leaves",
+                           wraps=model_io._encode_leaves) as encode:
+        loaded = wg.load_model(path)
+    assert encode.call_count == 1
+    assert type(loaded) is type(model)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("glassbox", lambda doc: doc.update(intercept=str(doc["intercept"]))),
+    ("glassbox", lambda doc: doc["metadata"].update(rounds_main=1.5)),
+    ("glassbox", lambda doc: doc["feature_names"].__setitem__(0, 7)),
+    ("glassbox", lambda doc: doc["metadata"]["val_curve_main"].__setitem__(0, "0.5")),
+    ("glassbox", lambda doc: doc["coarse_maps"]["0"].__setitem__(0, True)),
+    ("rt", lambda doc: doc["tree"]["params"].update(split_criterion="sse")),
+    ("rt", lambda doc: doc["tree"]["params"].pop("split_criterion")),
+    ("rt", lambda doc: doc["tree"]["params"].update(max_depth=4.0)),
+    ("linear", lambda doc: doc["weights"].__setitem__(0, str(doc["weights"][0]))),
+    ("persistence", lambda doc: doc["normalization"].update(target_min=0)),
+], ids=["string_intercept", "fractional_rounds", "numeric_feature_name",
+        "string_curve_entry", "boolean_coarse_map_entry", "sse_criterion",
+        "no_criterion", "float_tree_param", "string_weight", "int_norm_bound"])
+def test_resigned_file_not_written_back_refused(model_files, tmp_path, kind, edit):
+    """A re-signed file loads only if its model writes the stored
+    checksum back, so a field of the wrong JSON type is refused even
+    where the reader's conversion would accept it."""
+    path = resigned_copy(model_files[0][kind][0], tmp_path, edit)
+    with pytest.raises(ModelFormatError,
+                       match=f"malformed {kind} model file.*not what save_model writes"):
+        wg.load_model(path)
+
+
+def test_hand_built_model_round_trips(tmp_path):
+    """Writers convert fields as the readers do, so a model built with
+    an int intercept and a numeric feature name writes a file that
+    loads."""
+    wg.save_model(wg.LinearModel(1, np.array([2.0]), (7,)), tmp_path / "m.json")
+    loaded = wg.load_model(tmp_path / "m.json")
+    assert (loaded.intercept, loaded.feature_names) == (1.0, ("7",))
+    assert type(loaded.intercept) is float
+
+
+def test_unsigned_coarse_map_edit_loads_as_original(model_files, tmp_path):
+    """The coarse maps are derived on load, so an edit to a stored map
+    that was not re-signed still gives the file's model."""
+    source, model = model_files[0]["glassbox"]
+    doc = json.loads(source.read_text())
+    doc["coarse_maps"]["0"][0] = 5
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    wg.save_model(wg.load_model(path), tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("glassbox", lambda doc: doc["metadata"].update(rounds_main=INF)),
+    ("glassbox", lambda doc: doc.update(max_bins=-INF)),
+    ("glassbox", lambda doc: doc["shape_functions"][0].update(feature=INF)),
+    ("rt", lambda doc: doc["tree"]["threshold"].__setitem__(0, INF)),
+    ("rt", lambda doc: doc["tree"]["params"].update(max_depth=INF)),
+    ("persistence", lambda doc: doc.update(lag_column=INF)),
+], ids=["rounds_main", "max_bins", "shape_feature", "tree_threshold",
+        "tree_param", "lag_column"])
+def test_infinite_integer_field_refused(model_files, tmp_path, kind, edit):
+    """``int(inf)`` raises OverflowError, which is reported as a
+    malformed file like every other failed conversion."""
+    path = resigned_copy(model_files[0][kind][0], tmp_path, edit)
+    with pytest.raises(ModelFormatError, match=f"malformed {kind} model file"):
+        wg.load_model(path)
+
+
+def first_leaf(tree_doc):
+    return tree_doc["feature"].index(-1)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("glassbox", lambda doc: doc.update(intercept=NAN)),
+    ("glassbox", lambda doc: doc["shape_functions"][1]["values"].__setitem__(0, NAN)),
+    ("glassbox", lambda doc: doc["pair_terms"][0]["grid"][0].__setitem__(0, INF)),
+    ("glassbox", lambda doc: doc["bin_edges"][0].__setitem__(-1, INF)),
+    ("glassbox", lambda doc: doc["bin_vmin"].__setitem__(0, -INF)),
+    ("glassbox", lambda doc: doc["bin_vmax"].__setitem__(2, NAN)),
+    ("glassbox", lambda doc: doc["normalization"]["feature_min"].__setitem__(0, NAN)),
+    ("glassbox", lambda doc: doc["normalization"]["feature_max"].__setitem__(1, INF)),
+    ("glassbox", lambda doc: doc["normalization"].update(target_min=NAN)),
+    ("glassbox", lambda doc: doc["normalization"].update(target_max=INF)),
+    ("rt", lambda doc: doc["tree"]["value"].__setitem__(first_leaf(doc["tree"]), NAN)),
+    ("rt", lambda doc: doc["bin_edges"][1].__setitem__(0, -INF)),
+    ("linear", lambda doc: doc["normalization"].update(target_max=NAN)),
+    ("persistence", lambda doc: doc["normalization"]["feature_min"].__setitem__(0, INF)),
+], ids=["intercept", "shape_table", "pair_grid", "bin_edge", "bin_vmin", "bin_vmax",
+        "feature_min", "feature_max", "target_min", "target_max", "rt_leaf_value",
+        "rt_bin_edge", "linear_normalization", "persistence_normalization"])
+def test_non_finite_number_refused(model_files, tmp_path, kind, edit):
+    """NaN and infinity write back as themselves, so the write-back rule
+    cannot refuse them: the readers do, wherever a forecast uses the
+    number."""
+    path = resigned_copy(model_files[0][kind][0], tmp_path, edit)
+    with pytest.raises(ModelFormatError, match=f"malformed {kind} model file.*non-finite"):
+        wg.load_model(path)
+
+
+def test_deeply_nested_file_is_corrupt(tmp_path):
+    """Nesting too deep for the JSON parser's recursion is a corrupt
+    file, not a RecursionError."""
+    path = tmp_path / "m.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    with pytest.raises(ModelFormatError, match="corrupt model file"):
+        wg.load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["glassbox", "rt", "linear"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_single_byte_change_refused_or_harmless(small_glassbox_file, data):
+def test_single_byte_change_refused_or_harmless(model_files, kind, data):
     """Changing any one byte of a file either gets it refused or leaves
     a model whose every table and forecast are bit-identical, e.g. a
     changed space or an exponent's ``e`` made ``E``."""
-    path, model, probe = small_glassbox_file
+    (path, model), probe = model_files[0][kind], model_files[1]
     original = path.read_bytes()
     at = data.draw(st.integers(0, len(original) - 1), label="at")
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != original[at]), label="byte")
@@ -231,3 +381,56 @@ def test_single_byte_change_refused_or_harmless(small_glassbox_file, data):
     wg.save_model(loaded, resaved)
     assert resaved.read_bytes() == original
     assert loaded.predict(probe).tobytes() == model.predict(probe).tobytes()
+
+
+def leaf_paths(node, path=()):
+    """The key paths of a document's scalars, except the checksum and
+    the training config's."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if path + (key,) not in {("checksum",), ("metadata", "config")}:
+            yield from leaf_paths(value, path + (key,))
+
+
+def retyped(value):
+    """``value`` as other JSON types: a number's string or a string's
+    number, the other of int and float, true and null."""
+    if isinstance(value, str):
+        others = [7]
+    elif isinstance(value, int):
+        others = [str(value), float(value)]
+    elif isinstance(value, float):
+        others = [repr(value), int(value)]
+    else:
+        others = [1]
+    return [v for v in others + [True, None] if type(v) is not type(value)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_retyped_leaf_refused_or_harmless(model_files, data):
+    """A re-signed file with one number, string, boolean or null swapped
+    for a value of another JSON type either is refused or loads a model
+    that writes the original file back. Config values are left out:
+    they keep their JSON type, and only training reads them."""
+    files = model_files[0]
+    path, _ = files[data.draw(st.sampled_from(sorted(files)), label="kind")]
+    *parents, last = data.draw(st.sampled_from(list(leaf_paths(json.loads(path.read_text())))),
+                               label="leaf")
+
+    def edit(doc):
+        for key in parents:
+            doc = doc[key]
+        doc[last] = data.draw(st.sampled_from(retyped(doc[last])), label="value")
+
+    folder = path.parent / "retyped"
+    folder.mkdir(exist_ok=True)
+    edited = resigned_copy(path, folder, edit)
+    try:
+        loaded = wg.load_model(edited)
+    except ModelFormatError:
+        return
+    wg.save_model(loaded, folder / "resaved.json")
+    assert (folder / "resaved.json").read_bytes() == path.read_bytes()

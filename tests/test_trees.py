@@ -2,6 +2,8 @@
 error on rows, squared error on histograms), partition property, lookup
 table equivalence, and determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -80,22 +82,25 @@ def bin_trees(draw):
     m = draw(st.integers(2, 80))
     Xb = rng.integers(0, draw(st.integers(1, 16)), size=(m, n_axes))
     y = rng.normal(size=m)
-    tree = wg.fit_cart(Xb, y, mae(max_depth=depth))
+    tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=depth))
     extra = draw(st.integers(0, 2))
     return tree, {f: int(Xb[:, f].max()) + 1 + extra for f in range(n_axes)}
-
-
-def mae(**kw):
-    return wg.TreeParams(split_criterion="mae", **kw)
 
 
 class TestFitCart:
     """The regression-tree baseline's absolute-error fitter."""
 
+    def test_params_hold_stopping_rules_only(self):
+        """Each fitter fixes its criterion, so the params name none."""
+        assert [f.name for f in dataclasses.fields(wg.TreeParams)] == [
+            "max_depth", "min_samples_split", "min_samples_leaf"]
+        with pytest.raises(TypeError):
+            wg.TreeParams(split_criterion="mae")
+
     def test_depth_zero_single_leaf_median(self):
         y = np.array([1.0, 2.0, 3.0, 6.0])
         Xb = np.zeros((4, 1), dtype=int)
-        tree = wg.fit_cart(Xb, y, mae(max_depth=0))
+        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=0))
         assert n_leaves(tree) == 1
         assert tree.nodes[0].value == 2.5
 
@@ -103,7 +108,7 @@ class TestFitCart:
         """One binary-binned feature, y = bin: one split, leaves 0 and 1."""
         Xb = np.repeat([[0], [1]], 10, axis=0)
         y = Xb[:, 0].astype(float)
-        tree = wg.fit_cart(Xb, y, mae(max_depth=3))
+        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=3))
         assert tree_depth(tree) == 1
         assert n_leaves(tree) == 2
         pred = wg.predict_tree(tree, Xb)
@@ -112,17 +117,12 @@ class TestFitCart:
     def test_min_samples_split_stops(self):
         Xb = np.arange(4).reshape(-1, 1)
         y = np.array([0.0, 1.0, 2.0, 3.0])
-        tree = wg.fit_cart(Xb, y, mae(max_depth=3, min_samples_split=5))
+        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=3, min_samples_split=5))
         assert n_leaves(tree) == 1
 
     def test_empty_data_errors(self):
         with pytest.raises(ValueError, match="empty"):
-            wg.fit_cart(np.zeros((0, 1), dtype=int), np.zeros(0), mae())
-
-    def test_refuses_squared_error(self):
-        Xb = np.repeat([[0], [1]], 5, axis=0)
-        with pytest.raises(ValueError, match="restricted_tree_from_histogram"):
-            wg.fit_cart(Xb, Xb[:, 0].astype(float), wg.TreeParams())
+            wg.fit_cart(np.zeros((0, 1), dtype=int), np.zeros(0), wg.TreeParams())
 
     def test_root_split_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -131,7 +131,7 @@ class TestFitCart:
             Xb = np.column_stack([rng.integers(0, rng.integers(2, 9), size=m)
                                   for _ in range(3)])
             y = rng.normal(size=m)
-            tree = wg.fit_cart(Xb, y, mae(max_depth=1, min_samples_leaf=2))
+            tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=1, min_samples_leaf=2))
             n_bins = Xb.max(axis=0) + 1
             oracle = brute_best_split(Xb, y, [0, 1, 2], n_bins, 2, "mae")
             if oracle is None or oracle[0] <= MIN_GAIN:
@@ -144,7 +144,7 @@ class TestFitCart:
         rng = np.random.default_rng(5)
         Xb = rng.integers(0, 6, size=(300, 2))
         y = rng.normal(size=300)
-        tree = wg.fit_cart(Xb, y, mae(max_depth=2))
+        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=2))
         pred = wg.predict_tree(tree, Xb)
         for value in np.unique(pred):
             members = y[pred == value]
@@ -155,8 +155,8 @@ class TestFitCart:
         rng = np.random.default_rng(6)
         Xb = rng.integers(0, 10, size=(200, 4))
         y = rng.normal(size=200)
-        t1 = wg.fit_cart(Xb, y, mae(max_depth=4))
-        t2 = wg.fit_cart(Xb, y, mae(max_depth=4))
+        t1 = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=4))
+        t2 = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=4))
         assert t1 == t2
 
     def test_mae_split_cost_optimal_under_heavy_ties(self):
@@ -168,7 +168,7 @@ class TestFitCart:
             nb = int(rng.integers(2, 7))
             xb = rng.integers(0, nb, size=m)
             y = rng.integers(-3, 4, size=m).astype(float)
-            tree = wg.fit_cart(xb.reshape(-1, 1), y, mae(max_depth=1))
+            tree = wg.fit_cart(xb.reshape(-1, 1), y, wg.TreeParams(max_depth=1))
             best = None
             for t in range(nb - 1):
                 left, right = y[xb <= t], y[xb > t]
@@ -188,20 +188,20 @@ class TestFitCart:
 class TestPredictTree:
     def test_single_leaf_constant(self):
         tree = wg.fit_cart(np.zeros((5, 1), dtype=int), np.full(5, 0.4),
-                           mae(max_depth=0))
+                           wg.TreeParams(max_depth=0))
         np.testing.assert_array_equal(
             wg.predict_tree(tree, np.zeros((7, 1), dtype=int)), np.full(7, 0.4))
 
     def test_routing_by_construction(self):
         Xb = np.repeat([[0], [1]], 10, axis=0)
         y = Xb[:, 0].astype(float)
-        tree = wg.fit_cart(Xb, y, mae(max_depth=1))
+        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=1))
         assert wg.predict_tree(tree, np.array([[1]]))[0] == 1.0
         assert wg.predict_tree(tree, np.array([[0]]))[0] == 0.0
 
     def test_out_of_range_bins_route_without_error(self):
         Xb = np.repeat([[0], [1]], 10, axis=0)
-        tree = wg.fit_cart(Xb, Xb[:, 0].astype(float), mae(max_depth=1))
+        tree = wg.fit_cart(Xb, Xb[:, 0].astype(float), wg.TreeParams(max_depth=1))
         pred = wg.predict_tree(tree, np.array([[99], [-3]]))
         assert pred[0] == 1.0  # clamps into the high branch
         assert pred[1] == 0.0
@@ -211,7 +211,7 @@ class TestPredictTree:
         rng = np.random.default_rng(11)
         Xb = rng.integers(0, 12, size=(1000, 5))
         y = rng.normal(size=1000)
-        tree = wg.fit_cart(Xb, y, mae(max_depth=4))
+        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=4))
         pred = wg.predict_tree(tree, Xb)
         leaf_values = sorted(nd.value for nd in tree.nodes if nd.is_leaf)
         assert np.isin(pred, leaf_values).all()
@@ -318,7 +318,7 @@ class TestBinTable:
     def test_two_leaf_tree_table(self):
         Xb = np.repeat([[0], [1]], 10, axis=0)
         y = np.array([0.0] * 10 + [1.0] * 10)
-        tree = wg.fit_cart(Xb, y, mae(max_depth=1))
+        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=1))
         np.testing.assert_array_equal(wg.tree_as_bin_table(tree, {0: 2}), [0.0, 1.0])
 
     def test_pair_grid_matches_predictions_exhaustively(self):
@@ -335,7 +335,7 @@ class TestBinTable:
 
     def test_depth_zero_constant_table(self):
         tree = wg.fit_cart(np.zeros((5, 1), dtype=int), np.full(5, 0.7),
-                           mae(max_depth=0))
+                           wg.TreeParams(max_depth=0))
         np.testing.assert_array_equal(wg.tree_as_bin_table(tree, {0: 6}),
                                       np.full(6, 0.7))
 
@@ -357,7 +357,7 @@ class TestBinTable:
     def test_disallowed_feature_errors(self):
         rng = np.random.default_rng(21)
         Xb = rng.integers(0, 4, size=(50, 2))
-        tree = wg.fit_cart(Xb, rng.normal(size=50), mae(max_depth=2))
+        tree = wg.fit_cart(Xb, rng.normal(size=50), wg.TreeParams(max_depth=2))
         if tree.features_used() == {0}:
             with pytest.raises(ValueError, match="outside"):
                 wg.tree_as_bin_table(tree, {1: 4})
