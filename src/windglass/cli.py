@@ -211,10 +211,15 @@ def _schema(cfg: RunConfig) -> CsvSchema:
     )
 
 
-def _build_raw_matrix(cfg: RunConfig, horizon: int | None = None) -> SupervisedMatrix:
+def _load_frame(cfg: RunConfig):
     frame = load_csv(cfg.data_path, _schema(cfg))
     if frame.dropped_rows:
         print(f"note: dropped {frame.dropped_rows} invalid rows during ingestion")
+    return frame
+
+
+def _build_raw_matrix(cfg: RunConfig, frame, horizon: int | None = None) -> SupervisedMatrix:
+    """The features of ``frame``, a :func:`_load_frame` of ``cfg``."""
     if cfg.feature_mode == "lags":
         return build_lag_features(frame, cfg.n_lags,
                                   cfg.horizon_steps if horizon is None else horizon)
@@ -251,7 +256,7 @@ def clamp_unit(values: np.ndarray) -> np.ndarray:
 
 def _matrix_for_model(cfg: RunConfig, model) -> tuple[SupervisedMatrix, DataSplit]:
     """Rebuild the supervised matrix with the model's own normalization."""
-    raw = _build_raw_matrix(cfg)
+    raw = _build_raw_matrix(cfg, _load_frame(cfg))
     split = chronological_split(raw.n_rows, cfg.fractions)
     if model.norm_params is None:
         raise ValueError("model file carries no normalization parameters")
@@ -287,7 +292,7 @@ def cmd_train(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    raw = _build_raw_matrix(cfg)
+    raw = _build_raw_matrix(cfg, _load_frame(cfg))
     split = chronological_split(raw.n_rows, cfg.fractions)
     matrix = normalize_fit_apply(raw, split.train)
 
@@ -352,10 +357,11 @@ def cmd_benchmark(args) -> int:
     else:
         horizons = [None]  # horizon fixed by the exogenous inputs
 
+    frame = _load_frame(cfg)
     results = []  # (model, horizon_label, means, stds)
     timings = []
     for horizon in horizons:
-        raw = _build_raw_matrix(cfg, horizon=horizon)
+        raw = _build_raw_matrix(cfg, frame, horizon)
         split = chronological_split(raw.n_rows, cfg.fractions)
         matrix = normalize_fit_apply(raw, split.train)
         label = str(horizon) if horizon is not None else "-"

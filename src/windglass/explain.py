@@ -5,8 +5,17 @@ partial dependence, permutation importance, and ranking agreement.
 glass-box model's own tables. ``pdp`` and ``pfi`` are model-agnostic:
 they only call an opaque ``predict(X)`` function, so they apply to the
 baselines as well, and they are what the cross-method consistency check
-compares against. Given a glass-box model's own ``predict`` they bin the
-rows once and perturb the binned matrix, with bit-identical results.
+compares against.
+
+Given a glass-box model's own ``predict`` they bin the rows once and
+keep every term's column of those rows. The model is additive, so a
+perturbed column of feature ``f`` changes only the terms that read
+``f``: ``f``'s shape function and the pair grids over ``f``. Only those
+are looked up again. Each forecast starts from the intercept plus the
+terms before ``f``'s shape function, a running sum kept across
+perturbations, and adds every later term in term order. Those are the
+float additions ``predict`` makes, in its order, so importances, stds
+and curves are the generic path's, bit for bit.
 """
 
 from __future__ import annotations
@@ -207,24 +216,62 @@ def export_pair_heatmap(model: GlassBoxModel, pair, denormalize: bool = False) -
 # ---------------------------------------------------------------------------
 
 def _perturbable(predict_fn, X: np.ndarray):
-    """The matrix that :func:`pdp` and :func:`pfi` perturb and score,
-    as ``(matrix, encode, score)``: ``encode(f, values)`` maps values of
-    column ``f`` into the matrix, and ``score(matrix)`` predicts.
+    """The matrix that :func:`pdp` and :func:`pfi` perturb, and how they
+    score it, as ``(matrix, encode, score)``: ``encode(f, values)`` maps
+    values of column ``f`` into the matrix, and ``score(f, column)``
+    predicts the rows with column ``f`` of the matrix replaced by
+    ``column`` (one entry per row, or one for every row).
 
-    When ``predict_fn`` is a :class:`GlassBoxModel`'s own bound
-    ``predict``, the matrix is ``X`` binned once: binning is element-wise
-    (:func:`apply_bins`), so permuting a binned column or writing a
-    value's bin into it gives the binned copy of the perturbed ``X``, and
-    ``_predict_binned`` of that copy is ``predict`` of the perturbed
-    ``X``, bit for bit. Any other predictor (a lambda, a wrapped or
-    clipped ``predict``, a baseline) gets ``X`` and itself.
+    Any predictor but a :class:`GlassBoxModel`'s own bound ``predict``
+    (a lambda, a wrapped or clipped ``predict``, a baseline) is called
+    on a copy of ``X`` with the column replaced. For a glass-box model's
+    own ``predict`` the matrix is ``X`` binned once: binning is
+    element-wise (:func:`apply_bins`), so a permuted binned column, or a
+    value's bin, is the binned perturbed column. ``score`` then looks up
+    only the terms that read ``f`` (:meth:`GlassBoxModel._lookups`) and
+    sums as the module docstring says, from the term columns of the
+    unperturbed rows and one running sum of the terms before the first
+    of them. That sum restarts from the intercept when a call needs
+    fewer terms than it holds (once per PFI repeat). Neither the binned
+    rows nor a sum per feature are copied.
     """
     model = getattr(predict_fn, "__self__", None)
-    if isinstance(model, GlassBoxModel) and predict_fn == model.predict:
-        return (apply_bins(model.bins, X),
-                lambda f, values: bin_values(model.bins, f, values),
-                model._predict_binned)
-    return X, lambda f, values: values, predict_fn
+    if not (isinstance(model, GlassBoxModel) and predict_fn == model.predict):
+        def score(f, column):
+            Xp = X.copy()
+            Xp[:, f] = column
+            return predict_fn(Xp)
+
+        return X, lambda f, values: values, score
+
+    Xb = apply_bins(model.bins, X)
+    cols = list(model._lookups(Xb))
+    held = [0, np.full(len(Xb), model.intercept)]  # terms summed, and their sum
+
+    def prefix(t):
+        """The intercept plus the columns of the terms before ``t``."""
+        done, run = held
+        if done > t:
+            done, run = 0, np.full(len(Xb), model.intercept)
+        for col in cols[done:t]:
+            run += col
+        held[:] = t, run
+        return run
+
+    def score(f, column):
+        # The terms read the new column in place of the old, put back
+        # before the sum.
+        kept = Xb[:, f].copy()
+        Xb[:, f] = column
+        new = list(model._lookups(Xb, reads=f))
+        Xb[:, f] = kept
+        first = next((t for t, col in enumerate(new) if col is not None), len(cols))
+        pred = prefix(first).copy()
+        for col, old in zip(new[first:], cols[first:]):
+            pred += old if col is None else col
+        return pred
+
+    return Xb, lambda f, values: bin_values(model.bins, f, values), score
 
 
 def pdp(predict_fn, X: np.ndarray, feature: int, grid) -> CurveExport:
@@ -234,8 +281,10 @@ def pdp(predict_fn, X: np.ndarray, feature: int, grid) -> CurveExport:
     the predictor re-evaluated, so this works for any forecaster, not
     just the glass-box model. For a :class:`GlassBoxModel`'s own bound
     ``predict`` the rows are binned once and each grid value's bin is
-    written into the binned column, which gives the same curve, bit for
-    bit, and the same ``ValueError`` for a non-finite grid value.
+    scored in place of the binned column, re-adding only the terms that
+    read the feature (see :func:`_perturbable`). That gives the same
+    curve, bit for bit, and the same ``ValueError`` for a non-finite
+    grid value.
     """
     X = np.asarray(X, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
@@ -251,10 +300,9 @@ def pdp(predict_fn, X: np.ndarray, feature: int, grid) -> CurveExport:
     # rejects) exactly what the first generic call would see.
     Xv = X.copy()
     Xv[:, f] = grid[0]
-    M, encode, score = _perturbable(predict_fn, Xv)
+    _, encode, score = _perturbable(predict_fn, Xv)
     for k, v in enumerate(encode(f, grid)):
-        M[:, f] = v
-        curve[k] = float(np.mean(score(M)))
+        curve[k] = float(np.mean(score(f, v)))
     return CurveExport(name=f"pdp[{f}]", x=grid.copy(), values=curve)
 
 
@@ -276,10 +324,11 @@ def pfi(predict_fn, X: np.ndarray, y: np.ndarray, metric=nrmse,
     name every column of ``X``.
 
     For a :class:`GlassBoxModel`'s own bound ``predict``, ``X`` is
-    binned once and each permutation permutes the binned column, so the
-    rows are not binned again per permutation; importances and stds are
-    the same, bit for bit. The unpermuted score always calls
-    ``predict_fn``.
+    binned once and each permutation permutes the binned column and
+    looks up again only the terms that read it (see
+    :func:`_perturbable`), so the rows are neither binned nor copied
+    per permutation; importances and stds are the same, bit for bit.
+    The unpermuted score always calls ``predict_fn``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -298,9 +347,8 @@ def pfi(predict_fn, X: np.ndarray, y: np.ndarray, metric=nrmse,
     for rep in range(n_repeats):
         for f in range(n):
             rng = np.random.default_rng((seed, rep, f))
-            Mp = M.copy()
-            Mp[:, f] = M[rng.permutation(len(M)), f]
-            deltas[rep, f] = metric(score(Mp), y) - base
+            column = M[rng.permutation(len(M)), f]
+            deltas[rep, f] = metric(score(f, column), y) - base
     return PfiResult(
         feature_names=tuple(feature_names),
         importances=deltas.mean(axis=0),

@@ -28,14 +28,14 @@ hands it every row's flat cell in each table and every row's residual;
 it checks them against the split, counts training rows per cell,
 boosts, and centers the tables with :func:`_center`, which also serves
 a bagged average. A feature's coarse bins are derived, never stored
-(``GlassBoxModel.coarse_maps``): its main bins grouped into runs of
-near-equal ``BinningMap.populations``.
+(``GlassBoxModel.coarse_maps``, every feature's in one pass): its main
+bins grouped into runs of near-equal ``BinningMap.populations``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 
+# The types each annotation of a TrainConfig field admits (never bool,
+# though it is an int).
+_FIELD_KINDS = {"float": (int, float, np.integer, np.floating),
+                "int": (int, np.integer), "int | str": (int, np.integer, str)}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyper-parameters.
@@ -65,6 +71,11 @@ class TrainConfig:
     interactions entirely). ``bagging_count > 1`` averages that many
     boosted models fitted on bootstrap resamples of the training rows;
     the default trains a single model on the data as given.
+
+    Each field must hold its type: an integer (Python or numpy, never a
+    bool) in an integer field, and a real number (an integer included)
+    in a float field. ``TypeError`` otherwise, so a model file whose
+    config says ``"max_rounds": true`` or ``"seed": 1.0`` is refused.
     """
 
     learning_rate: float = 0.001
@@ -82,6 +93,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            kinds = _FIELD_KINDS[fld.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{fld.name} must be {fld.type}, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.max_rounds < 1:
@@ -160,8 +176,7 @@ class GlassBoxModel:
     def coarse_maps(self) -> dict[int, np.ndarray]:
         """Each feature's main bins grouped into at most ``pair_bins``
         runs of near-equal ``bins.populations``; derived on first read."""
-        return {f: _coarse_map(pops, self.config.pair_bins)
-                for f, pops in enumerate(self.bins.populations)}
+        return _coarse_maps(self.bins.populations, self.config.pair_bins)
 
     def term_names(self) -> list[str]:
         """Canonical term order: features by index, then pairs."""
@@ -170,20 +185,29 @@ class GlassBoxModel:
                   for pt in self.pairs]
         return names
 
-    def _lookups(self, Xb):
+    def _lookups(self, Xb, reads=None):
         """Yield each term's per-row contribution to the binned rows
         ``Xb`` (:func:`apply_bins`) in term order: shape functions by
-        feature index, then pairs.
+        feature index, then pairs. Given a feature index ``reads``, only
+        the terms that read that feature are looked up; every other term
+        yields ``None``.
 
         This is the one place that order is written down; ``predict``,
-        ``predict_with_breakdown``, ``term_contributions`` and
-        ``_predict_binned`` all read their terms from here.
+        ``predict_with_breakdown``, ``term_contributions``,
+        ``_predict_binned`` and the permutation scorer of
+        :mod:`.explain` all read their terms from here.
         """
         for sf in self.shapes:
-            yield sf.values[Xb[:, sf.feature]]
+            if reads is None or reads == sf.feature:
+                yield sf.values[Xb[:, sf.feature]]
+            else:
+                yield None
         for pt in self.pairs:
-            ci, cj = self.coarse_maps[pt.i], self.coarse_maps[pt.j]
-            yield pt.grid[ci[Xb[:, pt.i]], cj[Xb[:, pt.j]]]
+            if reads is None or reads == pt.i or reads == pt.j:
+                ci, cj = self.coarse_maps[pt.i], self.coarse_maps[pt.j]
+                yield pt.grid[ci[Xb[:, pt.i]], cj[Xb[:, pt.j]]]
+            else:
+                yield None
 
     def term_contributions(self, X: np.ndarray) -> np.ndarray:
         """Matrix of per-term contributions, columns in term order."""
@@ -362,19 +386,31 @@ def _train_main_effects(matrix, split, bins, config, Xb):
 # Interaction selection
 # ---------------------------------------------------------------------------
 
-def _coarse_map(populations: np.ndarray, target_bins: int) -> np.ndarray:
-    """Monotone map from main bins to at most ``target_bins`` coarse
-    bins with near-equal population mass."""
-    nb = len(populations)
-    if nb <= target_bins:
-        return np.arange(nb)
-    pops = populations.astype(np.float64)
-    mid = np.cumsum(pops) - pops / 2.0
-    c = np.floor(mid / pops.sum() * target_bins).astype(np.int64)
+def _coarse_maps(populations, target_bins: int) -> dict[int, np.ndarray]:
+    """Each feature's monotone map from its main bins, counted by
+    ``populations[f]``, to at most ``target_bins`` coarse bins with
+    near-equal population mass.
+
+    A feature of more bins than that is mapped in one padded pass with
+    every other such feature: its counts are whole numbers, so its
+    cumulative and total counts are exact whatever the zero padding.
+    """
+    sizes = [len(p) for p in populations]
+    wide = [f for f, nb in enumerate(sizes) if nb > target_bins]
+    pops = np.zeros((len(wide), max((sizes[f] for f in wide), default=0)))
+    for row, f in zip(pops, wide):
+        row[:sizes[f]] = populations[f]
+    mid = np.cumsum(pops, axis=1) - pops / 2.0
+    c = np.floor(mid / pops.sum(axis=1, keepdims=True) * target_bins).astype(np.int64)
     c = np.clip(c, 0, target_bins - 1)
-    # ``c`` is non-decreasing (``mid`` is, for non-negative counts), so
-    # numbering its runs compresses it to 0..K-1 with the order kept.
-    return np.concatenate(([0], np.cumsum(np.diff(c) != 0))).astype(np.int64)
+    # ``c`` is non-decreasing along a row (``mid`` is, for non-negative
+    # counts), so numbering its runs compresses it to 0..K-1 with the
+    # order kept.
+    runs = np.zeros_like(c)
+    np.cumsum(np.diff(c, axis=1) != 0, axis=1, out=runs[:, 1:])
+    rows = dict(zip(wide, runs))
+    return {f: rows[f][:nb] if f in rows else np.arange(nb)
+            for f, nb in enumerate(sizes)}
 
 
 def _coarse(Xb: np.ndarray, cmaps: dict[int, np.ndarray]):
@@ -435,7 +471,7 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     n = Xb.shape[1]
     if n < 2:
         raise ValueError("need at least two features to rank pairs")
-    cmaps = {f: _coarse_map(np.bincount(Xb[:, f]), pair_bins) for f in range(n)}
+    cmaps = _coarse_maps([np.bincount(Xb[:, f]) for f in range(n)], pair_bins)
     return _rank_pairs(Xb, r, cmaps)
 
 

@@ -30,8 +30,10 @@ def trained_setup():
     return model, matrix, split
 
 
-def small_fit(seed, n_features, rounds, learning_rate=0.3):
-    """A ~60-row fit with every pair, its matrix and split."""
+def small_fit(seed, n_features, rounds, learning_rate=0.3, budget="all",
+              bagging_count=1):
+    """A ~60-row fit, with every pair unless ``budget`` says otherwise,
+    its matrix and split."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(60, n_features))
     # Ties and a value repeated across rows exercise shared bins.
@@ -43,14 +45,31 @@ def small_fit(seed, n_features, rounds, learning_rate=0.3):
     split = wg.chronological_split(raw.n_rows)
     matrix = wg.normalize_fit_apply(raw, split.train)
     config = wg.TrainConfig(learning_rate=learning_rate, max_rounds=rounds,
-                            max_bins=16, pair_bins=4, interaction_budget="all",
-                            min_samples_split=2)
+                            max_bins=16, pair_bins=4, interaction_budget=budget,
+                            min_samples_split=2, bagging_count=bagging_count)
     return wg.train(matrix, split, config), matrix, split
 
 
 fits = st.builds(small_fit, seed=st.integers(0, 2**32 - 1),
                  n_features=st.integers(2, 4), rounds=st.integers(2, 3),
                  learning_rate=st.sampled_from([0.05, 0.3, 0.9]))
+
+
+def coarse_map(populations, target_bins):
+    """One feature's coarse map, derived on its own: the reference for
+    the library's one pass over every feature (``glassbox._coarse_maps``).
+    A monotone map from main bins to at most ``target_bins`` coarse bins
+    with near-equal population mass."""
+    nb = len(populations)
+    if nb <= target_bins:
+        return np.arange(nb)
+    pops = populations.astype(np.float64)
+    mid = np.cumsum(pops) - pops / 2.0
+    c = np.floor(mid / pops.sum() * target_bins).astype(np.int64)
+    c = np.clip(c, 0, target_bins - 1)
+    # ``c`` is non-decreasing (``mid`` is, for non-negative counts), so
+    # numbering its runs compresses it to 0..K-1 with the order kept.
+    return np.concatenate(([0], np.cumsum(np.diff(c) != 0))).astype(np.int64)
 
 
 def write_series_csv(path, timestamps, target, exogenous=None, delimiter=","):

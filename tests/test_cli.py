@@ -2,11 +2,13 @@
 byte-level determinism."""
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import windglass as wg
+from windglass import cli
 from windglass.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from conftest import resign_model_file, write_series_csv
 
@@ -224,6 +226,17 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(cfg),
                      "--model", str(path)]) == EXIT_MODEL
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_rounds", True), ("interaction_budget", 2.5), ("seed", 1.0),
+    ], ids=["bool_rounds", "fractional_budget", "float_seed"])
+    def test_config_value_of_the_wrong_type_is_model_error(self, run_dir, key, value):
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        path = out / "windebm.model.json"
+        resign_model_file(path, lambda doc: doc["metadata"]["config"].update({key: value}))
+        assert main(["evaluate", "--config", str(cfg),
+                     "--model", str(path)]) == EXIT_MODEL
+
     def test_deeply_nested_model_file_is_model_error(self, run_dir, tmp_path):
         _, cfg, _ = run_dir
         deep = tmp_path / "deep.json"
@@ -253,6 +266,24 @@ class TestBenchmark:
         assert (out / "benchmark.txt").exists()
         assert main(["benchmark", "--config", str(cfg)]) == EXIT_OK
         assert (out / "benchmark.csv").read_bytes() == first
+
+    def test_csv_is_read_once_for_every_horizon(self, tmp_path, capsys):
+        """Two horizons: one ``load_csv`` call and one dropped-rows note."""
+        frame = wg.make_autocorrelated_series(600, seed=6)
+        target = frame.target.copy()
+        target[100] = np.nan  # an empty cell: the row is dropped on ingestion
+        csv_path = write_series_csv(tmp_path / "wind.csv", frame.timestamps, target)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIG.format(csv=csv_path, out=tmp_path / "out"))
+        with mock.patch.object(cli, "load_csv", wraps=cli.load_csv) as load:
+            assert main(["benchmark", "--config", str(cfg),
+                         "--set", "benchmark.models=lr,pm",
+                         "--set", "benchmark.horizons=1,3"]) == EXIT_OK
+        assert load.call_count == 1
+        assert capsys.readouterr().out.count("note: dropped 1 invalid rows") == 1
+        rows = read_csv(tmp_path / "out" / "benchmark.csv")
+        assert [r[:2] for r in rows[1:]] == [["lr", "1"], ["pm", "1"],
+                                             ["lr", "3"], ["pm", "3"]]
 
     def test_single_cell_degenerates_to_one_row(self, run_dir):
         _, cfg, out = run_dir

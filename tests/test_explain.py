@@ -1,6 +1,9 @@
 """Explanation tooling tests: importances, exports, PDP, PFI, and
 cross-method ranking agreement."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 import windglass as wg
 import windglass.explain
 import windglass.glassbox
-from conftest import FAST, fits
+from conftest import FAST, fits, small_fit
 
 
 class TestGlobalImportance:
@@ -294,6 +297,103 @@ class TestBinSpacePath:
             bin_calls.clear()
             wg.pdp(model.predict, matrix.X[:300], f, np.linspace(-0.2, 1.2, n_points))
             assert len(bin_calls) == 1
+
+
+def scorer_fit(seed, n_features, budget, bagging_count, reload):
+    """A small fit under any pair budget, bagged or not, and optionally
+    as read back from its model file, with its matrix."""
+    model, matrix, _ = small_fit(seed, n_features, rounds=2, budget=budget,
+                                 bagging_count=bagging_count)
+    if reload:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            wg.save_model(model, path)
+            model = wg.load_model(path)
+    return model, matrix
+
+
+# Budget 1 of 3 to 5 features leaves features in no pair; budget 0 none
+# in any pair; "all" every feature in every pair.
+scorer_fits = st.builds(scorer_fit, seed=st.integers(0, 2**32 - 1),
+                        n_features=st.integers(2, 5),
+                        budget=st.sampled_from([0, 1, "all"]),
+                        bagging_count=st.sampled_from([1, 2]), reload=st.booleans())
+
+
+class TestTermScorer:
+    """The glass-box path re-adds only the terms that read the perturbed
+    feature, from a running sum of the terms before them: the same floats
+    as the generic path for every feature (first, last, in no pair),
+    pair budget, bagged model and reloaded model."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fit=scorer_fits, seed=st.integers(0, 2**32 - 1), n_repeats=st.integers(1, 3))
+    def test_pfi_matches_generic_path_bit_for_bit(self, fit, seed, n_repeats):
+        model, matrix = fit
+        X, y = matrix.X, matrix.y
+        a = wg.pfi(model.predict, X, y, n_repeats=n_repeats, seed=seed)
+        b = wg.pfi(lambda Z: model.predict(Z), X, y, n_repeats=n_repeats, seed=seed)
+        assert a.importances.tobytes() == b.importances.tobytes()
+        assert a.stds.tobytes() == b.stds.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(fit=scorer_fits, grid=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=6))
+    def test_pdp_of_every_feature_matches_generic_path_bit_for_bit(self, fit, grid):
+        model, matrix = fit
+        for f in range(model.n_features):
+            a = wg.pdp(model.predict, matrix.X, f, grid)
+            b = wg.pdp(lambda Z: model.predict(Z), matrix.X, f, grid)
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_budgets_leave_features_in_no_pair(self):
+        """The property tests above reach a feature that no pair reads."""
+        model, _ = scorer_fit(seed=3, n_features=4, budget=1, bagging_count=1,
+                              reload=False)
+        paired = {f for pt in model.pairs for f in (pt.i, pt.j)}
+        assert len(model.pairs) == 1 and len(paired) == 2
+
+    @pytest.fixture
+    def spied(self, trained_setup, monkeypatch):
+        """Record every full prediction from binned rows, and every 2-D
+        array made from the binned rows that is not a view of them."""
+        predicted, copies = [], []
+        real_predict = wg.GlassBoxModel._predict_binned
+        real_bins = windglass.explain.apply_bins
+
+        def predict_binned(model, Xb):
+            predicted.append(len(Xb))
+            return real_predict(model, Xb)
+
+        class Binned(np.ndarray):
+            def __array_finalize__(self, obj):
+                if (isinstance(obj, Binned) and self.ndim == 2
+                        and not np.may_share_memory(self, obj)):
+                    copies.append(self.shape)
+
+        monkeypatch.setattr(wg.GlassBoxModel, "_predict_binned", predict_binned)
+        monkeypatch.setattr(windglass.explain, "apply_bins",
+                            lambda bmap, X: real_bins(bmap, X).view(Binned))
+        return trained_setup, predicted, copies
+
+    def test_spy_sees_a_copy_of_the_binned_rows(self, spied):
+        (model, matrix, _), _, copies = spied
+        Xb = windglass.explain.apply_bins(model.bins, matrix.X[:50])
+        Xb.copy()
+        assert copies == [Xb.shape]
+
+    @pytest.mark.parametrize("n_repeats", [1, 3])
+    def test_pfi_makes_no_copy_or_full_prediction_per_permutation(self, spied, n_repeats):
+        (model, matrix, split), predicted, copies = spied
+        X, y = matrix.X[split.test_slice], matrix.y[split.test_slice]
+        wg.pfi(model.predict, X, y, n_repeats=n_repeats)
+        assert predicted == [len(X)]  # the unpermuted score, through predict
+        assert copies == []
+
+    def test_pdp_makes_no_copy_or_full_prediction_per_grid_point(self, spied):
+        (model, matrix, _), predicted, copies = spied
+        wg.pdp(model.predict, matrix.X[:300], 0, np.linspace(0.0, 1.0, 7))
+        assert predicted == []
+        assert copies == []
 
 
 class TestRankingConsistency:

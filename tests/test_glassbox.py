@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
-from conftest import FAST
+from conftest import FAST, coarse_map
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,24 @@ class TestMainEffects:
         with pytest.raises(ValueError, match="learning_rate"):
             wg.TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("setting", [
+        {"max_rounds": True}, {"seed": 1.0}, {"max_bins": np.float64(64.0)},
+        {"interaction_budget": 2.5}, {"interaction_budget": False},
+        {"learning_rate": True}, {"learning_rate": "0.1"}, {"bagging_count": np.bool_(True)},
+    ], ids=["bool_rounds", "float_seed", "numpy_float_bins", "fractional_budget",
+            "bool_budget", "bool_learning_rate", "string_learning_rate",
+            "numpy_bool_bagging"])
+    def test_value_of_the_wrong_type_rejected(self, setting):
+        (key, _), = setting.items()
+        with pytest.raises(TypeError, match=f"{key} must be"):
+            wg.TrainConfig(**setting)
+
+    def test_numpy_scalars_and_integer_floats_accepted(self):
+        config = wg.TrainConfig(learning_rate=1, early_stop_tol=np.float32(0.5),
+                                max_rounds=np.int64(7), seed=np.uint8(3),
+                                interaction_budget=np.int32(2))
+        assert (config.learning_rate, config.max_rounds, config.seed) == (1, 7, 3)
+
     @pytest.mark.parametrize("setting, message", [
         ({"main_depth": -1}, "max_depth must be >= 0"),
         ({"pair_depth": -1}, "max_depth must be >= 0"),
@@ -213,14 +231,13 @@ class TestInteractionRanking:
         """Fine bins (256) force real coarse re-mapping; scores must match
         group-mean loops run over the same coarse columns, mapped from
         each column's own bin counts."""
-        from windglass.glassbox import _coarse_map
         rng = np.random.default_rng(17)
         Xb = rng.integers(0, 256, size=(4000, 4))
         r = (Xb[:, 0] / 255.0 - 0.5) * (Xb[:, 3] / 255.0 - 0.5)
         r = r - r.mean()
         ranked = wg.rank_interaction_pairs(Xb, r, pair_bins=8)
         assert (ranked[0][0], ranked[0][1]) == (0, 3)
-        cmaps = [_coarse_map(np.bincount(Xb[:, f], minlength=256), 8) for f in range(4)]
+        cmaps = [coarse_map(np.bincount(Xb[:, f], minlength=256), 8) for f in range(4)]
         coarse = np.column_stack([cmaps[f][Xb[:, f]] for f in range(4)])
         sizes = [int(cmaps[f].max()) + 1 for f in range(4)]
         assert max(sizes) == 8
@@ -248,12 +265,35 @@ def reference_coarse_map(populations, target_bins):
 def test_coarse_map_equals_unique_inverse(pops, target_bins):
     """Numbering the runs of the non-decreasing coarse indices equals
     sorting them, zero-population bins and single-bin runs included."""
-    from windglass.glassbox import _coarse_map
     pops = np.asarray(pops, dtype=np.int64)
-    got = _coarse_map(pops, target_bins)
+    got = coarse_map(pops, target_bins)
     want = reference_coarse_map(pops, target_bins)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
+
+
+# One feature's counts: zero-count bins, a single bin, and bin counts on
+# both sides of ``target_bins`` (up to 60, against 2..40) all occur.
+feature_counts = (st.lists(st.integers(0, 3) | st.integers(0, 10_000), min_size=1,
+                           max_size=60)
+                  .filter(lambda p: sum(p) > 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(populations=st.lists(feature_counts, min_size=1, max_size=6),
+       target_bins=st.integers(2, 40))
+def test_all_coarse_maps_in_one_pass_equal_the_per_feature_maps(populations,
+                                                                target_bins):
+    """The padded pass over every feature gives each feature the map,
+    values and dtype, that deriving it on its own gives."""
+    from windglass.glassbox import _coarse_maps
+    populations = [np.asarray(p, dtype=np.int64) for p in populations]
+    got = _coarse_maps(populations, target_bins)
+    assert list(got) == list(range(len(populations)))
+    for f, pops in enumerate(populations):
+        want = coarse_map(pops, target_bins)
+        assert got[f].dtype == want.dtype
+        np.testing.assert_array_equal(got[f], want)
 
 
 class TestInteractions:
@@ -358,17 +398,16 @@ class TestInteractions:
         """Bins fit on every row, not only the training rows: single and
         2-bag fits on those bins carry the coarse maps of the bins'
         populations, and the bagged shapes are centered on them."""
-        from windglass.glassbox import _coarse_map
         raw = wg.make_interaction_data(1200, seed=8)
         split = wg.chronological_split(raw.n_rows)
         matrix = wg.normalize_fit_apply(raw, split.train)
         cfg = replace(FAST, max_rounds=20, max_bins=64)
         bins = wg.fit_bins(matrix.X, (0, matrix.n_rows), cfg.max_bins)
-        expected = [_coarse_map(pops, cfg.pair_bins) for pops in bins.populations]
+        expected = [coarse_map(pops, cfg.pair_bins) for pops in bins.populations]
         # The training rows alone would map some feature differently.
         Xb_tr = wg.apply_bins(bins, matrix.X[split.train_slice])
         assert any(not np.array_equal(
-            _coarse_map(np.bincount(Xb_tr[:, f], minlength=bins.n_bins(f)),
+            coarse_map(np.bincount(Xb_tr[:, f], minlength=bins.n_bins(f)),
                         cfg.pair_bins), expected[f])
             for f in range(matrix.n_features))
         single = wg.train(matrix, split, cfg, bins=bins)

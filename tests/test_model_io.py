@@ -1,6 +1,7 @@
 """Model file round trips and failure modes."""
 
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -279,6 +280,37 @@ def test_resigned_file_not_written_back_refused(model_files, tmp_path, kind, edi
     with pytest.raises(ModelFormatError,
                        match=f"malformed {kind} model file.*not what save_model writes"):
         wg.load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_rounds", True), ("bagging_count", False), ("interaction_budget", 2.5),
+    ("interaction_budget", True), ("seed", 1.0), ("max_bins", "256"),
+    ("learning_rate", True), ("learning_rate", "0.05"), ("early_stop_tol", None),
+], ids=["bool_rounds", "bool_bagging", "fractional_budget", "bool_budget",
+        "float_seed", "string_bins", "bool_learning_rate", "string_learning_rate",
+        "null_tolerance"])
+def test_config_value_of_the_wrong_type_refused(model_files, tmp_path, key, value):
+    """Each such value writes itself back, so only ``TrainConfig``'s own
+    type check refuses the file."""
+    path = resigned_copy(model_files[0]["glassbox"][0], tmp_path,
+                         lambda doc: doc["metadata"]["config"].update({key: value}))
+    with pytest.raises(ModelFormatError,
+                       match=f"malformed glassbox model file.*TypeError: {key} must be"):
+        wg.load_model(path)
+
+
+def test_integer_in_a_float_config_field_loads(model_files, tmp_path):
+    """``save_model`` writes ``"learning_rate": 1`` for a config built with
+    the int 1, and that file loads and re-saves byte for byte."""
+    model = model_files[0]["glassbox"][1]
+    model = replace(model, config=replace(model.config, learning_rate=1))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    wg.save_model(model, first)
+    assert json.loads(first.read_text())["metadata"]["config"]["learning_rate"] == 1
+    loaded = wg.load_model(first)
+    assert type(loaded.config.learning_rate) is int
+    wg.save_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_hand_built_model_round_trips(tmp_path):

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 import windglass as wg
 from windglass import glassbox
-from windglass.glassbox import _coarse_map
-from conftest import fits, small_fit
+from conftest import coarse_map, fits, small_fit
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +123,22 @@ def test_training_loss_never_increases(fit):
 
 def check_coarse_maps(model, matrix, tmp_dir):
     """The model stores no coarse maps: the first read derives every
-    feature's from its binning, and nothing on the read path derives
-    them again. The file round trip re-saves byte for byte."""
+    feature's from its binning, all in one call, and nothing on the read
+    path derives them again. The file round trip re-saves byte for
+    byte."""
     assert "coarse_maps" not in {f.name for f in fields(wg.GlassBoxModel)}
-    want = [_coarse_map(pops, model.config.pair_bins) for pops in model.bins.populations]
+    want = [coarse_map(pops, model.config.pair_bins) for pops in model.bins.populations]
     fresh = replace(model)  # a new instance: nothing derived yet
     X, y = matrix.X, matrix.y
-    with mock.patch.object(glassbox, "_coarse_map", wraps=_coarse_map) as derive:
+    with mock.patch.object(glassbox, "_coarse_maps", wraps=glassbox._coarse_maps) as derive:
         maps = fresh.coarse_maps
-        assert derive.call_count == fresh.n_features
+        assert derive.call_count == 1
         fresh.predict(X)
         fresh.predict_with_breakdown(X[0])
         fresh.term_contributions(X)
         wg.pfi(fresh.predict, X, y, n_repeats=1)
         wg.pdp(fresh.predict, X, 0, [0.2, 0.8])
-        assert derive.call_count == fresh.n_features
+        assert derive.call_count == 1
     assert sorted(maps) == list(range(model.n_features))
     for f, cmap in enumerate(want):
         np.testing.assert_array_equal(maps[f], cmap)
