@@ -9,9 +9,13 @@ The term order (shape functions by feature index, then pairs) is written
 once, in ``GlassBoxModel._lookups``, which reads binned rows. A forecast
 starts at the intercept and adds one term's lookup at a time in that
 order (``_predict_binned``); the breakdown adds the same floats in the
-same order, so the two agree bit for bit. Inputs are binned once per
-call, and a non-finite input raises ``ValueError`` rather than landing
-in an edge bin.
+same order, so the two agree bit for bit. A batch is binned once per
+call by :func:`apply_bins`, a binary search per feature. A one-row
+breakdown instead counts the edges each value reaches in one comparison
+with a padded edge matrix (:func:`bin_row`), and reads its shape terms
+in one gather; those arrays and the term names are built once per
+model (``GlassBoxModel._one_row``). Either way a non-finite input raises
+``ValueError`` rather than landing in an edge bin.
 
 Training is cyclic gradient boosting: each round visits every term in
 round-robin order, fits a shallow bin-restricted tree to the current
@@ -37,10 +41,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import BinningMap, DataSplit, NormParams, SupervisedMatrix, apply_bins, fit_bins
+from .data import (BinningMap, DataSplit, NormParams, SupervisedMatrix, apply_bins,
+                   bin_row, edge_matrix, fit_bins)
 from .trees import TreeParams, restricted_tree_from_histogram, tree_as_bin_table
 
 __all__ = [
@@ -98,6 +104,12 @@ class TrainConfig:
             kinds = _FIELD_KINDS[fld.type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise TypeError(f"{fld.name} must be {fld.type}, got {value!r}")
+            # A numpy scalar is kept as the Python number it equals, which
+            # the model file can hold.
+            if isinstance(value, np.integer):
+                object.__setattr__(self, fld.name, int(value))
+            elif isinstance(value, np.floating):
+                object.__setattr__(self, fld.name, float(value))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.max_rounds < 1:
@@ -193,9 +205,10 @@ class GlassBoxModel:
         yields ``None``.
 
         This is the one place that order is written down; ``predict``,
-        ``predict_with_breakdown``, ``term_contributions``,
-        ``_predict_binned`` and the permutation scorer of
-        :mod:`.explain` all read their terms from here.
+        ``term_contributions``, ``_predict_binned`` and the permutation
+        scorer of :mod:`.explain` all read their terms from here, and
+        :func:`_one_row_tables` lays out the same terms in the same
+        order for ``predict_with_breakdown``.
         """
         for sf in self.shapes:
             if reads is None or reads == sf.feature:
@@ -241,13 +254,57 @@ class GlassBoxModel:
         Returns ``(forecast, intercept, contributions)`` where summing
         the intercept and the contributions in order reproduces the
         forecast bit for bit, and equals ``predict`` on that row.
+
+        The row is binned by :func:`bin_row`, which raises as
+        :func:`apply_bins` does; each term reads the cell
+        :meth:`_lookups` reads, in the same order.
         """
-        row = np.asarray(row, dtype=np.float64).reshape(1, -1)
-        contrib = [c.item() for c in self._lookups(apply_bins(self.bins, row))]
+        t = self._one_row
+        bins = bin_row(t.edges, row)
+        contrib = t.shape_values[t.shape_starts + bins[t.shape_features]].tolist()
+        bins = bins.tolist()
+        contrib += [grid.item(ci[bins[i]], cj[bins[j]]) for i, j, ci, cj, grid in t.pairs]
         forecast = self.intercept
         for v in contrib:
             forecast += v
-        return float(forecast), self.intercept, list(zip(self.term_names(), contrib))
+        return float(forecast), self.intercept, list(zip(t.names, contrib))
+
+    @cached_property
+    def _one_row(self) -> _OneRow:
+        """What :meth:`predict_with_breakdown` reads; built on first use."""
+        return _one_row_tables(self)
+
+
+class _OneRow(NamedTuple):
+    """A model's tables laid out for one-row breakdowns.
+
+    Shape ``k``'s values are ``shape_values[shape_starts[k]:]``, read at
+    the bin of feature ``shape_features[k]``, so every shape term is one
+    gather. Each pair is ``(i, j, coarse map of i, coarse map of j,
+    grid)``, the maps as lists: indexing a list with an int beats
+    indexing an array.
+    """
+
+    edges: np.ndarray
+    shape_values: np.ndarray
+    shape_starts: np.ndarray
+    shape_features: np.ndarray
+    pairs: tuple[tuple[int, int, list[int], list[int], np.ndarray], ...]
+    names: tuple[str, ...]
+
+
+def _one_row_tables(model: GlassBoxModel) -> _OneRow:
+    values = [sf.values for sf in model.shapes]
+    cmaps = model.coarse_maps
+    lists = {f: cmaps[f].tolist() for pt in model.pairs for f in (pt.i, pt.j)}
+    return _OneRow(
+        edges=edge_matrix(model.bins),
+        shape_values=np.concatenate(values),
+        shape_starts=np.cumsum([0] + [len(v) for v in values], dtype=np.intp)[:-1],
+        shape_features=np.array([sf.feature for sf in model.shapes], dtype=np.intp),
+        pairs=tuple((pt.i, pt.j, lists[pt.i], lists[pt.j], pt.grid) for pt in model.pairs),
+        names=tuple(model.term_names()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +561,7 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
     if not pairs:
         return model
 
-    model = replace(model, config=config)
+    model = _replace(model, config=config)
     Xb = apply_bins(model.bins, matrix.X)
     coarse, sizes = _coarse(Xb, model.coarse_maps)
     shapes, cells = zip(*_pair_cells(coarse, sizes, pairs))
@@ -512,7 +569,7 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
         pairs, shapes, cells, np.asarray(residuals, dtype=np.float64), split,
         config.pair_depth, config, model.intercept)
 
-    return replace(
+    return _replace(
         model,
         intercept=intercept,
         pairs=tuple(PairShapeFunction(i, j, g) for (i, j), g in zip(pairs, grids)),
@@ -520,6 +577,18 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
         val_curve_pairs=tuple(val_curve),
         train_loss_curve=model.train_loss_curve + tuple(loss_curve),
     )
+
+
+def _replace(model: GlassBoxModel, **changes) -> GlassBoxModel:
+    """``replace(model, **changes)`` that keeps ``model``'s coarse maps,
+    if derived, while the bins and ``pair_bins`` stay. Nothing else
+    derived is kept: the one-row tables follow the terms."""
+    new = replace(model, **changes)
+    maps = model.__dict__.get("coarse_maps")
+    if (maps is not None and new.bins is model.bins
+            and new.config.pair_bins == model.config.pair_bins):
+        new.__dict__["coarse_maps"] = maps
+    return new
 
 
 # ---------------------------------------------------------------------------

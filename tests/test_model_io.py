@@ -313,6 +313,20 @@ def test_integer_in_a_float_config_field_loads(model_files, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+def test_numpy_scalar_config_round_trips(model_files, tmp_path):
+    """A config given numpy scalars holds the Python numbers they equal,
+    so its model saves the bytes those numbers give, and loads."""
+    model = model_files[0]["glassbox"][1]
+    plain = replace(model.config, max_rounds=2, learning_rate=0.01)
+    scalars = replace(model.config, max_rounds=np.int64(2), learning_rate=np.float64(0.01))
+    assert type(scalars.max_rounds) is int and type(scalars.learning_rate) is float
+    first, second = tmp_path / "plain.json", tmp_path / "scalars.json"
+    wg.save_model(replace(model, config=plain), first)
+    wg.save_model(replace(model, config=scalars), second)
+    assert second.read_bytes() == first.read_bytes()
+    assert wg.load_model(second).config == plain
+
+
 def test_hand_built_model_round_trips(tmp_path):
     """Writers convert fields as the readers do, so a model built with
     an int intercept and a numeric feature name writes a file that

@@ -1,6 +1,7 @@
 """The read path on random small fits: ``predict``, the per-term
 breakdown and ``term_contributions``, plus the non-finite input policy,
-the training loss curve and the derived coarse maps of the same fits.
+the training loss curve and the derived coarse maps of the same fits,
+and the one-row binning the breakdown uses.
 
 The reference below builds the rows x terms contribution matrix from
 the model's tables, one column per term in term order, and sums it from
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
-from windglass import glassbox
+from windglass import data, glassbox
 from conftest import coarse_map, fits, small_fit
 
 
@@ -124,8 +125,9 @@ def test_training_loss_never_increases(fit):
 def check_coarse_maps(model, matrix, tmp_dir):
     """The model stores no coarse maps: the first read derives every
     feature's from its binning, all in one call, and nothing on the read
-    path derives them again. The file round trip re-saves byte for
-    byte."""
+    path or in ``save_model`` derives them again; ``load_model`` derives
+    them once for the model it reads. The file round trip re-saves byte
+    for byte."""
     assert "coarse_maps" not in {f.name for f in fields(wg.GlassBoxModel)}
     want = [coarse_map(pops, model.config.pair_bins) for pops in model.bins.populations]
     fresh = replace(model)  # a new instance: nothing derived yet
@@ -139,14 +141,15 @@ def check_coarse_maps(model, matrix, tmp_dir):
         wg.pfi(fresh.predict, X, y, n_repeats=1)
         wg.pdp(fresh.predict, X, 0, [0.2, 0.8])
         assert derive.call_count == 1
+        first, second = tmp_dir / "a.json", tmp_dir / "b.json"
+        wg.save_model(fresh, first)
+        assert derive.call_count == 1
+        loaded = wg.load_model(first)
+        wg.save_model(loaded, second)
+        assert derive.call_count == 2
     assert sorted(maps) == list(range(model.n_features))
     for f, cmap in enumerate(want):
         np.testing.assert_array_equal(maps[f], cmap)
-
-    first, second = tmp_dir / "a.json", tmp_dir / "b.json"
-    wg.save_model(model, first)
-    loaded = wg.load_model(first)
-    wg.save_model(loaded, second)
     assert first.read_bytes() == second.read_bytes()
     for f, cmap in enumerate(want):
         np.testing.assert_array_equal(loaded.coarse_maps[f], cmap)
@@ -165,6 +168,111 @@ def test_bagged_coarse_maps_are_derived_from_the_binning_once(tmp_path):
     bagged = wg.train(matrix, split, replace(model.config, bagging_count=2))
     assert bagged.pairs
     check_coarse_maps(bagged, matrix, tmp_path)
+
+
+def test_training_derives_the_coarse_maps_once(tmp_path):
+    """``train`` derives the maps once, for ranking, and the pair stage
+    and the model it returns keep them: saving derives none."""
+    first, matrix, split = small_fit(seed=9, n_features=3, rounds=2)
+    with mock.patch.object(glassbox, "_coarse_maps", wraps=glassbox._coarse_maps) as derive:
+        model = wg.train(matrix, split, first.config)
+        assert derive.call_count == 1
+        wg.save_model(model, tmp_path / "m.json")
+        assert derive.call_count == 1
+        wg.load_model(tmp_path / "m.json")
+        assert derive.call_count == 2
+    assert model.pairs
+
+
+def test_pair_stage_with_other_pair_bins_derives_its_own_maps():
+    """The maps are kept only while they are the model's own: a pair
+    stage with another ``pair_bins`` reads maps of that many bins."""
+    model, matrix, split = small_fit(seed=9, n_features=3, rounds=2)
+    main, residuals = wg.train_main_effects(matrix, split, model.bins, model.config)
+    main.coarse_maps  # derived: maps of the main model's pair_bins to keep or not
+    config = replace(model.config, pair_bins=2)
+    full = wg.train_interactions(main, matrix, split, residuals, [(0, 1)], config)
+    for f, cmap in full.coarse_maps.items():
+        np.testing.assert_array_equal(cmap, coarse_map(model.bins.populations[f], 2))
+
+
+# ---------------------------------------------------------------------------
+# One-row breakdowns: binning by counting edges, tables built once
+# ---------------------------------------------------------------------------
+
+TINY = 5e-324  # the smallest subnormal
+SPECIAL = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, -1e-310,
+           1.7976931348623157e308, -1.7976931348623157e308]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def binnings_and_rows(draw):
+    """A binning of uneven edge counts (a constant feature has none)
+    over awkward floats, and a row of values on its edges, at +-0.0,
+    subnormal, beyond both extremes, or anywhere."""
+    n = draw(st.integers(1, 5))
+    edges = tuple(np.array(sorted(draw(st.lists(
+        st.one_of(st.sampled_from(SPECIAL), finite), max_size=6, unique=True))))
+        for _ in range(n))
+    row = []
+    for e in edges:
+        with np.errstate(over="ignore"):
+            beyond = [np.nextafter(e[0], -np.inf), np.nextafter(e[-1], np.inf)] if len(e) else []
+        picks = list(e) + [v for v in beyond if np.isfinite(v)] + SPECIAL
+        row.append(draw(st.one_of(st.sampled_from(picks), finite)))
+    bmap = wg.BinningMap(edges=edges, vmin=np.zeros(n), vmax=np.ones(n),
+                         populations=tuple(np.ones(len(e) + 1, dtype=np.int64)
+                                           for e in edges),
+                         max_bins=16)
+    return bmap, np.array(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=binnings_and_rows())
+def test_bin_row_equals_apply_bins(case):
+    bmap, row = case
+    got = data.bin_row(data.edge_matrix(bmap), row)
+    want = wg.apply_bins(bmap, row[None])[0]
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+def test_breakdown_reads_tables_built_once_per_model(served_fit):
+    """A breakdown bins without ``apply_bins`` and takes its names from
+    the tables, which each model builds on its first breakdown."""
+    model, matrix, _ = served_fit
+    fresh = replace(model)  # a new instance: nothing built yet
+    rows = matrix.X[:5]
+    with mock.patch.object(glassbox, "_one_row_tables",
+                           wraps=glassbox._one_row_tables) as build:
+        first = fresh.predict_with_breakdown(rows[0])
+        with (mock.patch.object(glassbox, "apply_bins", side_effect=AssertionError),
+              mock.patch.object(data, "apply_bins", side_effect=AssertionError),
+              mock.patch.object(wg.GlassBoxModel, "term_names",
+                                side_effect=AssertionError)):
+            got = [fresh.predict_with_breakdown(row) for row in rows]
+        assert build.call_count == 1
+        replace(fresh).predict_with_breakdown(rows[0])
+        assert build.call_count == 2
+    assert got[0] == first
+    pred = model.predict(rows)
+    for k, (forecast, intercept, terms) in enumerate(got):
+        assert forecast == pred[k] and intercept == model.intercept
+        assert [n for n, _ in terms] == model.term_names()
+
+
+def test_pair_stage_does_not_keep_the_breakdown_tables(served_fit):
+    """The tables of a main-effects model lack the pair terms the pair
+    stage adds, so its model builds its own."""
+    model, matrix, split = served_fit
+    main, residuals = wg.train_main_effects(matrix, split, model.bins, model.config)
+    row = matrix.X[0]
+    main.predict_with_breakdown(row)
+    full = wg.train_interactions(main, matrix, split, residuals, [(0, 1)], model.config)
+    forecast, _, terms = full.predict_with_breakdown(row)
+    assert [n for n, _ in terms] == full.term_names() == main.term_names() + ["x0 x x1"]
+    assert forecast == full.predict(row[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +319,18 @@ def test_breakdown_rejects_non_finite(served, bad):
     row[3] = bad
     with pytest.raises(ValueError, match="column 3"):
         model.predict_with_breakdown(row)
+
+
+@pytest.mark.parametrize("size", [3, 5, 0])
+def test_breakdown_rejects_a_row_of_another_width(served, size):
+    """The breakdown names the width it wanted as ``apply_bins`` does."""
+    model, _ = served
+    with pytest.raises(ValueError) as want:
+        wg.apply_bins(model.bins, np.zeros((1, size)))
+    message = rf"^expected 4 feature columns, got shape \(1, {size}\)$"
+    with pytest.raises(ValueError, match=message) as got:
+        model.predict_with_breakdown(np.zeros(size))
+    assert str(got.value) == str(want.value)
 
 
 def test_rt_baseline_rejects_non_finite(served):
