@@ -17,17 +17,18 @@ config = wg.TrainConfig(learning_rate=0.02, max_rounds=600,
 bins = wg.fit_bins(matrix.X, split.train, config.max_bins)
 mains, residuals = wg.train_main_effects(matrix, split, bins, config)
 
-Xb = wg.apply_bins(bins, matrix.X[split.train_slice])
-ranked = wg.rank_interaction_pairs(Xb, residuals[split.train_slice],
-                                   pair_bins=config.pair_bins)
+# Bin every row once: the ranker reads the training rows, the pair stage all.
+Xb = wg.apply_bins(bins, matrix.X)
+tr = split.train_slice
+ranked = wg.rank_interaction_pairs(Xb[tr], residuals[tr], pair_bins=config.pair_bins)
 print("pair strengths on main-effects residuals:")
 for i, j, strength in ranked:
     marker = "  <-- the planted x2*x3 interaction" if (i, j) == (2, 3) else ""
     print(f"  ({matrix.feature_names[i]}, {matrix.feature_names[j]}): "
           f"{strength:10.4f}{marker}")
 
-model = wg.train_interactions(mains, matrix, split, residuals,
-                              [(i, j) for i, j, _ in ranked[:3]], config)
+model = wg.train_interactions(mains, Xb, split, residuals,
+                              [(i, j) for i, j, _ in ranked[:3]])
 
 curve = wg.export_pair_heatmap(model, (2, 3))
 print(f"\nlearned contribution grid for {curve.name}:")

@@ -91,6 +91,8 @@ class RunConfig:
             raise UsageError("the persistence model requires lag features")
         if self.timestamp_format not in ("iso8601", "epoch"):
             raise UsageError("data.timestamp_format must be iso8601 or epoch")
+        if len(self.delimiter) != 1:
+            raise UsageError(f"data.delimiter must be one character, got {self.delimiter!r}")
         if self.n_lags < 1 or self.horizon_steps < 1:
             raise UsageError("features.n_lags and features.horizon_steps must be >= 1")
         if not self.bench_models or not self.bench_horizons:
@@ -140,13 +142,9 @@ _SECTIONS = {section for section, _ in _KEYS} | {"train"}
 
 
 def _parse_train_value(key: str, raw: str):
-    raw = raw.strip()
     if key == "interaction_budget":
         return raw if raw in ("auto", "all") else int(raw)
-    typ = _TRAIN_FIELDS[key]
-    if typ in ("int", int):
-        return int(raw)
-    return float(raw)
+    return int(raw) if _TRAIN_FIELDS[key] == "int" else float(raw)
 
 
 def read_run_config(path, overrides=()) -> RunConfig:

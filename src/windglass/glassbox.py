@@ -25,13 +25,14 @@ neighbours' signal, which keeps the tables honest as explanations.
 Main effects are boosted to convergence first; interaction terms are
 then boosted on what is left.
 
-Both stages run the same engine, :func:`_boost`. A term is a tuple of
-features with a table of one axis (a shape function over bins) or two
-(a pair grid over coarse bins, cells from :func:`_pair_cells`). A stage
-hands it every row's flat cell in each table and every row's residual;
-it checks them against the split, counts training rows per cell,
-boosts, and centers the tables with :func:`_center`, which also serves
-a bagged average. A feature's coarse bins are derived, never stored
+Both stages run the same engine, :func:`_boost`, on rows :func:`train`
+bins once (a bag indexes them). A term is a tuple of features with a
+table of one axis (a shape function over bins) or two (a pair grid over
+coarse bins, cells from :func:`_pair_cells`). A stage hands it every
+row's flat cell in each table and every row's residual; it checks them
+against the split, counts training rows per cell, boosts, and centers
+the tables with :func:`_center`, which also serves a bagged average. A
+feature's coarse bins are derived once per fit, never stored
 (``GlassBoxModel.coarse_maps``, every feature's in one pass): its main
 bins grouped into runs of near-equal ``BinningMap.populations``.
 """
@@ -110,12 +111,12 @@ class TrainConfig:
                 object.__setattr__(self, fld.name, int(value))
             elif isinstance(value, np.floating):
                 object.__setattr__(self, fld.name, float(value))
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.early_stop_tol < 0:
-            raise ValueError("early_stop_tol must be >= 0")
+        if not 0 <= self.early_stop_tol < np.inf:
+            raise ValueError("early_stop_tol must be finite and >= 0")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
         if self.max_bins < 2 or self.pair_bins < 2:
@@ -409,13 +410,13 @@ def train_main_effects(matrix: SupervisedMatrix, split: DataSplit,
     Returns the interaction-free model and the residual vector over all
     rows of ``matrix`` (input to the interaction stage).
     """
-    return _train_main_effects(matrix, split, bins, config, apply_bins(bins, matrix.X))
+    return _train_main_effects(apply_bins(bins, matrix.X), matrix.y, split, bins,
+                               config, matrix)
 
 
-def _train_main_effects(matrix, split, bins, config, Xb):
-    """:func:`train_main_effects` on the already binned ``Xb``."""
-    y = matrix.y
-    n = matrix.n_features
+def _train_main_effects(Xb, y, split, bins, config, matrix):
+    """:func:`train_main_effects` of the binned rows ``Xb`` and targets ``y``."""
+    n = Xb.shape[1]
     intercept = float(y[split.train_slice].mean())
     shape_values, intercept, rounds, val_curve, loss_curve = _boost(
         [(f,) for f in range(n)], [(bins.n_bins(f),) for f in range(n)], Xb.T,
@@ -536,19 +537,25 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
 # Stage 2: interaction terms
 # ---------------------------------------------------------------------------
 
-def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
-                       split: DataSplit, residuals: np.ndarray,
-                       selected_pairs, config: TrainConfig) -> GlassBoxModel:
+def train_interactions(model: GlassBoxModel, X_binned: np.ndarray, split: DataSplit,
+                       residuals: np.ndarray, selected_pairs) -> GlassBoxModel:
     """Boost 2-D interaction grids on the main-effects residuals.
 
-    Same cyclic schedule and early-stopping rule as the main stage, but
-    each term is a feature pair fitted with pair-restricted trees over
+    ``X_binned`` is every row's bins under ``model.bins``: integer, one
+    column per feature, each bin in ``[0, n_bins(f))``, or ``ValueError``.
+    Same cyclic schedule and early-stopping rule as the main stage, under
+    ``model.config`` (for other settings pass ``replace(model, config=c)``),
+    but each term is a feature pair fitted with pair-restricted trees over
     coarse bins: runs of main bins of near-equal ``model.bins.populations``,
     i.e. of the rows the bins were fit on. Grids are re-centered to
-    training-weighted mean zero, offsets folded into the intercept. The
-    model returned records ``config``, whose ``pair_bins`` its grids use.
+    training-weighted mean zero, offsets folded into the intercept.
     """
+    Xb = np.asarray(X_binned)
     n = model.n_features
+    if Xb.ndim != 2 or Xb.shape[1] != n or not np.issubdtype(Xb.dtype, np.integer):
+        raise ValueError(f"X_binned needs {n} integer columns, got {Xb.dtype} {Xb.shape}")
+    if np.any(Xb < 0) or np.any(Xb >= [model.bins.n_bins(f) for f in range(n)]):
+        raise ValueError("X_binned holds a bin outside [0, n_bins(f))")
     pairs: list[tuple[int, int]] = []
     for p in selected_pairs:
         i, j = int(p[0]), int(p[1])
@@ -561,34 +568,26 @@ def train_interactions(model: GlassBoxModel, matrix: SupervisedMatrix,
     if not pairs:
         return model
 
-    model = _replace(model, config=config)
-    Xb = apply_bins(model.bins, matrix.X)
     coarse, sizes = _coarse(Xb, model.coarse_maps)
     shapes, cells = zip(*_pair_cells(coarse, sizes, pairs))
     grids, intercept, rounds, val_curve, loss_curve = _boost(
         pairs, shapes, cells, np.asarray(residuals, dtype=np.float64), split,
-        config.pair_depth, config, model.intercept)
+        model.config.pair_depth, model.config, model.intercept)
 
-    return _replace(
+    return _with_maps(replace(
         model,
         intercept=intercept,
         pairs=tuple(PairShapeFunction(i, j, g) for (i, j), g in zip(pairs, grids)),
         rounds_pairs=rounds,
         val_curve_pairs=tuple(val_curve),
         train_loss_curve=model.train_loss_curve + tuple(loss_curve),
-    )
+    ), model.coarse_maps)
 
 
-def _replace(model: GlassBoxModel, **changes) -> GlassBoxModel:
-    """``replace(model, **changes)`` that keeps ``model``'s coarse maps,
-    if derived, while the bins and ``pair_bins`` stay. Nothing else
-    derived is kept: the one-row tables follow the terms."""
-    new = replace(model, **changes)
-    maps = model.__dict__.get("coarse_maps")
-    if (maps is not None and new.bins is model.bins
-            and new.config.pair_bins == model.config.pair_bins):
-        new.__dict__["coarse_maps"] = maps
-    return new
+def _with_maps(model: GlassBoxModel, maps) -> GlassBoxModel:
+    """``model`` given ``maps``, the coarse maps its bins and config derive."""
+    vars(model)["coarse_maps"] = maps
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +603,16 @@ def _resolve_budget(budget, n: int) -> int:
     return min(int(budget), total)
 
 
-def _train_single(matrix, split, bins, config, Xb) -> GlassBoxModel:
-    model, residuals = _train_main_effects(matrix, split, bins, config, Xb)
+def _train_single(matrix, split, bins, config, Xb, y, maps) -> GlassBoxModel:
+    model, residuals = _train_main_effects(Xb, y, split, bins, config, matrix)
+    model = _with_maps(model, maps)
     k = _resolve_budget(config.interaction_budget, matrix.n_features)
     if k == 0 or matrix.n_features < 2:
         return model
     tr = split.train_slice
-    ranked = _rank_pairs(Xb[tr], residuals[tr], model.coarse_maps)
+    ranked = _rank_pairs(Xb[tr], residuals[tr], maps)
     selected = [(i, j) for i, j, _ in ranked[:k]]
-    return train_interactions(model, matrix, split, residuals, selected, config)
+    return train_interactions(model, Xb, split, residuals, selected)
 
 
 def train(matrix: SupervisedMatrix, split: DataSplit,
@@ -632,12 +632,13 @@ def train(matrix: SupervisedMatrix, split: DataSplit,
     if bins is None:
         bins = fit_bins(matrix.X, split.train, config.max_bins)
     Xb = apply_bins(bins, matrix.X)
+    maps = _coarse_maps(bins.populations, config.pair_bins)
     if config.bagging_count == 1:
-        return _train_single(matrix, split, bins, config, Xb)
-    return _train_bagged(matrix, split, bins, config, Xb)
+        return _train_single(matrix, split, bins, config, Xb, matrix.y, maps)
+    return _train_bagged(matrix, split, bins, config, Xb, maps)
 
 
-def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
+def _train_bagged(matrix, split, bins, config, Xb, maps) -> GlassBoxModel:
     n = matrix.n_features
     lo, hi = split.train
 
@@ -646,8 +647,8 @@ def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
         rng = np.random.default_rng((config.seed, b))
         take = np.sort(rng.integers(lo, hi, size=hi - lo))
         order = np.concatenate([take, np.arange(hi, split.n_rows)])
-        bag_matrix = replace(matrix, X=matrix.X[order], y=matrix.y[order])
-        bag_models.append(_train_single(bag_matrix, split, bins, config, Xb[order]))
+        bag_models.append(_train_single(matrix, split, bins, config, Xb[order],
+                                        matrix.y[order], maps))
 
     k = 1.0 / len(bag_models)
     intercept = sum(m.intercept for m in bag_models) * k
@@ -656,9 +657,9 @@ def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
         for sf in m.shapes:
             shape_values[sf.feature] += k * sf.values
 
-    # Every bag shares the binning and config, so their coarse maps and
-    # pair grids line up for averaging.
-    coarse_tr, sizes = _coarse(Xb[lo:hi], bag_models[0].coarse_maps)
+    # Every bag shares the binning and coarse maps, so their pair grids
+    # line up for averaging.
+    coarse_tr, sizes = _coarse(Xb[lo:hi], maps)
     pair_keys = sorted({(pt.i, pt.j) for m in bag_models for pt in m.pairs})
     grids = {p: np.zeros((sizes[p[0]], sizes[p[1]])) for p in pair_keys}
     for m in bag_models:
@@ -671,7 +672,7 @@ def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
                 for shape, cell in _pair_cells(coarse_tr, sizes, pair_keys)]
     intercept = _center(shape_values + list(grids.values()), weights, intercept)
 
-    return GlassBoxModel(
+    return _with_maps(GlassBoxModel(
         intercept=intercept,
         shapes=tuple(ShapeFunction(f, shape_values[f]) for f in range(n)),
         pairs=tuple(PairShapeFunction(i, j, grids[(i, j)]) for (i, j) in pair_keys),
@@ -681,4 +682,4 @@ def _train_bagged(matrix, split, bins, config, Xb) -> GlassBoxModel:
         config=config,
         rounds_main=max(m.rounds_main for m in bag_models),
         rounds_pairs=max(m.rounds_pairs for m in bag_models),
-    )
+    ), maps)

@@ -103,6 +103,27 @@ class TestTrain:
                      "--set", "train.main_depth=-1"]) == EXIT_USAGE
         assert "bad config value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "train.learning_rate=nan", "train.learning_rate=inf",
+        "train.early_stop_tol=nan", "train.early_stop_tol=inf",
+    ])
+    def test_non_finite_train_value_is_usage_error(self, run_dir, setting, capsys):
+        """TrainConfig refuses a non-finite float, which would otherwise
+        train a model with a NaN intercept or an early stop that ignores
+        the validation curve."""
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg), "--set", setting]) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "windebm.model.json").exists()
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_of_other_than_one_character_is_usage_error(self, run_dir,
+                                                                    delimiter, capsys):
+        _, cfg, _ = run_dir
+        assert main(["train", "--config", str(cfg),
+                     "--set", f"data.delimiter={delimiter}"]) == EXIT_USAGE
+        assert "data.delimiter must be one character" in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, run_dir):
         _, cfg, _ = run_dir
         assert main(["train", "--config", str(cfg),

@@ -139,6 +139,12 @@ class TestMainEffects:
         with pytest.raises(ValueError, match="learning_rate"):
             wg.TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("key", ["learning_rate", "early_stop_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            wg.TrainConfig(**{key: value})
+
     @pytest.mark.parametrize("setting", [
         {"max_rounds": True}, {"seed": 1.0}, {"max_bins": np.float64(64.0)},
         {"interaction_budget": 2.5}, {"interaction_budget": False},
@@ -304,7 +310,8 @@ class TestInteractions:
         split = wg.chronological_split(400)
         bins = wg.fit_bins(X, split.train, 8)
         model, residuals = wg.train_main_effects(matrix, split, bins, FAST)
-        full = wg.train_interactions(model, matrix, split, residuals, [(0, 1)], FAST)
+        full = wg.train_interactions(model, wg.apply_bins(bins, X), split, residuals,
+                                     [(0, 1)])
         assert np.max(np.abs(full.pairs[0].grid)) < 1e-9
 
     def test_product_surface_matches_grid_oracle(self):
@@ -318,10 +325,9 @@ class TestInteractions:
         split = wg.chronological_split(4000)
         bins = wg.fit_bins(X, split.train, 16)
         main_model, residuals = wg.train_main_effects(matrix, split, bins, FAST)
-        full = wg.train_interactions(main_model, matrix, split, residuals,
-                                     [(2, 3)], FAST)
-        # grid oracle: cell means of the residuals over the coarse bins
         Xb = wg.apply_bins(bins, X)
+        full = wg.train_interactions(main_model, Xb, split, residuals, [(2, 3)])
+        # grid oracle: cell means of the residuals over the coarse bins
         tr = split.train_slice
         ci = full.coarse_maps[2][Xb[tr, 2]]
         cj = full.coarse_maps[3][Xb[tr, 3]]
@@ -353,16 +359,17 @@ class TestInteractions:
 
     def test_staged_public_path_equals_train(self, trained_setup):
         """train_main_effects, rank_interaction_pairs on the training
-        rows, then train_interactions on the top-ranked pairs rebuild
-        train's model bit for bit, pair order included."""
+        rows, then train_interactions on the top-ranked pairs, all on
+        rows binned once, rebuild train's model bit for bit, pair order
+        included."""
         model, matrix, split = trained_setup
         bins = wg.fit_bins(matrix.X, split.train, FAST.max_bins)
         mains, residuals = wg.train_main_effects(matrix, split, bins, FAST)
+        Xb = wg.apply_bins(bins, matrix.X)
         tr = split.train_slice
-        ranked = wg.rank_interaction_pairs(wg.apply_bins(bins, matrix.X[tr]),
-                                           residuals[tr], FAST.pair_bins)
+        ranked = wg.rank_interaction_pairs(Xb[tr], residuals[tr], FAST.pair_bins)
         selected = [(i, j) for i, j, _ in ranked[:len(model.pairs)]]
-        staged = wg.train_interactions(mains, matrix, split, residuals, selected, FAST)
+        staged = wg.train_interactions(mains, Xb, split, residuals, selected)
         assert staged.intercept == model.intercept
         assert (staged.rounds_main, staged.rounds_pairs) == (
             model.rounds_main, model.rounds_pairs)
@@ -379,14 +386,17 @@ class TestInteractions:
             np.testing.assert_array_equal(staged.coarse_maps[f], cmap)
 
     def test_staged_pair_stage_records_its_config(self, trained_setup, tmp_path):
-        """A staged pair stage with its own ``pair_bins`` returns a model
-        that records that config, so its coarse maps are the ones its
-        grids were built on, in memory and after a file round trip."""
+        """A staged pair stage on ``replace(mains, config=...)`` with its
+        own ``pair_bins`` returns a model that records that config, so its
+        coarse maps are the ones its grids were built on, in memory and
+        after a file round trip."""
         model, matrix, split = trained_setup
         bins = wg.fit_bins(matrix.X, split.train, FAST.max_bins)
         mains, residuals = wg.train_main_effects(matrix, split, bins, FAST)
         coarser = replace(FAST, pair_bins=4)
-        staged = wg.train_interactions(mains, matrix, split, residuals, [(0, 1)], coarser)
+        staged = wg.train_interactions(replace(mains, config=coarser),
+                                       wg.apply_bins(bins, matrix.X), split, residuals,
+                                       [(0, 1)])
         assert staged.config == coarser
         assert staged.pairs[0].grid.shape == (4, 4)
         assert [int(staged.coarse_maps[f].max()) + 1 for f in (0, 1)] == [4, 4]
@@ -426,22 +436,42 @@ class TestInteractions:
         model, matrix, split = trained_setup
         mains = replace(model, pairs=())
         with pytest.raises(ValueError, match="split's row count"):
-            wg.train_interactions(mains, matrix, split,
-                                  np.zeros(matrix.n_rows + extra), [(0, 1)], FAST)
+            wg.train_interactions(mains, wg.apply_bins(model.bins, matrix.X), split,
+                                  np.zeros(matrix.n_rows + extra), [(0, 1)])
 
     @pytest.mark.parametrize("extra", [-100, 100])
     def test_split_for_other_row_count_errors(self, trained_setup, extra):
         model, matrix, _ = trained_setup
         split = wg.chronological_split(matrix.n_rows + extra)
         with pytest.raises(ValueError, match="split's row count"):
-            wg.train_interactions(replace(model, pairs=()), matrix, split,
-                                  np.zeros(split.n_rows), [(0, 1)], FAST)
+            wg.train_interactions(replace(model, pairs=()),
+                                  wg.apply_bins(model.bins, matrix.X), split,
+                                  np.zeros(split.n_rows), [(0, 1)])
 
     def test_unknown_pair_feature_errors(self, trained_setup):
         model, matrix, split = trained_setup
         with pytest.raises(ValueError, match="invalid feature pair"):
-            wg.train_interactions(model, matrix, split,
-                                  np.zeros(matrix.n_rows), [(0, 99)], FAST)
+            wg.train_interactions(model, wg.apply_bins(model.bins, matrix.X), split,
+                                  np.zeros(matrix.n_rows), [(0, 99)])
+
+    @pytest.mark.parametrize("case, message", [
+        ("column_count", "integer columns"), ("float_dtype", "integer columns"),
+        ("negative_bin", "outside"), ("bin_past_n_bins", "outside"),
+    ])
+    def test_bad_binned_rows_error(self, trained_setup, case, message):
+        """Rows that are not bins of ``model.bins`` are refused; one bad
+        cell is enough."""
+        model, matrix, split = trained_setup
+        bad = wg.apply_bins(model.bins, matrix.X)
+        if case == "column_count":
+            bad = bad[:, :-1]
+        elif case == "float_dtype":
+            bad = bad.astype(np.float64)
+        else:
+            bad[7, 1] = -1 if case == "negative_bin" else model.bins.n_bins(1)
+        with pytest.raises(ValueError, match=message):
+            wg.train_interactions(replace(model, pairs=()), bad, split,
+                                  np.zeros(matrix.n_rows), [(0, 1)])
 
 
 class TestModelInvariants:

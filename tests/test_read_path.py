@@ -184,14 +184,42 @@ def test_training_derives_the_coarse_maps_once(tmp_path):
     assert model.pairs
 
 
+@pytest.mark.parametrize("bagging_count", [2, 3])
+def test_bagged_training_derives_the_coarse_maps_once(tmp_path, bagging_count):
+    """Every bag and the averaged model share one derivation: saving
+    derives none."""
+    first, matrix, split = small_fit(seed=9, n_features=3, rounds=2)
+    config = replace(first.config, bagging_count=bagging_count)
+    with mock.patch.object(glassbox, "_coarse_maps", wraps=glassbox._coarse_maps) as derive:
+        model = wg.train(matrix, split, config)
+        wg.save_model(model, tmp_path / "m.json")
+        assert derive.call_count == 1
+    assert model.pairs
+
+
+@pytest.mark.parametrize("bagging_count", [1, 2])
+def test_training_bins_the_rows_once(bagging_count):
+    """One ``apply_bins`` call serves the main stage, ranking, the pair
+    stage and every bag."""
+    first, matrix, split = small_fit(seed=9, n_features=3, rounds=2)
+    config = replace(first.config, bagging_count=bagging_count)
+    with mock.patch.object(glassbox, "apply_bins", wraps=glassbox.apply_bins) as binned:
+        model = wg.train(matrix, split, config)
+    assert binned.call_count == 1
+    assert model.pairs
+
+
 def test_pair_stage_with_other_pair_bins_derives_its_own_maps():
     """The maps are kept only while they are the model's own: a pair
-    stage with another ``pair_bins`` reads maps of that many bins."""
+    stage on ``replace(main, config=...)`` with another ``pair_bins``
+    reads maps of that many bins."""
     model, matrix, split = small_fit(seed=9, n_features=3, rounds=2)
     main, residuals = wg.train_main_effects(matrix, split, model.bins, model.config)
     main.coarse_maps  # derived: maps of the main model's pair_bins to keep or not
     config = replace(model.config, pair_bins=2)
-    full = wg.train_interactions(main, matrix, split, residuals, [(0, 1)], config)
+    full = wg.train_interactions(replace(main, config=config),
+                                 wg.apply_bins(model.bins, matrix.X), split, residuals,
+                                 [(0, 1)])
     for f, cmap in full.coarse_maps.items():
         np.testing.assert_array_equal(cmap, coarse_map(model.bins.populations[f], 2))
 
@@ -269,7 +297,8 @@ def test_pair_stage_does_not_keep_the_breakdown_tables(served_fit):
     main, residuals = wg.train_main_effects(matrix, split, model.bins, model.config)
     row = matrix.X[0]
     main.predict_with_breakdown(row)
-    full = wg.train_interactions(main, matrix, split, residuals, [(0, 1)], model.config)
+    full = wg.train_interactions(main, wg.apply_bins(model.bins, matrix.X), split,
+                                 residuals, [(0, 1)])
     forecast, _, terms = full.predict_with_breakdown(row)
     assert [n for n, _ in terms] == full.term_names() == main.term_names() + ["x0 x x1"]
     assert forecast == full.predict(row[None])[0]
