@@ -16,6 +16,7 @@ import configparser
 import csv
 import sys
 import time
+import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .data import (
     bin_centers,
     build_exogenous_features,
     build_lag_features,
+    check_fractions,
     chronological_split,
     load_csv,
     normalize_apply,
@@ -89,6 +91,10 @@ class RunConfig:
             raise UsageError(f"model.kind must be one of {', '.join(MODEL_KINDS)}")
         if self.model_kind == "pm" and self.feature_mode != "lags":
             raise UsageError("the persistence model requires lag features")
+        try:
+            check_fractions(self.fractions)
+        except ValueError as exc:
+            raise UsageError(f"split.train, split.validation and split.test: {exc}") from None
         if self.timestamp_format not in ("iso8601", "epoch"):
             raise UsageError("data.timestamp_format must be iso8601 or epoch")
         if len(self.delimiter) != 1:
@@ -148,9 +154,13 @@ def _parse_train_value(key: str, raw: str):
 
 
 def read_run_config(path, overrides=()) -> RunConfig:
-    """Parse the config file, apply --set overrides, and validate."""
+    """Parse the config file, apply --set overrides, and validate. A file
+    that is not UTF-8 INI text is a usage error."""
     parser = configparser.ConfigParser(interpolation=None)
-    loaded = parser.read(path)
+    try:
+        loaded = parser.read(path, encoding="utf-8-sig")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot parse config file {path}: {exc}") from None
     if not loaded:
         raise UsageError(f"cannot read config file: {path}")
     for item in overrides:
@@ -159,6 +169,8 @@ def read_run_config(path, overrides=()) -> RunConfig:
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
         section, key = section.strip(), key.strip()
+        if section not in _SECTIONS:  # configparser refuses to add [DEFAULT]
+            raise UsageError(f"unknown config section [{section}]")
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value.strip())
@@ -231,7 +243,14 @@ def _fit_kind(kind: str, matrix: SupervisedMatrix, split, tc: TrainConfig):
     if kind == "windebm-no-interactions":
         return glassbox.train(matrix, split, replace(tc, interaction_budget=0))
     if kind == "lr":
-        return baselines.fit_ols(matrix, split.train)
+        # OLS warns of a rank-deficient design (a constant series, say):
+        # a note, so that a run under ``-W error`` still ends in its exit code.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            model = baselines.fit_ols(matrix, split.train)
+        for w in caught:
+            print(f"note: lr: {w.message}")
+        return model
     if kind == "rt":
         return baselines.fit_rt_baseline(matrix, split.train,
                                          max_bins=tc.max_bins)

@@ -28,6 +28,7 @@ __all__ = [
     "normalize_fit_apply",
     "normalize_apply",
     "chronological_split",
+    "check_fractions",
     "fit_bins",
     "apply_bins",
     "bin_values",
@@ -110,7 +111,9 @@ class NormParams:
     """Per-column min/max fitted on a training range.
 
     A feature whose fitted max equals its min is a constant column; the
-    transform maps every value of such a column to 0.5.
+    transform maps every value of such a column to 0.5. A value so far
+    outside the fitted range that its scaled offset overflows clamps to
+    0 or 1 like any other.
     """
 
     feature_min: np.ndarray
@@ -123,16 +126,18 @@ class NormParams:
         span = hi - lo
         constant = span == 0
         safe = np.where(constant, 1.0, span)
-        out = np.clip((X - lo) / safe, 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            out = np.clip((X - lo) / safe, 0.0, 1.0)
         out[:, constant] = 0.5
         return out
 
     def apply_target(self, y: np.ndarray) -> np.ndarray:
         if self.target_max == self.target_min:
             return np.full_like(np.asarray(y, dtype=np.float64), 0.5)
-        return np.clip(
-            (y - self.target_min) / (self.target_max - self.target_min), 0.0, 1.0
-        )
+        with np.errstate(over="ignore"):
+            return np.clip(
+                (y - self.target_min) / (self.target_max - self.target_min), 0.0, 1.0
+            )
 
     def invert_feature(self, feature: int, values: np.ndarray) -> np.ndarray:
         lo = self.feature_min[feature]
@@ -255,8 +260,10 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
 
     Rows containing missing or non-finite values in any declared column
     are dropped and counted in ``frame.dropped_rows``. A row too short
-    to hold every declared column raises. Duplicate, out-of-order or
-    non-finite timestamps raise; rows are never silently reordered.
+    to hold every declared column raises, and so does a line the csv
+    module cannot read (a cell over its field size limit, say), each
+    naming its line. Duplicate, out-of-order or non-finite timestamps
+    raise; rows are never silently reordered.
 
     Parameters
     ----------
@@ -267,8 +274,9 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
+        rows = _csv_rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise ValueError(f"empty file: {path}") from None
         header = [h.strip() for h in header]
@@ -294,7 +302,7 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
         target: list[float] = []
         exo_cols: list[list[float]] = [[] for _ in exo_names]
         dropped = 0
-        for row in reader:
+        for row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < n_fields:
@@ -319,6 +327,15 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
         exogenous={n: np.array(c) for n, c in zip(exo_names, exo_cols)},
         dropped_rows=dropped,
     )
+
+
+def _csv_rows(reader, path):
+    """The rows of ``reader``; a line it cannot read raises ``ValueError``
+    naming that line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +397,8 @@ def normalize_fit_apply(matrix: SupervisedMatrix,
 
     Statistics come from ``fit_range`` rows only; values outside that
     range clamp to [0, 1]. Constant columns map to 0.5 rather than
-    erroring, so a flat sensor cannot abort training.
+    erroring, so a flat sensor cannot abort training. A column whose
+    fitted max minus min overflows to infinity raises ``ValueError``.
     """
     lo, hi = fit_range
     if hi <= lo:
@@ -393,6 +411,13 @@ def normalize_fit_apply(matrix: SupervisedMatrix,
         target_min=float(yf.min()),
         target_max=float(yf.max()),
     )
+    with np.errstate(over="ignore"):
+        wide = np.isinf(params.feature_max - params.feature_min)
+    if wide.any():
+        raise ValueError(f"feature column {matrix.feature_names[wide.argmax()]!r} "
+                         "spans more than the largest float in the fit rows")
+    if math.isinf(params.target_max - params.target_min):
+        raise ValueError("the target spans more than the largest float in the fit rows")
     return normalize_apply(matrix, params)
 
 
@@ -417,12 +442,9 @@ def chronological_split(m: int,
 
     Sizes are ``floor(m * fraction)`` with the rounding remainder
     assigned to the test range. No shuffling: time order is the
-    contract.
+    contract. ``fractions`` must pass :func:`check_fractions`.
     """
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError("fractions must be three positive numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    check_fractions(fractions)
     n_train = int(m * fractions[0])
     n_val = int(m * fractions[1])
     n_test = m - n_train - n_val
@@ -435,6 +457,15 @@ def chronological_split(m: int,
         val=(n_train, n_train + n_val),
         test=(n_train + n_val, m),
     )
+
+
+def check_fractions(fractions) -> None:
+    """Raise ``ValueError`` unless ``fractions`` is three finite positive
+    numbers that sum to 1 (within 1e-9)."""
+    if len(fractions) != 3 or not all(0 < f < math.inf for f in fractions):
+        raise ValueError("fractions must be three finite positive numbers")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError("fractions must sum to 1")
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +505,8 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     Quantile edges give near-equal training populations per bin, which
     keeps lookup tables well supported even for skewed wind
     distributions. Duplicate quantiles collapse, so a constant column
-    yields a single bin.
+    yields a single bin. A non-finite value in the fit rows raises the
+    ``ValueError`` of :func:`apply_bins`, naming its column.
     """
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
@@ -482,7 +514,7 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     if hi <= lo:
         raise ValueError("empty fit range")
     Xf = np.asarray(X, dtype=np.float64)[lo:hi]
-    qs = np.arange(1, max_bins) / max_bins
+    _require_finite(Xf, range(Xf.shape[1]))
     edges = []
     pops = []
     for f in range(Xf.shape[1]):
@@ -494,7 +526,9 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
             # Few distinct values: give each its own bin.
             cuts = 0.5 * (uniq[:-1] + uniq[1:])
         else:
-            cand = _linear_quantiles(np.sort(col), qs)
+            # Only here is max_bins below the row count, so a huge
+            # max_bins never sizes an array.
+            cand = _linear_quantiles(np.sort(col), np.arange(1, max_bins) / max_bins)
             # Quantiles that collapse onto the value span's endpoints
             # (heavy mass at zero output, say) would produce empty or
             # merged extreme bins; pull them strictly inside.

@@ -179,7 +179,6 @@ class GlassBoxModel:
     rounds_pairs: int = 0
     val_curve_main: tuple[float, ...] = ()
     val_curve_pairs: tuple[float, ...] = ()
-    train_loss_curve: tuple[float, ...] = ()
 
     @property
     def n_features(self) -> int:
@@ -296,8 +295,8 @@ class _OneRow(NamedTuple):
 
 def _one_row_tables(model: GlassBoxModel) -> _OneRow:
     values = [sf.values for sf in model.shapes]
-    cmaps = model.coarse_maps
-    lists = {f: cmaps[f].tolist() for pt in model.pairs for f in (pt.i, pt.j)}
+    # Only pair terms read a coarse map: a model without any derives none.
+    lists = {f: model.coarse_maps[f].tolist() for pt in model.pairs for f in (pt.i, pt.j)}
     return _OneRow(
         edges=edge_matrix(model.bins),
         shape_values=np.concatenate(values),
@@ -328,7 +327,7 @@ def _boost(terms, shapes, cells, r, split, depth, config, intercept):
     rows per cell (:func:`_center`).
 
     Returns the tables, ``intercept`` plus the centering offsets, the
-    round count, the validation curve and the training loss curve.
+    round count and the validation curve.
     """
     if len(r) != split.n_rows or any(len(c) != split.n_rows for c in cells):
         raise ValueError("rows do not match the split's row count")
@@ -345,7 +344,6 @@ def _boost(terms, shapes, cells, r, split, depth, config, intercept):
              in zip(terms, cnts, tables, cells_tr, cells_va)]
     best, wait = np.inf, 0
     val_curve: list[float] = []
-    loss_curve: list[float] = []
     rounds = 0
     for _ in range(config.max_rounds):
         for term, cnt, term_bins, table, c_tr, c_va in steps:
@@ -357,7 +355,6 @@ def _boost(terms, shapes, cells, r, split, depth, config, intercept):
             flat = delta.ravel()
             r_train -= flat[c_tr]
             val_err -= flat[c_va]
-            loss_curve.append(float(np.mean(r_train ** 2)))
         rounds += 1
         val_curve.append(float(np.sqrt(np.mean(val_err ** 2))))
         if best - val_curve[-1] >= config.early_stop_tol:
@@ -367,7 +364,7 @@ def _boost(terms, shapes, cells, r, split, depth, config, intercept):
         if wait >= config.early_stop_patience:
             break
     intercept = _center(tables, cnts, intercept)
-    return tables, intercept, rounds, val_curve, loss_curve
+    return tables, intercept, rounds, val_curve
 
 
 def _cell_counts(cells: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -418,7 +415,7 @@ def _train_main_effects(Xb, y, split, bins, config, matrix):
     """:func:`train_main_effects` of the binned rows ``Xb`` and targets ``y``."""
     n = Xb.shape[1]
     intercept = float(y[split.train_slice].mean())
-    shape_values, intercept, rounds, val_curve, loss_curve = _boost(
+    shape_values, intercept, rounds, val_curve = _boost(
         [(f,) for f in range(n)], [(bins.n_bins(f),) for f in range(n)], Xb.T,
         y - intercept, split, config.main_depth, config, intercept)
 
@@ -432,7 +429,6 @@ def _train_main_effects(Xb, y, split, bins, config, matrix):
         config=config,
         rounds_main=rounds,
         val_curve_main=tuple(val_curve),
-        train_loss_curve=tuple(loss_curve),
     )
     residuals = y - intercept
     for f in range(n):
@@ -570,7 +566,7 @@ def train_interactions(model: GlassBoxModel, X_binned: np.ndarray, split: DataSp
 
     coarse, sizes = _coarse(Xb, model.coarse_maps)
     shapes, cells = zip(*_pair_cells(coarse, sizes, pairs))
-    grids, intercept, rounds, val_curve, loss_curve = _boost(
+    grids, intercept, rounds, val_curve = _boost(
         pairs, shapes, cells, np.asarray(residuals, dtype=np.float64), split,
         model.config.pair_depth, model.config, model.intercept)
 
@@ -580,7 +576,6 @@ def train_interactions(model: GlassBoxModel, X_binned: np.ndarray, split: DataSp
         pairs=tuple(PairShapeFunction(i, j, g) for (i, j), g in zip(pairs, grids)),
         rounds_pairs=rounds,
         val_curve_pairs=tuple(val_curve),
-        train_loss_curve=model.train_loss_curve + tuple(loss_curve),
     ), model.coarse_maps)
 
 

@@ -39,14 +39,15 @@ def nmae(forecast, actual) -> float:
 def r2(forecast, actual) -> float:
     """Coefficient of determination, 1 - SSE/SST.
 
-    SST is taken about the mean of the actuals. Constant actuals make
-    the ratio undefined and raise rather than returning NaN, so a
-    degenerate evaluation window fails loudly.
+    SST is taken about the mean of the actuals. Constant actuals, or
+    actuals so close that SST underflows to zero, make the ratio
+    undefined and raise rather than returning NaN, so a degenerate
+    evaluation window fails loudly.
     """
     f, a = _check_pair(forecast, actual)
-    if np.all(a == a[0]):
-        raise ValueError("zero variance in actuals: R^2 undefined")
     sst = float(np.sum((a - a.mean()) ** 2))
+    if sst == 0.0 or np.all(a == a[0]):
+        raise ValueError("zero variance in actuals: R^2 undefined")
     sse = float(np.sum((f - a) ** 2))
     return 1.0 - sse / sst
 

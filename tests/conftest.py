@@ -1,13 +1,16 @@
-"""Shared fixtures: small trained models and CSV scaffolding."""
+"""Shared fixtures: small trained models, their per-step training
+losses, and CSV scaffolding."""
 
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import windglass as wg
+from windglass import glassbox
 
 # Fast-converging settings for fixture models (the paper-default
 # learning rate needs thousands of rounds; tests don't).
@@ -21,13 +24,54 @@ FAST = wg.TrainConfig(
 
 
 @pytest.fixture(scope="session")
-def trained_setup():
-    """A small trained glass-box model with its data and split."""
+def trained_run():
+    """A small trained glass-box model, its data and split, and the
+    training MSE after each of its boosting steps."""
     raw = wg.make_interaction_data(3000, seed=11)
     split = wg.chronological_split(raw.n_rows)
     matrix = wg.normalize_fit_apply(raw, split.train)
-    model = wg.train(matrix, split, FAST)
-    return model, matrix, split
+    model, losses = training_losses(lambda: wg.train(matrix, split, FAST))
+    return model, matrix, split, losses
+
+
+@pytest.fixture(scope="session")
+def trained_setup(trained_run):
+    """A small trained glass-box model with its data and split."""
+    return trained_run[:3]
+
+
+def training_losses(train_call):
+    """``train_call()``'s result and the training MSE after each boosting
+    step it made, in order: main effects, then pairs.
+
+    The engine keeps no loss, so this replays each step's residual
+    update, the float operations of ``glassbox._boost``, as the step's
+    table is made. ``_boost`` is wrapped to read each stage's training
+    residuals and cells, ``tree_as_bin_table`` to read each table; no
+    table is kept.
+    """
+    boost, make_table = glassbox._boost, glassbox.tree_as_bin_table
+    losses, stage = [], {}
+
+    def start_stage(terms, shapes, cells, r, split, depth, config, intercept):
+        tr = split.train_slice
+        stage.update(r_train=r[tr].copy(), cells_tr=[c[tr] for c in cells],
+                     rate=config.learning_rate, step=0)
+        return boost(terms, shapes, cells, r, split, depth, config, intercept)
+
+    def replay_step(tree, term_bins):
+        table = make_table(tree, term_bins)
+        cells_tr = stage["cells_tr"]
+        r_train = stage["r_train"]
+        r_train -= (stage["rate"] * table).ravel()[cells_tr[stage["step"] % len(cells_tr)]]
+        losses.append(float(np.mean(r_train ** 2)))
+        stage["step"] += 1
+        return table
+
+    with mock.patch.object(glassbox, "_boost", wraps=start_stage), \
+            mock.patch.object(glassbox, "tree_as_bin_table", wraps=replay_step):
+        result = train_call()
+    return result, losses
 
 
 def small_fit(seed, n_features, rounds, learning_rate=0.3, budget="all",
@@ -50,9 +94,13 @@ def small_fit(seed, n_features, rounds, learning_rate=0.3, budget="all",
     return wg.train(matrix, split, config), matrix, split
 
 
-fits = st.builds(small_fit, seed=st.integers(0, 2**32 - 1),
-                 n_features=st.integers(2, 4), rounds=st.integers(2, 3),
+_FIT_ARGS = dict(seed=st.integers(0, 2**32 - 1), n_features=st.integers(2, 4),
+                 rounds=st.integers(2, 3),
                  learning_rate=st.sampled_from([0.05, 0.3, 0.9]))
+fits = st.builds(small_fit, **_FIT_ARGS)
+# The keyword arguments of a ``fits`` draw, for a test that makes the fit
+# itself (under ``training_losses``, say).
+fit_args = st.fixed_dictionaries(_FIT_ARGS)
 
 
 def coarse_map(populations, target_bins):

@@ -19,7 +19,7 @@ import pytest
 
 import windglass as wg
 from windglass.cli import EXIT_OK, main
-from conftest import write_series_csv
+from conftest import training_losses, write_series_csv
 
 GEFCOM_CSV = os.environ.get(
     "WINDGLASS_GEFCOM_CSV",
@@ -128,8 +128,8 @@ class TestCriterion4MonotoneBoosting:
         matrix = wg.normalize_fit_apply(raw, split.train)
         cfg = wg.TrainConfig(max_rounds=200, early_stop_tol=0.0,
                              early_stop_patience=200)
-        model = wg.train(matrix, split, cfg)
-        losses = np.asarray(model.train_loss_curve)
+        model, losses = training_losses(lambda: wg.train(matrix, split, cfg))
+        losses = np.asarray(losses)
         assert model.rounds_main == 200
         assert model.rounds_pairs == 200
         steps = np.diff(losses)

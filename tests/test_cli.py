@@ -95,6 +95,15 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--set", setting]) == EXIT_USAGE
         assert "bad config value" in capsys.readouterr().err
 
+    def test_huge_max_bins_trains(self, run_dir):
+        """A ``max_bins`` above the row count gives every distinct value
+        its own bin and sizes no array by ``max_bins``; it used to ask
+        numpy for petabytes."""
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg), "--set", "model.kind=rt",
+                     "--set", f"train.max_bins={10 ** 15}"]) == EXIT_OK
+        assert wg.load_model(out / "rt.model.json").bins.max_bins == 10 ** 15
+
     def test_bad_tree_setting_is_usage_error(self, run_dir, capsys):
         """A tree setting TrainConfig refuses is a bad config value,
         found before the data are read."""
@@ -124,6 +133,19 @@ class TestTrain:
                      "--set", f"data.delimiter={delimiter}"]) == EXIT_USAGE
         assert "data.delimiter must be one character" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "split.train=0.9", "split.train=nan", "split.validation=inf",
+        "split.test=-inf", "split.test=0",
+    ])
+    def test_bad_split_fraction_is_usage_error(self, run_dir, setting, capsys):
+        """``RunConfig.validate`` applies ``chronological_split``'s rule:
+        the run exits 2 before the data file (here a missing one, which
+        would exit 3) is read."""
+        _, cfg, _ = run_dir
+        assert main(["train", "--config", str(cfg), "--set", "data.path=/nope.csv",
+                     "--set", setting]) == EXIT_USAGE
+        assert "fractions must" in capsys.readouterr().err
+
     def test_missing_data_file_is_data_error(self, run_dir):
         _, cfg, _ = run_dir
         assert main(["train", "--config", str(cfg),
@@ -135,6 +157,37 @@ class TestTrain:
             fh.write("2020-01-01 01:00:00\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
         assert "line 1202" in capsys.readouterr().err
+
+    def test_oversized_csv_cell_is_data_error(self, run_dir, capsys):
+        tmp_path, cfg, _ = run_dir
+        with open(tmp_path / "wind.csv", "a") as fh:
+            fh.write(f"2020-01-01 01:00:00,{'9' * 200_000}\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+        assert "line 1202: field larger than field limit" in capsys.readouterr().err
+
+    def test_values_spanning_more_than_the_largest_float_are_data_error(self, run_dir,
+                                                                        capsys):
+        """Lags of 1e308 and -1e308 cannot be min-max scaled: exit 3
+        naming the column, not an overflow warning and NaN features."""
+        tmp_path, cfg, _ = run_dir
+        lines = (tmp_path / "wind.csv").read_text().splitlines()
+        for k, value in ((10, "1e308"), (20, "-1e308")):
+            lines[k] = lines[k].split(",")[0] + "," + value
+        (tmp_path / "wind.csv").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+        assert "spans more than the largest float" in capsys.readouterr().err
+
+    def test_rank_deficient_ols_fit_is_a_note(self, run_dir, capsys):
+        """A constant series makes the OLS design rank-deficient: the
+        fit's warning is printed as a note, so the run exits 0 though
+        warnings are errors here."""
+        tmp_path, cfg, out = run_dir
+        lines = (tmp_path / "wind.csv").read_text().splitlines()
+        lines[1:] = [line.split(",")[0] + ",0.5" for line in lines[1:]]
+        (tmp_path / "wind.csv").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(cfg), "--set", "model.kind=lr"]) == EXIT_OK
+        assert "note: lr: rank-deficient design" in capsys.readouterr().out
+        assert (out / "lr.model.json").exists()
 
     def test_non_finite_timestamp_is_data_error(self, run_dir, capsys):
         tmp_path, cfg, _ = run_dir
@@ -474,6 +527,30 @@ class TestUsage:
     def test_missing_config_file(self):
         assert main(["train", "--config", "/no/such.cfg"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("text", [
+        "path = wind.csv\n",                       # no section header
+        "[data]\npath = a.csv\npath = b.csv\n",    # duplicate key
+        "[data]\npath = a.csv\n[data]\n",          # duplicate section
+        "[data]\npath = a.csv\nno key or value\n",  # unparseable line
+    ])
+    def test_malformed_config_file_is_usage_error(self, tmp_path, text, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
+        assert "cannot parse config file" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_is_usage_error(self, run_dir, capsys):
+        _, cfg, _ = run_dir
+        cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
+        assert "cannot parse config file" in capsys.readouterr().err
+
+    def test_config_file_with_bom_reads(self, run_dir):
+        _, cfg, out = run_dir
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert main(["train", "--config", str(cfg), "--set", "model.kind=lr"]) == EXIT_OK
+        assert (out / "lr.model.json").exists()
+
     def test_config_missing_required_keys(self, tmp_path):
         cfg = tmp_path / "bare.cfg"
         cfg.write_text("[features]\nmode = lags\n")
@@ -483,6 +560,14 @@ class TestUsage:
         _, cfg, _ = run_dir
         assert main(["train", "--config", str(cfg),
                      "--set", "mystery.key=1"]) == EXIT_USAGE
+
+    def test_default_section_override_is_usage_error(self, run_dir, capsys):
+        """configparser cannot add a [DEFAULT] section: a usage error, not
+        its ``ValueError`` reported as a data error."""
+        _, cfg, _ = run_dir
+        assert main(["train", "--config", str(cfg),
+                     "--set", "DEFAULT.n_lags=2"]) == EXIT_USAGE
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
 
     def test_malformed_set_rejected(self, run_dir):
         _, cfg, _ = run_dir

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
+from windglass import data
 from conftest import write_series_csv
 
 SCHEMA = wg.CsvSchema(timestamp_column="time", target_column="power")
@@ -149,6 +150,15 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3"):
             wg.load_csv(path, schema)
 
+    def test_oversized_cell_errors_with_line_number(self, tmp_path):
+        """A cell over the csv module's field size limit is a data error
+        naming its line, not a ``csv.Error``."""
+        path = tmp_path / "a.csv"
+        path.write_text("time,power\n2020-01-01 00:00:00,0.5\n"
+                        f"2020-01-01 01:00:00,{'9' * 200_000}\n")
+        with pytest.raises(ValueError, match="line 3: field larger than field limit"):
+            wg.load_csv(path, SCHEMA)
+
     def test_naive_timestamps_are_utc(self, tmp_path, monkeypatch):
         """A naive series across a local DST change keeps whole hours."""
         if not hasattr(time, "tzset"):
@@ -263,6 +273,27 @@ class TestNormalization:
         out = wg.normalize_fit_apply(m, (0, 2))  # fit sees only [0, 10]
         assert out.X[2, 0] == 1.0
 
+    def test_far_out_of_range_values_clamp_without_overflow(self):
+        """A value whose offset from the fitted min, divided by a tiny
+        span, overflows still clamps (warnings are errors here)."""
+        m = wg.SupervisedMatrix(np.array([[0.0], [1e-300], [1e300], [-1e300]]),
+                                np.array([0.0, 1e-300, 1e300, -1e300]), ("a",))
+        out = wg.normalize_fit_apply(m, (0, 2))
+        np.testing.assert_array_equal(out.X[:, 0], [0.0, 1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(out.y, [0.0, 1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("column", ["X", "y"])
+    def test_span_that_overflows_errors(self, column):
+        """A fitted max minus min beyond the largest float cannot scale
+        the column: ``ValueError`` naming it, not NaN values."""
+        huge = np.array([1e308, -1e308, 0.5])
+        X = huge[:, None] if column == "X" else np.ones((3, 1))
+        y = huge if column == "y" else np.ones(3)
+        m = wg.SupervisedMatrix(X, y, ("a",))
+        name = "feature column 'a'" if column == "X" else "the target"
+        with pytest.raises(ValueError, match=f"^{name} spans more than the largest float"):
+            wg.normalize_fit_apply(m, (0, 3))
+
     def test_empty_fit_range_errors(self):
         m = wg.SupervisedMatrix(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), ("a",))
         with pytest.raises(ValueError, match="empty fit range"):
@@ -302,6 +333,18 @@ class TestChronologicalSplit:
     def test_too_small_errors(self):
         with pytest.raises(ValueError, match="too small"):
             wg.chronological_split(5)
+
+    @pytest.mark.parametrize("fractions", [
+        (0.9, 0.1, 0.1), (0.8, 0.2, 0.0), (0.8, -0.1, 0.3), (0.5, 0.5),
+        (float("nan"), 0.1, 0.1), (0.8, float("inf"), 0.1), (0.8, 0.1, -float("inf")),
+    ])
+    def test_bad_fractions_error(self, fractions):
+        """Three finite positive fractions that sum to 1, or ``ValueError``
+        (``check_fractions``); NaN no longer reaches the row counts."""
+        with pytest.raises(ValueError, match="fractions must"):
+            data.check_fractions(fractions)
+        with pytest.raises(ValueError, match="fractions must"):
+            wg.chronological_split(100, fractions)
 
     @pytest.mark.parametrize("m", [10, 11, 37, 100, 1001])
     def test_partition_property(self, m):
@@ -354,6 +397,18 @@ class TestBinning:
         bmap = wg.fit_bins(X, (0, 1000), max_bins=8)
         idx = wg.apply_bins(bmap, X)
         assert idx[0, 0] != idx[-1, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fit_value_errors(self, bad):
+        """A non-finite value among the fit rows raises the ``ValueError``
+        of ``apply_bins``, rather than giving NaN or infinite edges and
+        spans that a saved model file cannot hold; rows outside the fit
+        range are not read."""
+        X = np.random.default_rng(3).uniform(size=(50, 3))
+        X[7, 2] = bad
+        with pytest.raises(ValueError, match="^non-finite value in feature column 2$"):
+            wg.fit_bins(X, (0, 50), max_bins=8)
+        assert np.isfinite(wg.fit_bins(X, (8, 50), max_bins=8).vmax).all()
 
     def test_max_bins_too_small_errors(self):
         with pytest.raises(ValueError, match="max_bins"):

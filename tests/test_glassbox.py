@@ -502,9 +502,8 @@ class TestModelInvariants:
         assert model.intercept == pytest.approx(
             matrix.y[split.train_slice].mean(), abs=1e-9)
 
-    def test_monotone_training_loss(self, trained_setup):
-        model, _, _ = trained_setup
-        losses = np.asarray(model.train_loss_curve)
+    def test_monotone_training_loss(self, trained_run):
+        losses = np.asarray(trained_run[3])
         assert len(losses) > 100
         assert np.all(np.diff(losses) <= 1e-12)
 

@@ -55,6 +55,12 @@ class TestHandCases:
         with pytest.raises(ValueError, match="zero variance"):
             wg.r2([0.1, 0.2, 0.3], [0.4, 0.4, 0.4])
 
+    def test_actuals_whose_variance_underflows_error(self):
+        """Distinct actuals whose squared deviations all underflow give
+        SST 0.0: an error, not a ``ZeroDivisionError``."""
+        with pytest.raises(ValueError, match="zero variance"):
+            wg.r2([0.0, 0.0, 0.0], [0.0, 0.0, 7e-184])
+
     def test_length_mismatch_and_empty(self):
         with pytest.raises(ValueError, match="length mismatch"):
             wg.nrmse([0.1], [0.1, 0.2])

@@ -1,7 +1,9 @@
 """Model file round trips and failure modes."""
 
 import json
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -210,6 +212,48 @@ class TestFailureModes:
     def test_unserializable_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize"):
             wg.save_model(object(), tmp_path / "m.json")
+
+
+def assert_same_model(a, b, where="model"):
+    """``a`` equals ``b`` in every dataclass field, recursively: arrays by
+    dtype, shape and bytes, every other value by type and ``repr``."""
+    assert type(a) is type(b), where
+    if is_dataclass(a):
+        for f in fields(a):
+            assert_same_model(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert a.tobytes() == b.tobytes(), where
+    elif isinstance(a, (tuple, list, dict)):
+        assert len(a) == len(b), where
+        keys = list(a) if isinstance(a, dict) else range(len(a))
+        for k in keys:
+            assert_same_model(a[k], b[k], f"{where}[{k!r}]")
+    else:
+        assert repr(a) == repr(b), where
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n_features=st.integers(2, 4),
+       budget=st.sampled_from([0, 1, "all"]), bagging_count=st.integers(1, 2),
+       n_lags=st.integers(2, 5))
+def test_every_model_reloads_equal_field_for_field(seed, n_features, budget,
+                                                   bagging_count, n_lags):
+    """A model is exactly what its file holds: ``load_model`` of a saved
+    model of any kind gives a model equal to it in every field."""
+    glassbox, _, _ = small_fit(seed, n_features, 2, budget=budget,
+                               bagging_count=bagging_count)
+    frame = wg.make_autocorrelated_series(150, seed=seed)
+    raw = wg.build_lag_features(frame, n_lags=n_lags, horizon_steps=1)
+    split = wg.chronological_split(raw.n_rows)
+    matrix = wg.normalize_fit_apply(raw, split.train)
+    models = [glassbox, wg.fit_rt_baseline(matrix, split.train, max_bins=8),
+              wg.fit_ols(matrix, split.train), wg.PersistenceModel.from_matrix(matrix)]
+    with tempfile.TemporaryDirectory() as folder:
+        for k, model in enumerate(models):
+            path = Path(folder) / f"{k}.json"
+            wg.save_model(model, path)
+            assert_same_model(wg.load_model(path), model)
 
 
 @pytest.fixture(scope="module")

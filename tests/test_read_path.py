@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import windglass as wg
 from windglass import data, glassbox
-from conftest import coarse_map, fits, small_fit
+from conftest import coarse_map, fit_args, fits, small_fit, training_losses
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +107,13 @@ def test_every_table_is_centered(fit):
 
 
 @settings(max_examples=60, deadline=None)
-@given(fit=fits)
-def test_training_loss_never_increases(fit):
+@given(kw=fit_args)
+def test_training_loss_never_increases(kw):
     """Each boosting step, main effects then pairs, is a least-squares
     fit scaled by a learning rate below one, so the training MSE never
     rises (up to rounding)."""
-    model, _, _ = fit
-    curve = np.asarray(model.train_loss_curve)
+    (model, _, _), curve = training_losses(lambda: small_fit(**kw))
+    curve = np.asarray(curve)
     assert len(curve) >= 2 * model.n_features
     assert np.all(np.diff(curve) <= 1e-12)
 
@@ -182,6 +182,18 @@ def test_training_derives_the_coarse_maps_once(tmp_path):
         wg.load_model(tmp_path / "m.json")
         assert derive.call_count == 2
     assert model.pairs
+
+
+def test_breakdown_without_pairs_derives_no_coarse_maps():
+    """Only pair terms read a coarse map, so neither a forecast nor the
+    first breakdown of a model without pairs derives any."""
+    model, matrix, _ = small_fit(seed=9, n_features=3, rounds=2, budget=0)
+    assert model.pairs == ()
+    fresh = replace(model)  # a new instance: nothing derived yet
+    with mock.patch.object(glassbox, "_coarse_maps", wraps=glassbox._coarse_maps) as derive:
+        fresh.predict_with_breakdown(matrix.X[0])
+        fresh.predict(matrix.X)
+        assert derive.call_count == 0
 
 
 @pytest.mark.parametrize("bagging_count", [2, 3])
