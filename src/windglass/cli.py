@@ -120,6 +120,11 @@ def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(s) for s in _names(raw))
 
 
+def _delimiter(raw: str) -> str:
+    """``tab`` names a tab, which configparser strips from a value."""
+    return "\t" if raw == "tab" else raw
+
+
 # Every config key outside [train]: (section, key) -> (RunConfig field,
 # parser of its text). Defaults are RunConfig's; [train] keys are
 # TrainConfig's fields.
@@ -128,7 +133,7 @@ _KEYS = {
     ("data", "timestamp_column"): ("timestamp_column", str),
     ("data", "target_column"): ("target_column", str),
     ("data", "timestamp_format"): ("timestamp_format", str),
-    ("data", "delimiter"): ("delimiter", str),
+    ("data", "delimiter"): ("delimiter", _delimiter),
     ("data", "exogenous_columns"): ("exogenous_columns", _names),
     ("features", "mode"): ("feature_mode", str),
     ("features", "n_lags"): ("n_lags", int),
@@ -212,10 +217,12 @@ def read_run_config(path, overrides=()) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _schema(cfg: RunConfig) -> CsvSchema:
+    # Lag features read the target alone, so no other column is parsed
+    # (and a bad value in one cannot drop a row).
     return CsvSchema(
         timestamp_column=cfg.timestamp_column,
         target_column=cfg.target_column,
-        exogenous_columns=cfg.exogenous_columns,
+        exogenous_columns=() if cfg.feature_mode == "lags" else cfg.exogenous_columns,
         timestamp_format=cfg.timestamp_format,
         delimiter=cfg.delimiter,
     )

@@ -144,9 +144,6 @@ class NormParams:
         hi = self.feature_max[feature]
         return lo + np.asarray(values) * (hi - lo)
 
-    def invert_target(self, values: np.ndarray) -> np.ndarray:
-        return self.target_min + np.asarray(values) * (self.target_max - self.target_min)
-
 
 @dataclass(frozen=True)
 class SupervisedMatrix:

@@ -18,23 +18,23 @@ model (``GlassBoxModel._one_row``). Either way a non-finite input raises
 ``ValueError`` rather than landing in an edge bin.
 
 Training is cyclic gradient boosting: each round visits every term in
-round-robin order, fits a shallow bin-restricted tree to the current
-residuals, and adds a small multiple of the tree's lookup table into the
-term. Round-robin visits stop greedy features from absorbing their
-neighbours' signal, which keeps the tables honest as explanations.
-Main effects are boosted to convergence first; interaction terms are
-then boosted on what is left.
+round-robin order, fits a shallow bin-restricted tree's lookup table to
+the current residuals' histogram (:func:`.trees.histogram_table`), and
+adds a small multiple of that table into the term. Round-robin visits
+stop greedy features from absorbing their neighbours' signal, which
+keeps the tables honest as explanations. Main effects are boosted to
+convergence first; interaction terms are then boosted on what is left.
 
 Both stages run the same engine, :func:`_boost`, on rows :func:`train`
-bins once (a bag indexes them). A term is a tuple of features with a
-table of one axis (a shape function over bins) or two (a pair grid over
-coarse bins, cells from :func:`_pair_cells`). A stage hands it every
-row's flat cell in each table and every row's residual; it checks them
-against the split, counts training rows per cell, boosts, and centers
-the tables with :func:`_center`, which also serves a bagged average. A
-feature's coarse bins are derived once per fit, never stored
-(``GlassBoxModel.coarse_maps``, every feature's in one pass): its main
-bins grouped into runs of near-equal ``BinningMap.populations``.
+bins once (a bag indexes them). A term is a table of one axis (a shape
+function over bins) or two (a pair grid over coarse bins, cells from
+:func:`_pair_cells`). A stage hands it every row's flat cell in each
+table and every row's residual; it checks them against the split,
+counts training rows per cell, boosts, and centers the tables with
+:func:`_center`, which also serves a bagged average. A feature's coarse
+bins are derived once per fit, never stored (``GlassBoxModel.coarse_maps``,
+every feature's in one pass): its main bins grouped into runs of
+near-equal ``BinningMap.populations``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .data import (BinningMap, DataSplit, NormParams, SupervisedMatrix, apply_bins,
                    bin_row, edge_matrix, fit_bins)
-from .trees import TreeParams, restricted_tree_from_histogram, tree_as_bin_table
+from .trees import TreeParams, histogram_table
 
 __all__ = [
     "TrainConfig",
@@ -123,6 +123,8 @@ class TrainConfig:
             raise ValueError("bin counts must be >= 2")
         if self.bagging_count < 1:
             raise ValueError("bagging_count must be >= 1")
+        if self.seed < 0 and self.bagging_count > 1:
+            raise ValueError("seed must be >= 0 when bagging_count > 1")
         for depth in (self.main_depth, self.pair_depth):
             self._tree_params(depth)
         if isinstance(self.interaction_budget, str):
@@ -311,17 +313,17 @@ def _one_row_tables(model: GlassBoxModel) -> _OneRow:
 # The cyclic boosting engine
 # ---------------------------------------------------------------------------
 
-def _boost(terms, shapes, cells, r, split, depth, config, intercept):
+def _boost(shapes, cells, r, split, depth, config, intercept):
     """Cyclic boosting of lookup-table terms, from row cells to centered tables.
 
-    Term ``t`` is the feature tuple ``terms[t]`` with a table of shape
-    ``shapes[t]`` (one axis for a shape function, two for a pair grid);
-    ``cells[t]`` holds every row's flat cell in it and ``r`` every row's
-    residual, each with ``split.n_rows`` entries or ``ValueError``. Each
-    round visits the terms in order, fits a depth-``depth`` tree
-    restricted to the term's features on the training rows' residual
-    histogram, and adds ``learning_rate`` times its lookup table to the
-    term. Rounds stop at ``max_rounds`` or after ``early_stop_patience``
+    Term ``t`` has a table of shape ``shapes[t]`` (one axis for a shape
+    function, two for a pair grid); ``cells[t]`` holds every row's flat
+    cell in it and ``r`` every row's residual, each with
+    ``split.n_rows`` entries or ``ValueError``. Each round visits the
+    terms in order, sums the training rows' residuals per cell, and
+    adds ``learning_rate`` times the table of the depth-``depth`` tree
+    fitted on that histogram (:func:`histogram_table`) to the term.
+    Rounds stop at ``max_rounds`` or after ``early_stop_patience``
     rounds whose validation RMSE fails to beat the best seen by
     ``early_stop_tol``. The tables are then centered on the training
     rows per cell (:func:`_center`).
@@ -339,18 +341,15 @@ def _boost(terms, shapes, cells, r, split, depth, config, intercept):
     tables = [np.zeros(shape) for shape in shapes]
     # Everything a step reads that never changes is built before the
     # rounds; the boosting loop is the training hot path.
-    steps = [(term, cnt, dict(zip(term, cnt.shape)), table, c_tr, c_va)
-             for term, cnt, table, c_tr, c_va
-             in zip(terms, cnts, tables, cells_tr, cells_va)]
+    steps = list(zip(cnts, tables, cells_tr, cells_va))
     best, wait = np.inf, 0
     val_curve: list[float] = []
     rounds = 0
     for _ in range(config.max_rounds):
-        for term, cnt, term_bins, table, c_tr, c_va in steps:
+        for cnt, table, c_tr, c_va in steps:
             sums = np.bincount(c_tr, weights=r_train, minlength=cnt.size
                                ).reshape(cnt.shape)
-            tree = restricted_tree_from_histogram(cnt, sums, term, params)
-            delta = config.learning_rate * tree_as_bin_table(tree, term_bins)
+            delta = config.learning_rate * histogram_table(cnt, sums, params)
             table += delta
             flat = delta.ravel()
             r_train -= flat[c_tr]
@@ -416,7 +415,7 @@ def _train_main_effects(Xb, y, split, bins, config, matrix):
     n = Xb.shape[1]
     intercept = float(y[split.train_slice].mean())
     shape_values, intercept, rounds, val_curve = _boost(
-        [(f,) for f in range(n)], [(bins.n_bins(f),) for f in range(n)], Xb.T,
+        [(bins.n_bins(f),) for f in range(n)], Xb.T,
         y - intercept, split, config.main_depth, config, intercept)
 
     model = GlassBoxModel(
@@ -567,7 +566,7 @@ def train_interactions(model: GlassBoxModel, X_binned: np.ndarray, split: DataSp
     coarse, sizes = _coarse(Xb, model.coarse_maps)
     shapes, cells = zip(*_pair_cells(coarse, sizes, pairs))
     grids, intercept, rounds, val_curve = _boost(
-        pairs, shapes, cells, np.asarray(residuals, dtype=np.float64), split,
+        shapes, cells, np.asarray(residuals, dtype=np.float64), split,
         model.config.pair_depth, model.config, model.intercept)
 
     return _with_maps(replace(

@@ -7,24 +7,23 @@ which is what the additive model's shape functions are built from.
 
 One fitter per criterion (:class:`TreeParams` names none):
 
-* squared error, mean leaves: :func:`restricted_tree_from_histogram`,
-  the boosting engine's weak learner on one feature or a pair. Mean
-  leaves are what make each boosting step non-increasing in training
-  MSE.
+* squared error, mean leaves: :func:`histogram_table`, the boosting
+  engine's weak learner on one feature or a pair, fitted straight from
+  residual histograms into its lookup table. Mean leaves are what make
+  each boosting step non-increasing in training MSE.
 * absolute error, median leaves: :func:`fit_cart`, the standalone
   regression-tree baseline on rows of every column.
 
 Tie-breaking is deterministic: among equal-gain splits the lowest
 feature index wins, then the lowest threshold bin.
 
-The boosting engine fits its weak learners straight from residual
-histograms (:func:`restricted_tree_from_histogram`), where per-tree
-interpreter overhead, not rows, sets the cost. Pair trees therefore
-grow level-wise, scoring every node of a depth in one vectorised pass;
-single-feature trees, with at most three internal nodes at the default
-depth, grow depth-first. Both reproduce a node-at-a-time recursion bit
-for bit (the exactness rule is in that function's docstring), and
-one fill turns either into its table (:func:`tree_as_bin_table`).
+On histograms, per-step interpreter overhead, not rows, sets the cost.
+A single-feature step builds no tree: it grows depth-first, at most
+three internal nodes at the default depth, straight into its table. A
+pair step grows its tree level-wise, scoring every node of a depth in
+one vectorised pass (:func:`restricted_tree_from_histogram`), and fills
+its table from it (:func:`tree_as_bin_table`). Both reproduce a
+node-at-a-time recursion bit for bit.
 
 The regression-tree baseline's absolute-error search scores a node's
 features together: it sorts the node's targets once and scores every
@@ -48,6 +47,7 @@ __all__ = [
     "RegressionTree",
     "fit_cart",
     "restricted_tree_from_histogram",
+    "histogram_table",
     "predict_tree",
     "tree_as_bin_table",
 ]
@@ -220,8 +220,8 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams) -> Regress
     y : float array, shape (m,)
         Targets.
     params : TreeParams
-        Stopping rules; squared-error trees come from
-        :func:`restricted_tree_from_histogram`.
+        Stopping rules; squared-error tables come from
+        :func:`histogram_table`.
     """
     Xb = np.asarray(X_binned)
     y = np.asarray(y, dtype=np.float64)
@@ -275,42 +275,6 @@ def _split_gains(cum, min_leaf):
     return gain
 
 
-def _grow_1d(cnt, sums, feature, params) -> tuple[TreeNode, ...]:
-    """Single-feature SSE tree grown depth-first on the histogram.
-
-    Every node is a bin interval, so its cumulative counts and sums are
-    slices of the histogram's global ones minus their first value. A
-    depth-2 tree has at most three internal nodes: growing it
-    level-wise saves one scoring pass but spends more than that
-    gathering the nodes into padded rows. It is kept apart from
-    :func:`_grow_2d`: their exact summation rules differ.
-    """
-    cum = np.zeros((2, len(cnt) + 1))
-    np.cumsum(np.stack((cnt, sums)), axis=1, out=cum[:, 1:])
-    cnt_cum, sum_cum = cum
-    nodes: list[TreeNode] = []
-
-    def grow(lo, hi, depth):
-        c = cnt_cum[hi] - cnt_cum[lo]
-        s = sum_cum[hi] - sum_cum[lo]
-        nid = len(nodes)
-        nodes.append(TreeNode(-1, -1, -1, -1, s / c, int(c)))
-        if depth >= params.max_depth or c < params.min_samples_split or hi - lo < 2:
-            return nid
-        gains = _split_gains(cum[:, None, lo + 1:hi + 1] - cum[:, None, lo:lo + 1],
-                             params.min_samples_leaf)[0]
-        k = int(gains.argmax())
-        if gains[k] <= MIN_GAIN:
-            return nid
-        left = grow(lo, lo + k + 1, depth + 1)
-        right = grow(lo + k + 1, hi, depth + 1)
-        nodes[nid] = TreeNode(feature, lo + k, left, right, nodes[nid].value, int(c))
-        return nid
-
-    grow(0, len(cnt), 0)
-    return tuple(nodes)
-
-
 def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
     """Feature-pair SSE tree grown level-wise on the 2-D histogram.
 
@@ -321,7 +285,7 @@ def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
     over its axis-0 thresholds followed by its axis-1 thresholds, so
     the lowest axis and then the lowest threshold win ties. The nodes
     come back in preorder, as a depth-first recursion makes them. Slice
-    sums, not :func:`_grow_1d`'s cumulative differences, keep it exact.
+    sums, not differences of cumulative sums, keep it exact.
     """
     both = np.stack((cnt2, sum2))
     level = [(0, cnt2.shape[0], 0, cnt2.shape[1], total)]
@@ -381,36 +345,30 @@ def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
 
 def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
                                    ) -> RegressionTree:
-    """Fit a 1- or 2-feature SSE tree straight from residual histograms.
+    """Fit a feature-pair SSE tree straight from residual histograms.
 
-    ``cnt``/``sums`` are the per-bin (or per bin-pair) row counts and
-    residual sums; ``features`` maps histogram axes to global feature
-    indices. This is the boosting engine's weak learner: it fits the
-    squared-error tree of those features without touching rows.
-
-    A pair tree grows level-wise: all open nodes of one depth are
-    scored in a single vectorised pass. A single-feature tree grows
-    depth-first. Either way the nodes come back in preorder and are
+    ``cnt``/``sums`` are the per bin-pair row counts and residual sums;
+    ``features`` maps the two histogram axes to global feature indices.
+    The tree grows level-wise: all open nodes of one depth are scored
+    in a single vectorised pass. Its nodes come back in preorder and are
     bit-for-bit those of a recursion that scores one node at a time.
     Exactness rests on one rule: counts are whole numbers, so they may
     be summed in any order, but residual sums keep the recursion's
-    order. A 1-D node's sums are differences of the histogram's
-    cumulative sums. A 2-D node's marginal sums are its slice's
-    ``sum(axis)``, accumulated by ``cumsum``, and its value is the
-    slice's ``sum()`` over its count. Zero padding after the end of a
-    marginal is exact; a summed-area table of the sums is not, since it
-    rounds differently.
+    order. A node's marginal sums are its slice's ``sum(axis)``,
+    accumulated by ``cumsum``, and its value is the slice's ``sum()``
+    over its count. Zero padding after the end of a marginal is exact;
+    a summed-area table of the sums is not, since it rounds differently.
+    A one-feature histogram raises ``ValueError``: its table comes from
+    :func:`histogram_table`, with no tree.
     """
     total = float(cnt.sum())
     if total <= 0:
         raise ValueError("histogram holds no rows")
+    if cnt.ndim != 2:
+        raise ValueError("a histogram tree is fit on a feature pair only")
+    fi, fj = features
     with np.errstate(divide="ignore", invalid="ignore"):
-        if cnt.ndim == 1:
-            (f,) = features
-            nodes = _grow_1d(cnt, sums, f, params)
-        else:
-            fi, fj = features
-            nodes = _grow_2d(cnt, sums, total, fi, fj, params)
+        nodes = _grow_2d(cnt, sums, total, fi, fj, params)
     return RegressionTree(nodes=nodes, params=params)
 
 
@@ -475,3 +433,44 @@ def tree_as_bin_table(tree: RegressionTree, feature_bins: dict[int, int]) -> np.
 
     fill(0, 0, grid.shape[0], 0, grid.shape[1])
     return table
+
+
+def histogram_table(cnt, sums, params: TreeParams) -> np.ndarray:
+    """The lookup table of the SSE tree fitted on a residual histogram,
+    the boosting engine's one tree-layer call per step.
+
+    ``cnt``/``sums`` are the row counts and residual sums per bin of one
+    feature, or per cell of a pair's grid; the table has their shape. A
+    pair's table is its :func:`restricted_tree_from_histogram` tree,
+    filled. A feature's builds no tree: a depth-first recursion over
+    bin intervals scores each node on differences of the histogram's
+    cumulative counts and sums, and each leaf, reached left to right,
+    repeats its mean across its interval. Either table is bit for bit
+    that of the tree a node-at-a-time recursion grows.
+    """
+    if cnt.ndim == 2:
+        tree = restricted_tree_from_histogram(cnt, sums, (0, 1), params)
+        return tree_as_bin_table(tree, dict(enumerate(cnt.shape)))
+    cum = np.zeros((2, len(cnt) + 1))
+    np.cumsum(np.stack((cnt, sums)), axis=1, out=cum[:, 1:])
+    cnt_cum, sum_cum = cum
+    if not cnt_cum[-1] > 0:
+        raise ValueError("histogram holds no rows")
+    values, widths = [], []
+
+    def grow(lo, hi, depth):
+        c = cnt_cum[hi] - cnt_cum[lo]
+        if depth < params.max_depth and c >= params.min_samples_split and hi - lo > 1:
+            gains = _split_gains(cum[:, None, lo + 1:hi + 1] - cum[:, None, lo:lo + 1],
+                                 params.min_samples_leaf)[0]
+            k = int(gains.argmax())
+            if gains[k] > MIN_GAIN:
+                grow(lo, lo + k + 1, depth + 1)
+                grow(lo + k + 1, hi, depth + 1)
+                return
+        values.append((sum_cum[hi] - sum_cum[lo]) / c)
+        widths.append(hi - lo)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grow(0, len(cnt), 0)
+    return np.repeat(values, widths)

@@ -47,20 +47,20 @@ def training_losses(train_call):
     The engine keeps no loss, so this replays each step's residual
     update, the float operations of ``glassbox._boost``, as the step's
     table is made. ``_boost`` is wrapped to read each stage's training
-    residuals and cells, ``tree_as_bin_table`` to read each table; no
+    residuals and cells, ``histogram_table`` to read each table; no
     table is kept.
     """
-    boost, make_table = glassbox._boost, glassbox.tree_as_bin_table
+    boost, make_table = glassbox._boost, glassbox.histogram_table
     losses, stage = [], {}
 
-    def start_stage(terms, shapes, cells, r, split, depth, config, intercept):
+    def start_stage(shapes, cells, r, split, depth, config, intercept):
         tr = split.train_slice
         stage.update(r_train=r[tr].copy(), cells_tr=[c[tr] for c in cells],
                      rate=config.learning_rate, step=0)
-        return boost(terms, shapes, cells, r, split, depth, config, intercept)
+        return boost(shapes, cells, r, split, depth, config, intercept)
 
-    def replay_step(tree, term_bins):
-        table = make_table(tree, term_bins)
+    def replay_step(cnt, sums, params):
+        table = make_table(cnt, sums, params)
         cells_tr = stage["cells_tr"]
         r_train = stage["r_train"]
         r_train -= (stage["rate"] * table).ravel()[cells_tr[stage["step"] % len(cells_tr)]]
@@ -69,7 +69,7 @@ def training_losses(train_call):
         return table
 
     with mock.patch.object(glassbox, "_boost", wraps=start_stage), \
-            mock.patch.object(glassbox, "tree_as_bin_table", wraps=replay_step):
+            mock.patch.object(glassbox, "histogram_table", wraps=replay_step):
         result = train_call()
     return result, losses
 

@@ -133,6 +133,53 @@ class TestTrain:
                      "--set", f"data.delimiter={delimiter}"]) == EXIT_USAGE
         assert "data.delimiter must be one character" in capsys.readouterr().err
 
+    def test_tab_delimiter(self, run_dir, tmp_path):
+        """``delimiter = tab`` reads a tab-separated file (configparser
+        strips a literal tab); it trains the comma-separated file's model."""
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        comma = (out / "windebm.model.json").read_bytes()
+        frame = wg.make_autocorrelated_series(1200, seed=6)
+        tsv = write_series_csv(tmp_path / "wind.tsv", frame.timestamps, frame.target,
+                               delimiter="\t")
+        cfg.write_text(cfg.read_text().replace(
+            "target_column = power\n", "target_column = power\ndelimiter = tab\n"))
+        assert main(["train", "--config", str(cfg), "--set", f"data.path={tsv}"]) == EXIT_OK
+        assert (out / "windebm.model.json").read_bytes() == comma
+
+    def test_negative_seed_with_bagging_is_usage_error(self, run_dir, capsys):
+        """A bagged fit cannot seed its draws with a negative seed: exit
+        2 before training. Without bagging the seed is unused and trains."""
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg), "--set", "train.seed=-3",
+                     "--set", "train.bagging_count=2"]) == EXIT_USAGE
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (out / "windebm.model.json").exists()
+        assert main(["train", "--config", str(cfg), "--set", "train.seed=-3"]) == EXIT_OK
+
+    def test_lag_mode_reads_only_timestamp_and_target(self, tmp_path, capsys):
+        """In lag mode another column's bad value drops no row: every
+        lag window is kept and the model is the one trained without it."""
+        frame = wg.make_autocorrelated_series(200, seed=6)
+        note = np.zeros(200)
+        paths = {}
+        for name, extra in (("plain", {}), ("noted", {"note": note})):
+            csv_path = write_series_csv(tmp_path / f"{name}.csv", frame.timestamps,
+                                        frame.target, extra)
+            paths[name] = csv_path
+        lines = paths["noted"].read_text().splitlines()
+        lines[50] = lines[50].rsplit(",", 1)[0] + ",n/a"
+        paths["noted"].write_text("\n".join(lines) + "\n")
+        models = {}
+        for name, csv_path in paths.items():
+            out = tmp_path / name
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(BASE_CONFIG.format(csv=csv_path, out=out))
+            assert main(["train", "--config", str(cfg)]) == EXIT_OK
+            models[name] = (out / "windebm.model.json").read_bytes()
+        assert "dropped" not in capsys.readouterr().out
+        assert models["noted"] == models["plain"]
+
     @pytest.mark.parametrize("setting", [
         "split.train=0.9", "split.train=nan", "split.validation=inf",
         "split.test=-inf", "split.test=0",

@@ -80,7 +80,7 @@ OVERRIDES = {
     "features.horizon_steps": ["1", "3", "0", "400"],
     "model.kind": [*MODEL_KINDS, "xgboost"],
     "data.timestamp_format": ["iso8601", "epoch", "unix"],
-    "data.delimiter": [",", ";", "", "::"],
+    "data.delimiter": [",", ";", "", "::", "tab"],
     "data.exogenous_columns": ["wind", "nope", "wind,power", ""],
     "train.interaction_budget": ["0", "1", "all", "auto", "-1", "many"],
     "train.bagging_count": ["1", "2", "0"],

@@ -175,6 +175,13 @@ class TestMainEffects:
         with pytest.raises(ValueError, match=message):
             wg.TrainConfig(**setting)
 
+    def test_negative_seed_rejected_only_when_bagging(self):
+        """A bagged fit seeds its bootstrap draws with the seed, which
+        numpy refuses when negative; an unbagged fit never reads it."""
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            wg.TrainConfig(seed=-3, bagging_count=2)
+        assert wg.TrainConfig(seed=-3).seed == -3
+
     @pytest.mark.parametrize("extra", [-100, 100])
     def test_split_for_other_row_count_errors(self, trained_setup, extra):
         model, matrix, _ = trained_setup

@@ -1,18 +1,25 @@
-"""Property test: the histogram tree kernel against the node-at-a-time
-recursion it replaced.
+"""Property tests: the histogram tree kernels against the
+node-at-a-time recursion they replaced.
 
-The reference below grows one node at a time and scores each node's
-candidate splits on its own cumulative histogram. The kernel (level-wise
-for pair trees) must give the same nodes, in the same order, with the
-same field values, and so the same lookup tables byte for byte.
+The references below grow one node at a time and score each node's
+candidate splits on its own cumulative histogram. The pair kernel
+(level-wise) must give the same nodes, in the same order, with the same
+field values. ``histogram_table``, which builds no tree for one feature,
+must give the reference tree's lookup table byte for byte.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
-from windglass.trees import MIN_GAIN, TreeNode, restricted_tree_from_histogram
+from windglass import trees
+from windglass.trees import (MIN_GAIN, TreeNode, histogram_table,
+                             restricted_tree_from_histogram)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +131,13 @@ def histograms(draw, max_side, n_axes):
     """Counts and residual sums on a random grid, at least one row in all.
 
     ``style`` picks the tie-heavy cases: whole-number sums, all-zero
-    sums, and empty lines of bins, besides continuous sums.
+    sums, and empty lines of bins, besides continuous sums. ``flat``
+    gives every bin one mean, so every gain is rounding noise around
+    zero and only ``MIN_GAIN`` stops a split.
     """
     shape = tuple(draw(st.integers(1, max_side)) for _ in range(n_axes))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    style = draw(st.sampled_from(["normal", "integer", "zero", "sparse"]))
+    style = draw(st.sampled_from(["normal", "integer", "zero", "sparse", "flat"]))
     rng = np.random.default_rng(seed)
     cnt = rng.integers(0, 6, size=shape).astype(np.float64)
     if style == "sparse":
@@ -145,25 +154,42 @@ def histograms(draw, max_side, n_axes):
         sums = rng.integers(-3, 4, size=shape) * cnt
     elif style == "zero":
         sums = np.zeros(shape)
+    elif style == "flat":
+        sums = cnt * 0.1
     else:
         sums = rng.normal(size=shape) * np.sqrt(cnt)
     return cnt, sums
 
 
-def _same_as_reference(tree, ref_nodes, feature_bins):
-    assert tree.nodes == ref_nodes
-    ref_tree = wg.RegressionTree(nodes=ref_nodes, params=tree.params)
-    table = wg.tree_as_bin_table(tree, feature_bins)
-    assert table.tobytes() == wg.tree_as_bin_table(ref_tree, feature_bins).tobytes()
+def reference_table(cnt, sums, params):
+    """The lookup table of the reference tree on a 1- or 2-D histogram,
+    its axes taken as features 0 (and 1)."""
+    if cnt.ndim == 1:
+        nodes = reference_grow_1d(cnt, sums, 0, params)
+    else:
+        nodes = reference_grow_2d(cnt, sums, 0, 1, params)
+    tree = wg.RegressionTree(nodes=nodes, params=params)
+    return wg.tree_as_bin_table(tree, dict(enumerate(cnt.shape)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hist=st.one_of(histograms(256, 1), histograms(32, 2)), params=PARAMS)
+def test_histogram_table_matches_reference_tree(hist, params):
+    cnt, sums = hist
+    table = histogram_table(cnt, sums, params)
+    assert table.tobytes() == reference_table(cnt, sums, params).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(hist=histograms(256, 1), params=PARAMS, feature=st.integers(0, 5))
 def test_1d_kernel_matches_recursion(hist, params, feature):
+    """A one-feature table is the reference tree's, whatever feature
+    index the tree names."""
     cnt, sums = hist
-    tree = restricted_tree_from_histogram(cnt, sums, (feature,), params)
-    ref = reference_grow_1d(cnt, sums, feature, params)
-    _same_as_reference(tree, ref, {feature: len(cnt)})
+    ref_tree = wg.RegressionTree(nodes=reference_grow_1d(cnt, sums, feature, params),
+                                 params=params)
+    table = wg.tree_as_bin_table(ref_tree, {feature: len(cnt)})
+    assert histogram_table(cnt, sums, params).tobytes() == table.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,4 +198,27 @@ def test_2d_kernel_matches_recursion(hist, params):
     cnt, sums = hist
     tree = restricted_tree_from_histogram(cnt, sums, (2, 5), params)
     ref = reference_grow_2d(cnt, sums, 2, 5, params)
-    _same_as_reference(tree, ref, {2: cnt.shape[0], 5: cnt.shape[1]})
+    assert tree.nodes == ref
+    ref_tree = wg.RegressionTree(nodes=ref, params=tree.params)
+    feature_bins = {2: cnt.shape[0], 5: cnt.shape[1]}
+    table = wg.tree_as_bin_table(tree, feature_bins)
+    assert table.tobytes() == wg.tree_as_bin_table(ref_tree, feature_bins).tobytes()
+
+
+def test_no_tree_for_one_feature():
+    """``restricted_tree_from_histogram`` refuses a one-feature
+    histogram, and a fit of shape functions alone builds no tree."""
+    with pytest.raises(ValueError, match="pair"):
+        restricted_tree_from_histogram(np.ones(4), np.zeros(4), (0,), wg.TreeParams())
+    raw = wg.make_interaction_data(300, seed=3)
+    split = wg.chronological_split(raw.n_rows)
+    matrix = wg.normalize_fit_apply(raw, split.train)
+    config = wg.TrainConfig(learning_rate=0.1, max_rounds=5, interaction_budget=0)
+    with mock.patch.object(trees, "TreeNode", wraps=TreeNode) as node, \
+            mock.patch.object(trees, "RegressionTree", wraps=wg.RegressionTree) as tree:
+        model = wg.train(matrix, split, config)
+        assert model.rounds_main == 5 and not model.pairs
+        assert node.call_count == tree.call_count == 0
+        # The same wrappers see the trees of a pair stage.
+        wg.train(matrix, split, replace(config, interaction_budget=1))
+        assert node.call_count > 0 and tree.call_count > 0

@@ -10,20 +10,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
-from windglass.trees import MIN_GAIN, restricted_tree_from_histogram
+from windglass.trees import MIN_GAIN, histogram_table, restricted_tree_from_histogram
 from conftest import n_leaves, tree_depth
+from test_histogram_kernel import reference_grow_1d
 
 
-def hist_tree(Xb, y, allowed, params):
-    """The histogram kernel fitted on the count and residual-sum
-    histograms of rows ``Xb`` over one feature or a pair."""
+def histograms_of(Xb, y, allowed):
+    """The count and residual-sum histograms of rows ``Xb`` over one
+    feature or a pair."""
     cols = tuple(Xb[:, f] for f in allowed)
     shape = tuple(int(c.max()) + 1 for c in cols)
     cell = np.ravel_multi_index(cols, shape)
     size = int(np.prod(shape))
     cnt = np.bincount(cell, minlength=size).astype(np.float64).reshape(shape)
     sums = np.bincount(cell, weights=y, minlength=size).reshape(shape)
-    return restricted_tree_from_histogram(cnt, sums, tuple(allowed), params)
+    return cnt, sums
+
+
+def hist_tree(Xb, y, allowed, params):
+    """The pair kernel's tree on the histograms of rows ``Xb``."""
+    return restricted_tree_from_histogram(*histograms_of(Xb, y, allowed),
+                                          tuple(allowed), params)
+
+
+def hist_table(Xb, y, allowed, params):
+    """``histogram_table`` of the histograms of rows ``Xb``."""
+    return histogram_table(*histograms_of(Xb, y, allowed), params)
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +73,10 @@ def brute_best_split(Xb, y, allowed, n_bins, min_leaf, criterion="sse"):
 @st.composite
 def bin_trees(draw):
     """A tree on one feature or a pair with its table's bin counts:
-    either the histogram kernel's, on counts with empty bins and
-    features at any index, or ``fit_cart``'s on one or two columns,
-    whose tables may reach past the top bin seen."""
+    either a histogram tree (the pair kernel's, or the reference
+    grower's on one feature), on counts with empty bins and features at
+    any index, or ``fit_cart``'s on one or two columns, whose tables may
+    reach past the top bin seen."""
     n_axes = draw(st.integers(1, 2))
     depth = draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -77,7 +90,11 @@ def bin_trees(draw):
                                              max_size=n_axes))))
         params = wg.TreeParams(max_depth=depth,
                                min_samples_leaf=draw(st.integers(1, 2)))
-        tree = restricted_tree_from_histogram(cnt, sums, features, params)
+        if n_axes == 1:
+            nodes = reference_grow_1d(cnt, sums, features[0], params)
+            tree = wg.RegressionTree(nodes=nodes, params=params)
+        else:
+            tree = restricted_tree_from_histogram(cnt, sums, features, params)
         return tree, dict(zip(features, shape))
     m = draw(st.integers(2, 80))
     Xb = rng.integers(0, draw(st.integers(1, 16)), size=(m, n_axes))
@@ -227,8 +244,7 @@ class TestRestrictedTrees:
         g = np.array([0.3, -0.1, 0.8, 0.2])
         y = g[bins]
         Xb = np.column_stack([bins, rng.integers(0, 4, size=500)])
-        tree = hist_tree(Xb, y, [0], wg.TreeParams(max_depth=2))
-        table = wg.tree_as_bin_table(tree, {0: 4})
+        table = hist_table(Xb, y, [0], wg.TreeParams(max_depth=2))
         np.testing.assert_allclose(table, g, atol=1e-9)
 
     def test_signal_on_disallowed_feature_gives_flat_tree(self):
@@ -238,17 +254,17 @@ class TestRestrictedTrees:
         Xb = np.column_stack([rng.integers(0, 4, size=2000),
                               rng.integers(0, 4, size=2000)])
         y = Xb[:, 1].astype(float)
-        tree = hist_tree(Xb, y, [0], wg.TreeParams(max_depth=2))
-        table = wg.tree_as_bin_table(tree, {0: 4})
+        table = hist_table(Xb, y, [0], wg.TreeParams(max_depth=2))
         oracle = brute_best_split(Xb, y, [0], [4, 4], 1)
         assert oracle[0] < 0.05 * sse_of(y)  # brute force confirms tiny gain
         assert np.all(np.abs(table - y.mean()) < 0.1)
 
     def test_zero_residuals_single_leaf_zero(self):
+        """No split gains anything, so one leaf of value zero fills the
+        table."""
         Xb = np.arange(8).reshape(-1, 1) % 4
-        tree = hist_tree(Xb, np.zeros(8), [0], wg.TreeParams())
-        assert n_leaves(tree) == 1
-        assert tree.nodes[0].value == 0.0
+        table = hist_table(Xb, np.zeros(8), [0], wg.TreeParams())
+        assert table.tobytes() == np.zeros(4).tobytes()
 
     def test_root_split_matches_brute_force(self):
         """On every single feature and every pair, the root split is the
@@ -265,13 +281,20 @@ class TestRestrictedTrees:
             min_leaf = int(rng.integers(1, 4))
             params = wg.TreeParams(max_depth=1, min_samples_leaf=min_leaf)
             for allowed in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-                tree = hist_tree(Xb, y, allowed, params)
                 oracle = brute_best_split(Xb, y, allowed, n_bins, min_leaf)
+                if len(allowed) == 1:
+                    # A depth-1 table is one leaf, or two of different
+                    # means that meet right after the threshold bin.
+                    steps = np.flatnonzero(np.diff(hist_table(Xb, y, allowed, params)))
+                    split = [(allowed[0], int(t)) for t in steps]
+                else:
+                    tree = hist_tree(Xb, y, allowed, params)
+                    split = [(nd.feature, nd.threshold) for nd in tree.nodes[:1]
+                             if not nd.is_leaf]
                 if oracle is None or oracle[0] <= MIN_GAIN:
-                    assert n_leaves(tree) == 1
+                    assert split == []
                     continue
-                root = tree.nodes[0]
-                assert (root.feature, root.threshold) == (oracle[1], oracle[2])
+                assert split == [(oracle[1], oracle[2])]
 
     def test_chosen_gain_dominates_every_candidate(self):
         """The SSE invariant: no enumerated candidate beats the chosen split."""
@@ -312,6 +335,8 @@ class TestRestrictedTrees:
             with pytest.raises(ValueError, match="no rows"):
                 restricted_tree_from_histogram(cnt, np.zeros_like(cnt),
                                                tuple(range(cnt.ndim)), wg.TreeParams())
+            with pytest.raises(ValueError, match="no rows"):
+                histogram_table(cnt, np.zeros_like(cnt), wg.TreeParams())
 
 
 class TestBinTable:
