@@ -12,6 +12,8 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +34,6 @@ __all__ = [
     "fit_bins",
     "apply_bins",
     "bin_values",
-    "edge_matrix",
     "bin_row",
     "bin_centers",
     "bin_boundaries",
@@ -474,12 +475,17 @@ class BinningMap:
     """Per-feature monotone bin edges mapping reals to histogram indices.
 
     ``edges[f]`` holds the strictly increasing interior cut points of
-    feature ``f``; a value lands in bin ``searchsorted(edges, v,
-    "right")``, so anything outside the fitted range clamps to the
-    extreme bins. ``populations[f]`` counts fitting rows per bin: the
-    glass-box model's coarse pair bins and its bagged re-centering
-    weights come from it. ``vmin``/``vmax`` record the fitted value span
-    (used for bin centers and axis denormalization).
+    feature ``f`` (``load_model`` refuses a file whose edges are not); a
+    value lands in bin ``searchsorted(edges, v, "right")``, so anything
+    outside the fitted range clamps to the extreme bins. ``populations[f]``
+    counts fitting rows per bin: the glass-box model's coarse pair bins
+    and its bagged re-centering weights come from it. ``vmin``/``vmax``
+    record the fitted value span (used for bin centers and axis
+    denormalization).
+
+    The cell index that :func:`apply_bins`, :func:`bin_values` and
+    :func:`bin_row` read is built from the edges on first use and kept
+    with the map (``cells``); it is never stored in a model file.
     """
 
     edges: tuple[np.ndarray, ...]
@@ -494,6 +500,11 @@ class BinningMap:
 
     def n_bins(self, feature: int) -> int:
         return len(self.edges[feature]) + 1
+
+    @cached_property
+    def cells(self) -> CellIndex:
+        """Every feature's edges laid out for binning; built on first read."""
+        return _cell_index(self.edges)
 
 
 def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> BinningMap:
@@ -520,8 +531,10 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
         if len(uniq) < 2:
             cuts = np.empty(0)
         elif len(uniq) <= max_bins:
-            # Few distinct values: give each its own bin.
-            cuts = 0.5 * (uniq[:-1] + uniq[1:])
+            # Few distinct values: cut midway between each two. The two
+            # midpoints of three consecutive floats can round to one
+            # value; collapsing it keeps the edges strictly increasing.
+            cuts = np.unique(0.5 * (uniq[:-1] + uniq[1:]))
         else:
             # Only here is max_bins below the row count, so a huge
             # max_bins never sizes an array.
@@ -570,40 +583,31 @@ def apply_bins(bmap: BinningMap, X: np.ndarray) -> np.ndarray:
     non-finite value raises ``ValueError`` naming its column: NaN would
     land in the top bin and +-inf in an extreme one, giving a plausible
     forecast from no data (``load_csv`` drops such rows for the same
-    reason).
+    reason). The bins are read from the map's cell index
+    (``BinningMap.cells``), a few gathers over all features at once
+    instead of a binary search per feature.
     """
     X = _feature_rows(X, bmap.n_features)
     return _bin(bmap, X, range(bmap.n_features))
 
 
-def edge_matrix(bmap: BinningMap) -> np.ndarray:
-    """Every feature's edges as one row of a (features x most edges)
-    matrix, padded with ``+inf``: what :func:`bin_row` compares with."""
-    edges = np.full((bmap.n_features, max(map(len, bmap.edges), default=0)), np.inf)
-    for row, e in zip(edges, bmap.edges):
-        row[:len(e)] = e
-    return edges
-
-
-def bin_row(edges: np.ndarray, row) -> np.ndarray:
-    """Bin index of every value of one row, ``edges`` being
-    ``edge_matrix(bmap)``: ``bin_row(edges, x)`` equals
+def bin_row(bmap: BinningMap, row) -> np.ndarray:
+    """Bin index of every value of one row: ``bin_row(bmap, x)`` equals
     ``apply_bins(bmap, x[None])[0]``, errors included.
 
-    A value's bin is the number of edges it reaches, which for a finite
-    value is ``searchsorted(edges, v, "right")`` (the ``+inf`` padding
-    is never reached). One comparison of the whole matrix beats a binary
-    search per feature for a row or two only: from about four rows up
-    :func:`apply_bins` is faster.
+    A value's bin is the number of edges it reaches, counted in one
+    comparison of the row with the cell index's ``+inf``-padded edge
+    matrix (the padding is never reached). For a row or two that beats
+    the gathers of :func:`apply_bins`.
     """
-    X = _feature_rows(np.asarray(row, dtype=np.float64).reshape(1, -1), len(edges))
-    _require_finite(X, range(len(edges)))
-    return (edges <= X.T).sum(axis=1)
+    X = _feature_rows(np.asarray(row, dtype=np.float64).reshape(1, -1), bmap.n_features)
+    _require_finite(X, range(bmap.n_features))
+    return (bmap.cells.edges <= X.T).sum(axis=1)
 
 
 def bin_values(bmap: BinningMap, feature: int, values) -> np.ndarray:
-    """Bin index of every value of one feature, by the rule of
-    :func:`apply_bins`: ``bin_values(bmap, f, X[:, f])`` equals
+    """Bin index of every value of one feature, by the rule and the cell
+    index of :func:`apply_bins`: ``bin_values(bmap, f, X[:, f])`` equals
     ``apply_bins(bmap, X)[:, f]``, and a non-finite value raises the same
     ``ValueError`` naming column ``feature``."""
     values = np.asarray(values, dtype=np.float64)
@@ -629,14 +633,107 @@ def _require_finite(X: np.ndarray, features) -> None:
         raise ValueError(f"non-finite value in feature column {features[k]}")
 
 
+# Uniform cells per edge of the binning's longest edge vector.
+_CELLS_PER_EDGE = 4
+# Edges a value is compared with inside its own cell before a binary
+# search finishes its feature.
+_CELL_STEPS = 4
+# Most values (rows x features) binned at once, bounding the temporaries.
+_BLOCK_VALUES = 16_384
+
+
+class CellIndex(NamedTuple):
+    """A binning's edges laid out so that a block of rows x features
+    bins in a few gathers.
+
+    Feature ``f``'s values are mapped to ``n_cells`` uniform cells by
+    :func:`_cell`, ``clip(floor((v - lo[f]) * scale[f]), 0, n_cells - 1)``,
+    the same map for edges and values. ``starts[f * n_cells + c]`` counts
+    ``f``'s edges in cells before ``c`` (in the narrowest unsigned dtype
+    that holds the edge counts), and row ``f`` of ``edges`` holds ``f``'s
+    edges padded with ``+inf`` to one column more than the longest.
+    """
+
+    lo: np.ndarray
+    scale: np.ndarray
+    n_cells: int
+    starts: np.ndarray
+    edges: np.ndarray
+
+
+def _cell(V: np.ndarray, lo, scale, n_cells: int) -> np.ndarray:
+    """Cell of every value of ``V``, column k by ``lo[k]`` and ``scale[k]``.
+
+    Each step (subtract, multiply, clip, truncate a non-negative float)
+    rounds monotonically, so ``v <= w`` gives ``cell(v) <= cell(w)``:
+    edges in earlier cells are at most ``v`` and edges in later cells
+    exceed it. A far-out value's offset may overflow to +-inf; it clips
+    into an end cell like any other.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        c = (V - lo) * scale
+    return np.clip(c, 0, n_cells - 1, out=c).astype(np.intp)
+
+
+def _cell_index(edges) -> CellIndex:
+    """The :class:`CellIndex` of the sorted edge vectors ``edges``."""
+    counts = np.array([len(e) for e in edges], dtype=np.intp)
+    most = int(counts.max(initial=0))
+    padded = np.full((len(edges), most + 1), np.inf)
+    padded[np.arange(most + 1) < counts[:, None]] = np.concatenate((np.empty(0), *edges))
+    n_cells = _CELLS_PER_EDGE * max(most, 1)
+    lo = np.where(counts > 0, padded[:, 0], 0.0)
+    # A feature's last edge (+inf for one without edges) sets its scale.
+    # Any finite positive scale keeps the map monotone, so one that the
+    # span's width (none, overflowing or subnormal) leaves zero or
+    # infinite is clipped: only the spread over the cells suffers.
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = n_cells / (padded[np.arange(len(edges)), counts - 1] - lo)
+    scale = np.clip(scale, 1e-300, 1e300)
+    # The +inf padding lands in the last cell, which no start counts.
+    flat = _cell(padded, lo[:, None], scale[:, None], n_cells)
+    flat += n_cells * np.arange(len(edges))[:, None]
+    per_cell = np.bincount(flat.ravel(), minlength=len(edges) * n_cells)
+    per_cell = per_cell.reshape(-1, n_cells)
+    starts = np.cumsum(per_cell, axis=1) - per_cell
+    return CellIndex(lo=lo, scale=scale, n_cells=n_cells,
+                     starts=starts.astype(np.min_scalar_type(most)).ravel(),
+                     edges=padded)
+
+
 def _bin(bmap: BinningMap, X: np.ndarray, features) -> np.ndarray:
     """Bin column k of the 2-D ``X`` by the edges of ``features[k]``,
     raising on the first column (in that order) holding a non-finite
-    value."""
+    value.
+
+    A value's bin is its cell's start plus the edges of its own cell it
+    reaches, found by up to :data:`_CELL_STEPS` gathers and compares for
+    a whole block of values. A feature that still has a value stepping
+    after the last of them is finished by ``searchsorted``.
+    """
     _require_finite(X, features)
+    index = bmap.cells
+    f = np.asarray(features, dtype=np.intp)
+    lo, scale = index.lo[f], index.scale[f]
+    first_cell = f * index.n_cells
+    first_edge = f * index.edges.shape[1]
+    edges = index.edges.ravel()
     out = np.empty(X.shape, dtype=np.int64)
-    for k, f in enumerate(features):
-        out[:, k] = bmap.edges[f].searchsorted(X[:, k], side="right")
+    rows = max(1, _BLOCK_VALUES // max(len(f), 1))
+    for a in range(0, len(X), rows):
+        V = X[a:a + rows]
+        cell = _cell(V, lo, scale, index.n_cells) + first_cell
+        pos = index.starts.take(cell) + first_edge
+        for _ in range(_CELL_STEPS):
+            step = edges.take(pos) <= V
+            if not step.any():
+                break
+            pos += step
+        else:
+            for k in np.flatnonzero(step.any(axis=0)):
+                found = bmap.edges[f[k]].searchsorted(V[:, k], side="right")
+                pos[:, k] = first_edge[k] + found
+        out[a:a + rows] = pos - first_edge
     return out
 
 

@@ -10,11 +10,13 @@ once, in ``GlassBoxModel._lookups``, which reads binned rows. A forecast
 starts at the intercept and adds one term's lookup at a time in that
 order (``_predict_binned``); the breakdown adds the same floats in the
 same order, so the two agree bit for bit. A batch is binned once per
-call by :func:`apply_bins`, a binary search per feature. A one-row
-breakdown instead counts the edges each value reaches in one comparison
-with a padded edge matrix (:func:`bin_row`), and reads its shape terms
-in one gather; those arrays and the term names are built once per
-model (``GlassBoxModel._one_row``). Either way a non-finite input raises
+call by :func:`apply_bins`, a few gathers over all features at once
+from the binning's cell index (``BinningMap.cells``, built once per
+binning). A one-row breakdown instead counts the edges each value
+reaches in one comparison with the index's padded edge matrix
+(:func:`bin_row`), and reads its shape terms in one gather; those
+arrays and the term names are built once per model
+(``GlassBoxModel._one_row``). Either way a non-finite input raises
 ``ValueError`` rather than landing in an edge bin.
 
 Training is cyclic gradient boosting: each round visits every term in
@@ -47,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (BinningMap, DataSplit, NormParams, SupervisedMatrix, apply_bins,
-                   bin_row, edge_matrix, fit_bins)
+                   bin_row, fit_bins)
 from .trees import TreeParams, histogram_table
 
 __all__ = [
@@ -262,7 +264,7 @@ class GlassBoxModel:
         :meth:`_lookups` reads, in the same order.
         """
         t = self._one_row
-        bins = bin_row(t.edges, row)
+        bins = bin_row(self.bins, row)
         contrib = t.shape_values[t.shape_starts + bins[t.shape_features]].tolist()
         bins = bins.tolist()
         contrib += [grid.item(ci[bins[i]], cj[bins[j]]) for i, j, ci, cj, grid in t.pairs]
@@ -287,7 +289,6 @@ class _OneRow(NamedTuple):
     indexing an array.
     """
 
-    edges: np.ndarray
     shape_values: np.ndarray
     shape_starts: np.ndarray
     shape_features: np.ndarray
@@ -300,7 +301,6 @@ def _one_row_tables(model: GlassBoxModel) -> _OneRow:
     # Only pair terms read a coarse map: a model without any derives none.
     lists = {f: model.coarse_maps[f].tolist() for pt in model.pairs for f in (pt.i, pt.j)}
     return _OneRow(
-        edges=edge_matrix(model.bins),
         shape_values=np.concatenate(values),
         shape_starts=np.cumsum([0] + [len(v) for v in values], dtype=np.intp)[:-1],
         shape_features=np.array([sf.feature for sf in model.shapes], dtype=np.intp),

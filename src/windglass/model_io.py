@@ -119,6 +119,9 @@ def _bins_from_doc(d) -> BinningMap:
         max_bins=int(d["max_bins"]),
     )
     _require_finite("bin edge, vmin or vmax", *b.edges, b.vmin, b.vmax)
+    for f, e in enumerate(b.edges):
+        if e.ndim != 1 or np.any(e[1:] <= e[:-1]):
+            raise ValueError(f"bin edges of feature {f} are not strictly increasing")
     return b
 
 

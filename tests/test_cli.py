@@ -347,6 +347,14 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(cfg),
                      "--model", str(path)]) == EXIT_MODEL
 
+    def test_unsorted_bin_edges_are_model_error(self, run_dir):
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        path = out / "windebm.model.json"
+        resign_model_file(path, lambda doc: doc["bin_edges"][0].reverse())
+        assert main(["evaluate", "--config", str(cfg),
+                     "--model", str(path)]) == EXIT_MODEL
+
     @pytest.mark.parametrize("key, value", [
         ("max_rounds", True), ("interaction_budget", 2.5), ("seed", 1.0),
     ], ids=["bool_rounds", "fractional_budget", "float_seed"])

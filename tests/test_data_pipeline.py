@@ -38,7 +38,7 @@ def np_quantile_edges(col, max_bins):
     if len(uniq) < 2:
         return np.empty(0)
     if len(uniq) <= max_bins:
-        return 0.5 * (uniq[:-1] + uniq[1:])
+        return np.unique(0.5 * (uniq[:-1] + uniq[1:]))
     cand = np.quantile(col, np.arange(1, max_bins) / max_bins)
     cand = np.clip(cand, 0.5 * (uniq[0] + uniq[1]), 0.5 * (uniq[-2] + uniq[-1]))
     return np.unique(cand)
@@ -410,6 +410,20 @@ class TestBinning:
             wg.fit_bins(X, (0, 50), max_bins=8)
         assert np.isfinite(wg.fit_bins(X, (8, 50), max_bins=8).vmax).all()
 
+    def test_midpoints_of_consecutive_floats_stay_strictly_increasing(self, tmp_path):
+        """The midpoints of three consecutive floats, the first with an
+        odd last bit, both round to the middle one; the repeat collapses,
+        so the file of a model binned on them loads."""
+        a = 1.0 + np.finfo(np.float64).eps
+        X = np.array([a, np.nextafter(a, 2), np.nextafter(np.nextafter(a, 2), 2)] * 4)
+        bmap = wg.fit_bins(X.reshape(-1, 1), (0, 12), max_bins=8)
+        assert bmap.edges[0].tolist() == [X[1]]
+        assert bmap.populations[0].tolist() == [4, 8]
+        raw = wg.SupervisedMatrix(X=X.reshape(-1, 1), y=X, feature_names=["x"])
+        rt = wg.fit_rt_baseline(raw, (0, 12), max_bins=8)
+        wg.save_model(rt, tmp_path / "rt.json")
+        assert wg.load_model(tmp_path / "rt.json").bins.edges[0].tolist() == [X[1]]
+
     def test_max_bins_too_small_errors(self):
         with pytest.raises(ValueError, match="max_bins"):
             wg.fit_bins(np.zeros((10, 1)), (0, 10), max_bins=1)
@@ -428,6 +442,90 @@ class TestBinning:
 def test_fit_bins_edges_equal_np_quantile_bit_for_bit(col, max_bins):
     bmap = wg.fit_bins(col.reshape(-1, 1), (0, len(col)), max_bins)
     assert bmap.edges[0].tobytes() == np_quantile_edges(col, max_bins).tobytes()
+    assert np.all(bmap.edges[0][1:] > bmap.edges[0][:-1])
+
+
+# ---------------------------------------------------------------------------
+# Batch binning through the cell index, against a binary search per feature
+# ---------------------------------------------------------------------------
+
+TINY = 5e-324  # the smallest subnormal
+HUGE = 1.7e308
+SPECIAL = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, -1e-310, HUGE, -HUGE]
+
+
+def reference_bins(bmap, X):
+    """Bin column f of ``X`` by one binary search in ``bmap.edges[f]``."""
+    return np.column_stack([np.searchsorted(e, X[:, f], side="right")
+                            for f, e in enumerate(bmap.edges)])
+
+
+@st.composite
+def edge_vectors(draw):
+    """Strictly increasing edges: none, one or up to 300, spread out,
+    with a cluster of 50 inside 1e-12 (more than one cell's steps), or
+    over every magnitude out to +-1.7e308 with subnormals and a signed
+    zero."""
+    size = draw(st.sampled_from([0, 1]) | st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["spread", "cluster", "extreme"]))
+    if layout == "spread":
+        e = rng.standard_normal(size)
+    elif layout == "cluster":
+        e = np.concatenate([rng.standard_normal(max(size - 50, 0)),
+                            rng.standard_normal() + np.arange(min(size, 50)) * 2e-14])
+    else:
+        e = np.concatenate([
+            draw(st.lists(st.sampled_from(SPECIAL), max_size=min(size, 8))),
+            rng.standard_normal(size) * 10.0 ** rng.integers(-320, 308, size)])
+    e = np.unique(e)[:size]
+    e[e == 0] = draw(st.sampled_from([0.0, -0.0]))
+    return e
+
+
+@st.composite
+def binned_blocks(draw):
+    """A binning and rows of its edges, their neighbours, +-0.0,
+    +-1.7e308 and random values; sometimes more rows than one block."""
+    edges = tuple(draw(st.lists(edge_vectors(), min_size=1, max_size=4)))
+    n_rows = draw(st.sampled_from([1, 2, 37, 5000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for e in edges:
+        with np.errstate(over="ignore"):
+            near = np.concatenate([e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf)])
+        pool = np.concatenate([near[np.isfinite(near)], SPECIAL,
+                               rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20)])
+        columns.append(rng.choice(pool, n_rows))
+    bmap = wg.BinningMap(edges=edges, vmin=np.zeros(len(edges)), vmax=np.ones(len(edges)),
+                         populations=tuple(np.ones(len(e) + 1, dtype=np.int64)
+                                           for e in edges),
+                         max_bins=512)
+    return bmap, np.column_stack(columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=binned_blocks(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       draws=st.data())
+def test_cell_index_bins_equal_a_binary_search(case, bad, draws):
+    """Bins are exactly one ``searchsorted`` per feature, as int64, and a
+    non-finite value raises naming the first column that holds one."""
+    bmap, X = case
+    want = reference_bins(bmap, X)
+    got = wg.apply_bins(bmap, X)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    for f in range(bmap.n_features):
+        got = data.bin_values(bmap, f, X[:, f])
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want[:, f])
+    first = draws.draw(st.integers(0, X.shape[1] - 1))
+    for f in range(first, X.shape[1]):
+        X[draws.draw(st.integers(0, len(X) - 1)), f] = bad
+    with pytest.raises(ValueError, match=f"^non-finite value in feature column {first}$"):
+        wg.apply_bins(bmap, X)
+    with pytest.raises(ValueError, match=f"^non-finite value in feature column {first}$"):
+        data.bin_values(bmap, first, X[:, first])
 
 
 class TestPearson:

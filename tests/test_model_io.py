@@ -67,6 +67,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.predict(matrix.X), model.predict(matrix.X))
 
 
+def swap_two_edges(doc):
+    edges = doc["bin_edges"][0]
+    edges[10], edges[20] = edges[20], edges[10]
+
+
+def repeat_an_edge(doc):
+    edges = doc["bin_edges"][1]
+    edges[5] = edges[4]
+
+
 class TestFailureModes:
     def test_truncated_file_is_corrupt(self, trained_setup, tmp_path):
         model, _, _ = trained_setup
@@ -196,6 +206,27 @@ class TestFailureModes:
         wg.save_model(model, path)
         resign_model_file(path, edit)
         with pytest.raises(ModelFormatError, match="malformed rt model file"):
+            wg.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["glassbox", "rt"])
+    @pytest.mark.parametrize("edit", [swap_two_edges, repeat_an_edge],
+                             ids=["swapped", "duplicated"])
+    def test_unsorted_bin_edges_rejected(self, trained_setup, lag_matrix, tmp_path,
+                                         kind, edit):
+        """Bins are binary-search (and cell-index) positions only in
+        strictly increasing edges: a re-signed file with two edges of
+        feature 0 swapped, or an edge of feature 1 repeated, is refused."""
+        if kind == "glassbox":
+            model = trained_setup[0]
+        else:
+            matrix, split = lag_matrix
+            model = wg.fit_rt_baseline(matrix, split.train, max_bins=32)
+        assert min(len(e) for e in model.bins.edges[:2]) > 20
+        path = tmp_path / "m.json"
+        wg.save_model(model, path)
+        resign_model_file(path, edit)
+        with pytest.raises(ModelFormatError,
+                           match=f"malformed {kind} model file.*not strictly increasing"):
             wg.load_model(path)
 
     @pytest.mark.parametrize("lag_column", [-1, 6])

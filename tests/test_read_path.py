@@ -10,6 +10,7 @@ give the same floats bit for bit.
 """
 
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -237,6 +238,52 @@ def test_pair_stage_with_other_pair_bins_derives_its_own_maps():
 
 
 # ---------------------------------------------------------------------------
+# Batch binning: one cell index per binning
+# ---------------------------------------------------------------------------
+
+def test_cell_index_is_built_once_per_binning(tmp_path):
+    """Training, batch predicts, PFI, a PDP and breakdowns on one model
+    build its binning's cell index once; a copy of the model shares it,
+    a loaded model builds its own on first use, and no file holds it."""
+    first, matrix, split = small_fit(seed=9, n_features=3, rounds=2)
+    X, y = matrix.X[split.test_slice], matrix.y[split.test_slice]
+    with mock.patch.object(data, "_cell_index", wraps=data._cell_index) as build:
+        model = wg.train(matrix, split, first.config)
+        for _ in range(10):
+            model.predict(matrix.X)
+        wg.pfi(model.predict, X, y, n_repeats=2)
+        wg.pdp(model.predict, X, 1, np.linspace(0, 1, 5))
+        for row in X[:5]:
+            model.predict_with_breakdown(row)
+        assert build.call_count == 1
+        replace(model).predict(X)
+        assert build.call_count == 1
+        wg.save_model(model, tmp_path / "m.json")
+        loaded = wg.load_model(tmp_path / "m.json")
+        wg.save_model(loaded, tmp_path / "before.json")
+        assert build.call_count == 1
+        np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
+        assert build.call_count == 2
+        wg.save_model(loaded, tmp_path / "after.json")
+    assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "m.json").read_bytes()
+
+
+def test_cell_index_of_48_by_255_edges_keeps_at_most_a_quarter_megabyte():
+    X = np.random.default_rng(4).standard_normal((1000, 48))
+    bmap = wg.fit_bins(X, (0, 1000), max_bins=256)
+    assert {len(e) for e in bmap.edges} == {255}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bmap.cells
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < kept <= 0.25 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # One-row breakdowns: binning by counting edges, tables built once
 # ---------------------------------------------------------------------------
 
@@ -272,7 +319,7 @@ def binnings_and_rows(draw):
 @given(case=binnings_and_rows())
 def test_bin_row_equals_apply_bins(case):
     bmap, row = case
-    got = data.bin_row(data.edge_matrix(bmap), row)
+    got = data.bin_row(bmap, row)
     want = wg.apply_bins(bmap, row[None])[0]
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
