@@ -67,7 +67,7 @@ def run(*args):
 run("train", "--config", str(config_path))
 model = str(work / "out" / "windebm.model.json")
 run("evaluate", "--config", str(config_path), "--model", model)
-run("benchmark", "--config", str(config_path))
+run("benchmark", "--config", str(config_path), "--repeats", "2")
 run("explain", "--config", str(config_path), "--model", model,
     "--mode", "global")
 run("explain", "--config", str(config_path), "--model", model,

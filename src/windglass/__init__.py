@@ -4,17 +4,11 @@ An additive model of boosted per-feature shape functions plus pairwise
 interaction grids, with exact per-forecast attribution, reference
 baselines (persistence, OLS, CART), evaluation metrics, and
 model-agnostic explanation tools.
+
+The public names are grouped by job, as in the README's API table.
 """
 
-from .baselines import (
-    LinearModel,
-    PersistenceModel,
-    RTBaseline,
-    RT_BASELINE_PARAMS,
-    fit_ols,
-    fit_rt_baseline,
-    persistence_forecast,
-)
+# Data: ingest a series, build and split a supervised matrix, bin it.
 from .data import (
     BinningMap,
     CsvSchema,
@@ -31,9 +25,22 @@ from .data import (
     load_csv,
     normalize_apply,
     normalize_fit_apply,
-    pearson_correlation,
 )
 from .datasets import make_autocorrelated_series, make_interaction_data
+
+# Training: one call, or its three stages one at a time.
+from .glassbox import (
+    GlassBoxModel,
+    PairShapeFunction,
+    ShapeFunction,
+    TrainConfig,
+    rank_interaction_pairs,
+    train,
+    train_interactions,
+    train_main_effects,
+)
+
+# Prediction and explanation: scores, term read-outs, PDP/PFI cross-checks.
 from .explain import (
     ConsistencyResult,
     CurveExport,
@@ -49,18 +56,17 @@ from .explain import (
     pfi,
     ranking_consistency,
 )
-from .glassbox import (
-    GlassBoxModel,
-    PairShapeFunction,
-    ShapeFunction,
-    TrainConfig,
-    rank_interaction_pairs,
-    train,
-    train_interactions,
-    train_main_effects,
-)
 from .metrics import EvalReport, evaluate, nmae, nrmse, r2
-from .model_io import FORMAT_VERSION, ModelFormatError, load_model, save_model
+
+# Baselines: persistence, OLS and the CART tree.
+from .baselines import (
+    LinearModel,
+    PersistenceModel,
+    RTBaseline,
+    RT_BASELINE_PARAMS,
+    fit_ols,
+    fit_rt_baseline,
+)
 from .trees import (
     RegressionTree,
     TreeNode,
@@ -69,5 +75,8 @@ from .trees import (
     predict_tree,
     tree_as_bin_table,
 )
+
+# Model files: versioned, checksummed JSON for every forecaster.
+from .model_io import FORMAT_VERSION, ModelFormatError, load_model, save_model
 
 __version__ = "0.1.0"

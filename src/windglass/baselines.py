@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinningMap, NormParams, SupervisedMatrix, apply_bins, fit_bins
+from .data import (MOST_RECENT_LAG, BinningMap, NormParams, SupervisedMatrix,
+                   apply_bins, fit_bins)
 from .trees import RegressionTree, TreeParams, fit_cart, predict_tree
 
 __all__ = [
@@ -22,16 +23,12 @@ __all__ = [
     "RTBaseline",
     "RT_BASELINE_PARAMS",
     "fit_ols",
-    "persistence_forecast",
     "fit_rt_baseline",
 ]
 
 # Standalone-tree defaults: depth 4, min split 4, min leaf 1 (fit_cart
 # grows absolute-error trees with median leaves).
 RT_BASELINE_PARAMS = TreeParams(max_depth=4, min_samples_split=4, min_samples_leaf=1)
-
-#: Name of the most recent lag column (what persistence forecasts with).
-MOST_RECENT_LAG = "lag_0"
 
 
 @dataclass(frozen=True)
@@ -132,12 +129,6 @@ def _most_recent_lag_column(feature_names) -> int:
             f"(no {MOST_RECENT_LAG!r} column; weather-model inputs alone "
             "cannot drive a persistence forecast)"
         ) from None
-
-
-def persistence_forecast(matrix: SupervisedMatrix) -> np.ndarray:
-    """Forecast every row with its most recent lag value."""
-    col = _most_recent_lag_column(matrix.feature_names)
-    return matrix.X[:, col].copy()
 
 
 def fit_rt_baseline(matrix: SupervisedMatrix, fit_range: tuple[int, int],

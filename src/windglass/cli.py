@@ -301,7 +301,7 @@ def _range_slice(split, name: str) -> slice:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -343,7 +343,7 @@ def cmd_train(args) -> int:
             "validation_curve_pairs: "
             + " ".join(f"{v:.6f}" for v in model.val_curve_pairs),
         ]
-    (out / "train.log").write_text("\n".join(log_lines) + "\n")
+    (out / "train.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     print(f"saved {model_path} (trained in {elapsed:.2f}s)")
     return EXIT_OK
 
@@ -426,10 +426,10 @@ def cmd_benchmark(args) -> int:
     for kind, label, means, stds in results:
         cells = [kind, label]
         for mean, std in zip(means, stds):
-            cells.append(f"{mean:.3f} ± {std:.3f}" if repeats > 1 else f"{mean:.3f}")
+            cells.append(f"{mean:.3f} +/- {std:.3f}" if repeats > 1 else f"{mean:.3f}")
         lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
     table = "\n".join(lines)
-    (out / "benchmark.txt").write_text(table + "\n")
+    (out / "benchmark.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     for kind, label, rep, t_fit, t_pred in timings:
         if t_fit is None:
@@ -473,7 +473,7 @@ def cmd_explain(args) -> int:
         report = explain.global_importance(model, matrix.X[split.train_slice])
         _write_csv(out / "importance.csv", ["term", "mean_abs_contribution"],
                    [[t, repr(s)] for t, s in report.terms])
-        (out / "importance.txt").write_text(report.as_text() + "\n")
+        (out / "importance.txt").write_text(report.as_text() + "\n", encoding="utf-8")
         print(report.as_text())
     elif mode == "local":
         _require_glassbox(model, mode)
@@ -532,7 +532,7 @@ def cmd_explain(args) -> int:
                     zip(names, result.importances, result.stds)])
         for n in result.ordering():
             k = names.index(n)
-            print(f"{n}: {result.importances[k]:+.5f} ± {result.stds[k]:.5f}")
+            print(f"{n}: {result.importances[k]:+.5f} +/- {result.stds[k]:.5f}")
     else:
         raise UsageError(f"unknown explain mode {mode!r}")
     return EXIT_OK

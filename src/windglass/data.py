@@ -37,7 +37,6 @@ __all__ = [
     "bin_row",
     "bin_centers",
     "bin_boundaries",
-    "pearson_correlation",
 ]
 
 
@@ -343,10 +342,14 @@ def _csv_rows(reader, path):
 def lag_feature_names(n_lags: int) -> tuple[str, ...]:
     """Names for lag columns, oldest first: ``lag_{n-1} .. lag_0``.
 
-    ``lag_0`` is the most recent observation and is what the persistence
-    baseline forecasts with.
+    ``lag_0``, :data:`MOST_RECENT_LAG`, is the most recent observation
+    and is what the persistence baseline forecasts with.
     """
     return tuple(f"lag_{k}" for k in range(n_lags - 1, -1, -1))
+
+
+#: The most recent lag column's name.
+MOST_RECENT_LAG = lag_feature_names(1)[-1]
 
 
 def build_lag_features(frame: TimeSeriesFrame, n_lags: int,
@@ -507,6 +510,7 @@ class BinningMap:
         return _cell_index(self.edges)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> BinningMap:
     """Fit per-feature quantile bin edges on ``fit_range`` rows.
 
@@ -514,7 +518,9 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     keeps lookup tables well supported even for skewed wind
     distributions. Duplicate quantiles collapse, so a constant column
     yields a single bin. A non-finite value in the fit rows raises the
-    ``ValueError`` of :func:`apply_bins`, naming its column.
+    ``ValueError`` of :func:`apply_bins`, naming its column; a column
+    whose edges would overflow (two values whose sum or difference is
+    beyond the largest float) raises ``ValueError`` naming it too.
     """
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
@@ -545,6 +551,9 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
             cand = np.clip(cand, 0.5 * (uniq[0] + uniq[1]),
                            0.5 * (uniq[-2] + uniq[-1]))
             cuts = np.unique(cand)
+        if not np.isfinite(cuts).all():
+            raise ValueError(f"feature column {f} spans more than the largest float: "
+                             "its bin edges overflow")
         idx = np.searchsorted(cuts, col, side="right")
         edges.append(cuts)
         pops.append(np.bincount(idx, minlength=len(cuts) + 1))
@@ -748,26 +757,3 @@ def bin_centers(bmap: BinningMap, feature: int) -> np.ndarray:
     """Midpoint of every bin's value span; center j maps back to bin j."""
     b = bin_boundaries(bmap, feature)
     return 0.5 * (b[:-1] + b[1:])
-
-
-# ---------------------------------------------------------------------------
-# Correlation
-# ---------------------------------------------------------------------------
-
-def pearson_correlation(a, b) -> float:
-    """Sample Pearson correlation coefficient of two equal-length sequences.
-
-    Raises on constant input, where the coefficient is undefined.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("inputs must be 1-D sequences of equal length")
-    if len(a) < 2:
-        raise ValueError("need at least two points")
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float(da @ da) * float(db @ db))
-    if denom == 0.0:
-        raise ValueError("correlation undefined for constant input")
-    return float(da @ db) / denom

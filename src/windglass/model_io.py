@@ -50,7 +50,7 @@ from itertools import chain
 import numpy as np
 
 from .baselines import LinearModel, PersistenceModel, RTBaseline
-from .data import BinningMap, NormParams
+from .data import BinningMap, NormParams, bin_boundaries
 from .glassbox import GlassBoxModel, PairShapeFunction, ShapeFunction, TrainConfig
 from .trees import RegressionTree, TreeNode, TreeParams
 
@@ -119,9 +119,17 @@ def _bins_from_doc(d) -> BinningMap:
         max_bins=int(d["max_bins"]),
     )
     _require_finite("bin edge, vmin or vmax", *b.edges, b.vmin, b.vmax)
+    n = (b.n_features,)
+    if b.vmin.shape != n or b.vmax.shape != n:
+        raise ValueError(f"{b.vmin.shape} bin_vmin and {b.vmax.shape} bin_vmax "
+                         f"values for {n[0]} binned features")
     for f, e in enumerate(b.edges):
         if e.ndim != 1 or np.any(e[1:] <= e[:-1]):
             raise ValueError(f"bin edges of feature {f} are not strictly increasing")
+        bounds = bin_boundaries(b, f)
+        if np.any(bounds[1:] < bounds[:-1]):
+            raise ValueError(f"bin_vmin, bin edges and bin_vmax of feature {f} "
+                             "are not non-decreasing")
     return b
 
 

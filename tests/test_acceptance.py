@@ -283,8 +283,8 @@ class TestCriterion9PersistenceSanity:
             split = wg.chronological_split(raw.n_rows)
             matrix = wg.normalize_fit_apply(raw, split.train)
             te = split.test_slice
-            errs[horizon] = wg.nrmse(wg.persistence_forecast(matrix)[te],
-                                     matrix.y[te])
+            model = wg.PersistenceModel.from_matrix(matrix)
+            errs[horizon] = wg.nrmse(model.predict(matrix.X[te]), matrix.y[te])
         assert errs[8] > errs[1]
         report(9, f"persistence NRMSE grows with horizon: "
                   f"{errs[1]:.3f} (1 step) < {errs[8]:.3f} (8 steps)")

@@ -82,7 +82,8 @@ class TestPersistence:
         matrix = wg.SupervisedMatrix(
             np.array([[0.1, 0.7], [0.2, 0.9]]), np.array([0.5, 0.6]),
             ("lag_1", "lag_0"))
-        np.testing.assert_array_equal(wg.persistence_forecast(matrix), [0.7, 0.9])
+        model = wg.PersistenceModel.from_matrix(matrix)
+        np.testing.assert_array_equal(model.predict(matrix.X), [0.7, 0.9])
 
     def test_error_grows_with_horizon(self):
         """On an autocorrelated series the persistence error at 8 steps
@@ -94,22 +95,28 @@ class TestPersistence:
             split = wg.chronological_split(raw.n_rows)
             matrix = wg.normalize_fit_apply(raw, split.train)
             te = split.test_slice
-            errs[horizon] = wg.nrmse(wg.persistence_forecast(matrix)[te],
-                                     matrix.y[te])
+            model = wg.PersistenceModel.from_matrix(matrix)
+            errs[horizon] = wg.nrmse(model.predict(matrix.X[te]), matrix.y[te])
         assert errs[8] > errs[1]
 
     def test_exogenous_only_matrix_errors(self):
         matrix = wg.SupervisedMatrix(np.ones((5, 2)), np.ones(5), ("u10", "v10"))
         with pytest.raises(ValueError, match="persistence requires"):
-            wg.persistence_forecast(matrix)
+            wg.PersistenceModel.from_matrix(matrix)
 
     def test_idempotent_and_parameter_free(self):
+        """Persistence is deterministic and parameter-free: each row's
+        forecast is its ``lag_0`` (the last column), in a new array."""
         matrix, split = lag_setup()
-        a = wg.persistence_forecast(matrix)
-        b = wg.persistence_forecast(matrix)
-        np.testing.assert_array_equal(a, b)
         model = wg.PersistenceModel.from_matrix(matrix)
-        np.testing.assert_array_equal(model.predict(matrix.X), a)
+        a = model.predict(matrix.X)
+        b = wg.PersistenceModel.from_matrix(matrix).predict(matrix.X)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, matrix.X[:, -1])
+        np.testing.assert_array_equal(model.predict(matrix.X[split.test_slice]),
+                                      a[split.test_slice])
+        a[:] = -1.0
+        np.testing.assert_array_equal(matrix.X[:, -1], b)
 
 
 class TestRtBaseline:

@@ -2,6 +2,10 @@
 byte-level determinism."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -643,3 +647,29 @@ class TestUsage:
                      "--set", "split.test=0.2"]) == EXIT_OK
         log = (out / "train.log").read_text()
         assert "train=(0, 717)" in log  # 60% of the 1196 lag rows
+
+
+class TestLocale:
+    def test_ascii_locale(self, run_dir):
+        """Under the C locale with neither UTF-8 mode nor locale coercion,
+        stdout and the default file encoding are ASCII: ``benchmark
+        --repeats 2`` and ``explain --mode pfi`` still exit 0, and
+        benchmark.csv holds the bytes an in-process run writes."""
+        _, cfg, out = run_dir
+        bench = ["benchmark", "--config", str(cfg), "--repeats", "2",
+                 "--set", "benchmark.models=lr,pm"]
+        assert main(bench) == EXIT_OK
+        expected = (out / "benchmark.csv").read_bytes()
+        assert main(["train", "--config", str(cfg), "--set", "model.kind=lr"]) == EXIT_OK
+        pfi = ["explain", "--config", str(cfg), "--model", str(out / "lr.model.json"),
+               "--mode", "pfi"]
+        src = str(Path(wg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        for args in (bench, pfi):
+            done = subprocess.run([sys.executable, "-X", "utf8=0", "-W", "error",
+                                   "-m", "windglass", *args],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == EXIT_OK, done.stderr
+            assert "+/-" in done.stdout
+        assert (out / "benchmark.csv").read_bytes() == expected

@@ -1,7 +1,6 @@
 """Data pipeline tests: ingestion, feature building, normalization,
-splitting, binning, and correlation."""
+splitting, and binning."""
 
-import math
 import time
 from datetime import datetime, timezone
 
@@ -20,17 +19,6 @@ SCHEMA = wg.CsvSchema(timestamp_column="time", target_column="power")
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
-
-def pearson_oracle(a, b):
-    """Direct textbook evaluation of the sample correlation formula."""
-    n = len(a)
-    ma = sum(a) / n
-    mb = sum(b) / n
-    num = sum((x - ma) * (y - mb) for x, y in zip(a, b))
-    da = math.sqrt(sum((x - ma) ** 2 for x in a))
-    db = math.sqrt(sum((y - mb) ** 2 for y in b))
-    return num / (da * db)
-
 
 def np_quantile_edges(col, max_bins):
     """``fit_bins``'s edges for one column as computed with ``np.quantile``."""
@@ -526,32 +514,3 @@ def test_cell_index_bins_equal_a_binary_search(case, bad, draws):
         wg.apply_bins(bmap, X)
     with pytest.raises(ValueError, match=f"^non-finite value in feature column {first}$"):
         data.bin_values(bmap, first, X[:, first])
-
-
-class TestPearson:
-    def test_self_correlation_is_one(self):
-        assert wg.pearson_correlation([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
-
-    def test_exact_anti_correlation(self):
-        assert wg.pearson_correlation([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
-
-    def test_against_direct_formula_oracle(self):
-        a = [1.0, 2.0, 3.0, 4.0]
-        b = [1.0, 2.0, 2.0, 4.0]
-        expected = pearson_oracle(a, b)
-        assert expected == pytest.approx(0.9233805168766388, abs=1e-12)
-        assert wg.pearson_correlation(a, b) == pytest.approx(expected, abs=1e-12)
-
-    def test_constant_input_errors(self):
-        with pytest.raises(ValueError, match="constant"):
-            wg.pearson_correlation([1, 1, 1], [1, 2, 3])
-
-    def test_symmetry_and_positive_affine_invariance(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = rng.normal(size=30)
-            b = rng.normal(size=30)
-            r = wg.pearson_correlation(a, b)
-            assert wg.pearson_correlation(b, a) == pytest.approx(r, abs=1e-12)
-            assert wg.pearson_correlation(2.5 * a + 1, b) == pytest.approx(r, abs=1e-10)
-            assert wg.pearson_correlation(a, 0.3 * b - 7) == pytest.approx(r, abs=1e-10)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
@@ -164,17 +164,22 @@ class TestFailureModes:
         lambda doc: doc["pair_terms"].append(doc["pair_terms"][0]),
         lambda doc: doc["coarse_maps"].update({"0": [0] * len(doc["coarse_maps"]["0"])}),
         lambda doc: doc["bin_populations"][0].pop(),
+        lambda doc: doc["bin_vmin"].__setitem__(0, 5.0),
+        lambda doc: doc["bin_vmax"].__setitem__(1, -5.0),
+        lambda doc: doc["bin_vmin"].pop(),
     ], ids=["short_shape", "shape_feature_out_of_range", "pair_index_out_of_range",
             "pair_not_ordered", "pair_without_coarse_map", "short_coarse_map",
             "decreasing_coarse_map", "negative_coarse_map", "grid_missing_row",
             "grid_missing_column", "fewer_binned_features", "shapes_reordered",
             "shape_repeated", "shape_missing", "pair_repeated",
-            "coarse_map_monotone_but_wrong", "short_populations"])
+            "coarse_map_monotone_but_wrong", "short_populations",
+            "vmin_above_edges", "vmax_below_edges", "vmin_missing"])
     def test_structurally_inconsistent_glassbox_rejected(self, trained_setup,
                                                          tmp_path, edit):
         """Checksummed files whose tables would index out of range at
-        predict time, or that are not what ``save_model`` writes for the
-        model they describe, are rejected on load."""
+        predict time, that are not what ``save_model`` writes for the
+        model they describe, or whose bin bounds ``[vmin, edges..., vmax]``
+        are missing or out of order, are rejected on load."""
         model, _, _ = trained_setup
         assert model.pairs
         # An all-zero coarse map of feature 0 is monotone but wrong.
@@ -193,8 +198,10 @@ class TestFailureModes:
         lambda doc: [doc["tree"][key].clear() for key in
                      ("feature", "threshold", "left", "right", "value", "count")],
         lambda doc: doc["bin_edges"].pop(),
+        lambda doc: doc["bin_vmin"].__setitem__(0, 5.0),
     ], ids=["child_past_end", "negative_child", "child_is_itself",
-            "split_feature_out_of_range", "no_nodes", "fewer_binned_features"])
+            "split_feature_out_of_range", "no_nodes", "fewer_binned_features",
+            "vmin_above_edges"])
     def test_malformed_rt_tree_rejected(self, lag_matrix, tmp_path, edit):
         """A checksummed RT file whose tree ``predict`` could not walk
         (an index error, a wrapped negative index or a cycle) is
@@ -470,6 +477,59 @@ def test_non_finite_number_refused(model_files, tmp_path, kind, edit):
     path = resigned_copy(model_files[0][kind][0], tmp_path, edit)
     with pytest.raises(ModelFormatError, match=f"malformed {kind} model file.*non-finite"):
         wg.load_model(path)
+
+
+MAX = np.finfo(np.float64).max
+
+
+@st.composite
+def fit_columns(draw):
+    """Columns ``fit_bins`` may be given: constant, two-valued, a few
+    adjacent floats, ties, or magnitudes near the largest float."""
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["constant", "two", "adjacent", "ties", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    if kind == "constant":
+        return np.full(n, draw(value))
+    if kind == "two":
+        return np.where(rng.random(n) < 0.5, draw(value), draw(value))
+    if kind == "adjacent":
+        run = [draw(value)]
+        for _ in range(draw(st.integers(1, 8))):
+            run.append(np.nextafter(run[-1], 0.0))
+        return rng.choice(run, n)
+    if kind == "ties":
+        return rng.integers(-4, 5, n) * draw(st.floats(-MAX / 4, MAX / 4))
+    signs = rng.choice([-1.0, 1.0], n) if draw(st.booleans()) else 1.0
+    return rng.uniform(1e308, MAX, n) * signs
+
+
+@settings(max_examples=200, deadline=None)
+@given(col=fit_columns(), max_bins=st.integers(2, 64))
+@example(col=np.array([1e308, 1.5e308, 1.7e308]), max_bins=8)
+@example(col=np.concatenate([np.linspace(1e308, 1.7e308, 150),
+                             np.linspace(-1e308, -1.7e308, 150)]), max_bins=256)
+def test_fit_bins_writes_only_loadable_bins(col, max_bins):
+    """``fit_bins`` refuses a column whose edges overflow, naming it, or
+    fits bins that a model file keeps bit for bit, with every feature's
+    ``[vmin, edges..., vmax]`` non-decreasing: the loader's bin rules
+    refuse nothing ``fit_bins`` writes."""
+    raw = wg.SupervisedMatrix(X=col.reshape(-1, 1), y=np.arange(len(col)) % 3.0,
+                              feature_names=["x"])
+    try:
+        model = wg.fit_rt_baseline(raw, (0, len(col)), max_bins=max_bins)
+    except ValueError as exc:
+        assert str(exc).startswith("feature column 0 spans more than the largest float")
+        assert np.abs(col).max() > MAX / 2
+        return
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "rt.json"
+        wg.save_model(model, path)
+        bins = wg.load_model(path).bins
+    assert bins.edges[0].tobytes() == model.bins.edges[0].tobytes()
+    bounds = wg.data.bin_boundaries(bins, 0)
+    assert np.all(bounds[:-1] <= bounds[1:])
 
 
 def test_deeply_nested_file_is_corrupt(tmp_path):
