@@ -3,7 +3,8 @@ and a standalone CART regression tree.
 
 All of them expose the same ``predict(X)`` surface as the glass-box
 model, so evaluation and the model-agnostic explanation tools treat
-every forecaster interchangeably.
+every forecaster interchangeably; each refuses the rows that
+:func:`~windglass.data.apply_bins` refuses, with its ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (MOST_RECENT_LAG, BinningMap, NormParams, SupervisedMatrix,
-                   apply_bins, fit_bins)
+                   _feature_rows, _fit_rows, apply_bins, fit_bins)
 from .trees import RegressionTree, TreeParams, fit_cart, predict_tree
 
 __all__ = [
@@ -49,10 +50,7 @@ class LinearModel:
             raise ValueError("non-finite coefficients")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != len(self.weights):
-            raise ValueError(f"expected {len(self.weights)} columns, got {X.shape}")
-        return X @ self.weights + self.intercept
+        return _feature_rows(X, len(self.weights)) @ self.weights + self.intercept
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,7 @@ class PersistenceModel:
     norm_params: NormParams | None = None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != len(self.feature_names):
-            raise ValueError("column count mismatch")
-        return X[:, self.lag_column].copy()
+        return _feature_rows(X, len(self.feature_names))[:, self.lag_column].copy()
 
     @classmethod
     def from_matrix(cls, matrix: SupervisedMatrix) -> "PersistenceModel":
@@ -99,11 +94,8 @@ def fit_ols(matrix: SupervisedMatrix, fit_range: tuple[int, int]) -> LinearModel
     decomposition rather than the normal equations; a rank-deficient
     system gets the minimum-norm solution and a warning.
     """
-    lo, hi = fit_range
-    if hi <= lo:
-        raise ValueError("empty fit range")
-    X = matrix.X[lo:hi]
-    y = matrix.y[lo:hi]
+    X = _fit_rows(matrix.X, fit_range)
+    y = _fit_rows(matrix.y, fit_range)
     A = np.column_stack([np.ones(len(X)), X])
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < A.shape[1]:
@@ -134,12 +126,9 @@ def _most_recent_lag_column(feature_names) -> int:
 def fit_rt_baseline(matrix: SupervisedMatrix, fit_range: tuple[int, int],
                     max_bins: int = 256) -> RTBaseline:
     """Fit the regression-tree baseline (``RT_BASELINE_PARAMS``)."""
-    lo, hi = fit_range
-    if hi <= lo:
-        raise ValueError("empty fit range")
     bins = fit_bins(matrix.X, fit_range, max_bins)
-    Xb = apply_bins(bins, matrix.X[lo:hi])
-    tree = fit_cart(Xb, matrix.y[lo:hi], RT_BASELINE_PARAMS)
+    Xb = apply_bins(bins, _fit_rows(matrix.X, fit_range))
+    tree = fit_cart(Xb, _fit_rows(matrix.y, fit_range), RT_BASELINE_PARAMS)
     return RTBaseline(
         tree=tree,
         bins=bins,

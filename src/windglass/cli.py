@@ -7,13 +7,17 @@ deterministic under a fixed seed and emits machine-readable CSV next to
 its human-readable output.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 model-file error.
+Feature names are UTF-8 in every locale, as in ``load_csv``; what the
+console cannot encode is printed as backslash escapes.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
+import os
 import sys
 import time
 import warnings
@@ -206,6 +210,7 @@ def read_run_config(path, overrides=()) -> RunConfig:
                for (section, key), (field, parse) in _KEYS.items()
                if parser.has_option(section, key)},
         )
+        _schema(cfg)  # refuses a column named for two roles, before any data is read
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
     cfg.validate()
@@ -300,7 +305,9 @@ def _range_slice(split, name: str) -> slice:
         raise UsageError(f"--range must be train, val, or test, got {name!r}") from None
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path: Path, header, rows):
+    """Write the CSV file ``path``, named by its name's UTF-8 bytes in every locale."""
+    path = os.path.join(os.fsencode(path.parent), path.name.encode("utf-8"))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -441,6 +448,19 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
+def _feature(model, name) -> int:
+    """Column of the feature ``name`` from the command line, read as UTF-8 like
+    ``load_csv``'s headers; a missing or unknown name is a usage error."""
+    if name is None:
+        raise UsageError("--feature is required for shape and pdp explanations")
+    with contextlib.suppress(UnicodeError):  # not from argv, or not UTF-8: as given
+        name = os.fsencode(name).decode("utf-8")
+    try:
+        return explain._resolve_feature(model, name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _require_glassbox(model, mode):
     if not isinstance(model, GlassBoxModel):
         raise UsageError(f"explain mode {mode!r} requires a glass-box model file")
@@ -460,13 +480,6 @@ def cmd_explain(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = tuple(model.feature_names)
-
-    def resolve(name: str) -> int:
-        if name in names:
-            return names.index(name)
-        raise UsageError(
-            f"unknown feature {name!r}; valid names: {', '.join(names)}")
-
     mode = args.mode
     if mode == "global":
         _require_glassbox(model, mode)
@@ -491,9 +504,9 @@ def cmd_explain(args) -> int:
         print(exp.as_text())
     elif mode == "shape":
         _require_glassbox(model, mode)
-        f = resolve(args.feature)
+        f = _feature(model, args.feature)
         curve = explain.export_shape(model, f, denormalize=args.denormalize)
-        path = out / f"shape_{args.feature}.csv"
+        path = out / f"shape_{names[f]}.csv"
         _write_csv(path, ["bin_center", "value"],
                    [[repr(float(x)), repr(float(v))] for x, v in zip(curve.x, curve.values)])
         print(f"wrote {path} ({len(curve.x)} bins)")
@@ -503,7 +516,7 @@ def cmd_explain(args) -> int:
             a, b = (s.strip() for s in args.pair.split(","))
         except (AttributeError, ValueError):
             raise UsageError("--pair expects two feature names: a,b") from None
-        i, j = resolve(a), resolve(b)
+        i, j = _feature(model, a), _feature(model, b)
         curve = explain.export_pair_heatmap(model, (i, j),
                                             denormalize=args.denormalize)
         i, j = min(i, j), max(i, j)
@@ -514,10 +527,10 @@ def cmd_explain(args) -> int:
                     for r in range(len(curve.x)) for c in range(len(curve.y))])
         print(f"wrote {path} ({curve.values.shape[0]}x{curve.values.shape[1]} grid)")
     elif mode == "pdp":
-        f = resolve(args.feature)
+        f = _feature(model, args.feature)
         grid = _pdp_grid(model, matrix, f)
         curve = explain.pdp(model.predict, matrix.X[split.train_slice], f, grid)
-        path = out / f"pdp_{args.feature}.csv"
+        path = out / f"pdp_{names[f]}.csv"
         _write_csv(path, ["bin_center", "value"],
                    [[repr(float(x)), repr(float(v))] for x, v in zip(curve.x, curve.values)])
         print(f"wrote {path} (range {explain.pdp_importance(curve):.4f})")
@@ -601,6 +614,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if hasattr(sys.stdout, "reconfigure"):  # not on a caller's StringIO
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         return args.func(args)
     except UsageError as exc:

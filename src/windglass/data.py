@@ -51,7 +51,8 @@ class CsvSchema:
     ``timestamp_format`` is ``"iso8601"`` (a stamp without a zone is
     UTC) or ``"epoch"`` (seconds).
     ``exogenous_columns=None`` takes every remaining column in header
-    order; pass ``()`` for none.
+    order; pass ``()`` for none. A column named for two roles (the
+    timestamp or target as an exogenous column, say) raises ``ValueError``.
     """
 
     timestamp_column: str
@@ -59,6 +60,12 @@ class CsvSchema:
     exogenous_columns: tuple[str, ...] | None = None
     timestamp_format: str = "iso8601"
     delimiter: str = ","
+
+    def __post_init__(self):
+        roles = [self.timestamp_column, self.target_column, *(self.exogenous_columns or ())]
+        for k, col in enumerate(roles):
+            if col in roles[:k]:
+                raise ValueError(f"column {col!r} is named for two roles")
 
 
 @dataclass(frozen=True)
@@ -401,11 +408,8 @@ def normalize_fit_apply(matrix: SupervisedMatrix,
     erroring, so a flat sensor cannot abort training. A column whose
     fitted max minus min overflows to infinity raises ``ValueError``.
     """
-    lo, hi = fit_range
-    if hi <= lo:
-        raise ValueError("empty fit range")
-    Xf = matrix.X[lo:hi]
-    yf = matrix.y[lo:hi]
+    Xf = _fit_rows(matrix.X, fit_range)
+    yf = _fit_rows(matrix.y, fit_range)
     params = NormParams(
         feature_min=Xf.min(axis=0),
         feature_max=Xf.max(axis=0),
@@ -420,6 +424,16 @@ def normalize_fit_apply(matrix: SupervisedMatrix,
     if math.isinf(params.target_max - params.target_min):
         raise ValueError("the target spans more than the largest float in the fit rows")
     return normalize_apply(matrix, params)
+
+
+def _fit_rows(rows: np.ndarray, fit_range: tuple[int, int]) -> np.ndarray:
+    """Rows ``lo:hi`` of ``rows``; ``ValueError`` unless ``0 <= lo < hi <= len(rows)``."""
+    lo, hi = fit_range
+    if hi <= lo:
+        raise ValueError(f"empty fit range {fit_range}")
+    if lo < 0 or hi > len(rows):
+        raise ValueError(f"fit range {fit_range} is outside the {len(rows)} rows")
+    return rows[lo:hi]
 
 
 def normalize_apply(matrix: SupervisedMatrix, params: NormParams) -> SupervisedMatrix:
@@ -487,8 +501,8 @@ class BinningMap:
     denormalization).
 
     The cell index that :func:`apply_bins`, :func:`bin_values` and
-    :func:`bin_row` read is built from the edges on first use and kept
-    with the map (``cells``); it is never stored in a model file.
+    :func:`bin_row` read (``cells``) is built by :func:`fit_bins`, or on
+    first use for a loaded map; it is never stored in a model file.
     """
 
     edges: tuple[np.ndarray, ...]
@@ -524,13 +538,9 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     """
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
-    lo, hi = fit_range
-    if hi <= lo:
-        raise ValueError("empty fit range")
-    Xf = np.asarray(X, dtype=np.float64)[lo:hi]
+    Xf = _fit_rows(np.asarray(X, dtype=np.float64), fit_range)
     _require_finite(Xf, range(Xf.shape[1]))
     edges = []
-    pops = []
     for f in range(Xf.shape[1]):
         col = Xf[:, f]
         uniq = np.unique(col)
@@ -554,16 +564,19 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
         if not np.isfinite(cuts).all():
             raise ValueError(f"feature column {f} spans more than the largest float: "
                              "its bin edges overflow")
-        idx = np.searchsorted(cuts, col, side="right")
         edges.append(cuts)
-        pops.append(np.bincount(idx, minlength=len(cuts) + 1))
-    return BinningMap(
+    index = _cell_index(edges)  # counts the fit rows; kept with the map
+    Xb = _bin(index, Xf, range(len(edges)))
+    bmap = BinningMap(
         edges=tuple(edges),
         vmin=Xf.min(axis=0),
         vmax=Xf.max(axis=0),
-        populations=tuple(pops),
+        populations=tuple(np.bincount(Xb[:, f], minlength=len(e) + 1)
+                          for f, e in enumerate(edges)),
         max_bins=max_bins,
     )
+    object.__setattr__(bmap, "cells", index)
+    return bmap
 
 
 def _linear_quantiles(s: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -596,8 +609,7 @@ def apply_bins(bmap: BinningMap, X: np.ndarray) -> np.ndarray:
     (``BinningMap.cells``), a few gathers over all features at once
     instead of a binary search per feature.
     """
-    X = _feature_rows(X, bmap.n_features)
-    return _bin(bmap, X, range(bmap.n_features))
+    return _bin(bmap.cells, _feature_rows(X, bmap.n_features), range(bmap.n_features))
 
 
 def bin_row(bmap: BinningMap, row) -> np.ndarray:
@@ -610,7 +622,6 @@ def bin_row(bmap: BinningMap, row) -> np.ndarray:
     the gathers of :func:`apply_bins`.
     """
     X = _feature_rows(np.asarray(row, dtype=np.float64).reshape(1, -1), bmap.n_features)
-    _require_finite(X, range(bmap.n_features))
     return (bmap.cells.edges <= X.T).sum(axis=1)
 
 
@@ -619,17 +630,18 @@ def bin_values(bmap: BinningMap, feature: int, values) -> np.ndarray:
     index of :func:`apply_bins`: ``bin_values(bmap, f, X[:, f])`` equals
     ``apply_bins(bmap, X)[:, f]``, and a non-finite value raises the same
     ``ValueError`` naming column ``feature``."""
-    values = np.asarray(values, dtype=np.float64)
-    return _bin(bmap, values.reshape(-1, 1), (feature,))[:, 0]
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    _require_finite(values, (feature,))
+    return _bin(bmap.cells, values, (feature,))[:, 0]
 
 
 def _feature_rows(X, n_features: int) -> np.ndarray:
-    """``X`` as float rows of ``n_features`` columns, or ``ValueError``."""
+    """``X`` as float rows of ``n_features`` finite columns, the rows every
+    ``predict`` takes, or ``ValueError`` (naming a non-finite column)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
-        raise ValueError(
-            f"expected {n_features} feature columns, got shape {X.shape}"
-        )
+        raise ValueError(f"expected {n_features} feature columns, got shape {X.shape}")
+    _require_finite(X, range(n_features))
     return X
 
 
@@ -710,18 +722,16 @@ def _cell_index(edges) -> CellIndex:
                      edges=padded)
 
 
-def _bin(bmap: BinningMap, X: np.ndarray, features) -> np.ndarray:
-    """Bin column k of the 2-D ``X`` by the edges of ``features[k]``,
-    raising on the first column (in that order) holding a non-finite
-    value.
+def _bin(index: CellIndex, X: np.ndarray, features) -> np.ndarray:
+    """Bin column k of the 2-D, finite ``X`` by the edges of
+    ``features[k]`` in ``index``.
 
     A value's bin is its cell's start plus the edges of its own cell it
     reaches, found by up to :data:`_CELL_STEPS` gathers and compares for
     a whole block of values. A feature that still has a value stepping
-    after the last of them is finished by ``searchsorted``.
+    after the last of them is finished by ``searchsorted`` on its padded
+    edge row (a finite value never reaches the ``+inf`` padding).
     """
-    _require_finite(X, features)
-    index = bmap.cells
     f = np.asarray(features, dtype=np.intp)
     lo, scale = index.lo[f], index.scale[f]
     first_cell = f * index.n_cells
@@ -740,7 +750,7 @@ def _bin(bmap: BinningMap, X: np.ndarray, features) -> np.ndarray:
             pos += step
         else:
             for k in np.flatnonzero(step.any(axis=0)):
-                found = bmap.edges[f[k]].searchsorted(V[:, k], side="right")
+                found = index.edges[f[k]].searchsorted(V[:, k], side="right")
                 pos[:, k] = first_edge[k] + found
         out[a:a + rows] = pos - first_edge
     return out

@@ -116,17 +116,17 @@ class ConsistencyResult:
 # Glass-box specific views
 # ---------------------------------------------------------------------------
 
-def _resolve_feature(model: GlassBoxModel, feature) -> int:
+def _resolve_feature(model, feature) -> int:
+    """Column of ``feature``, a name or index of any forecaster's ``feature_names``."""
     if isinstance(feature, str):
         try:
             return model.feature_names.index(feature)
         except ValueError:
             raise ValueError(
-                f"unknown feature {feature!r}; valid names: "
-                f"{', '.join(model.feature_names)}"
+                f"unknown feature {feature!r}; valid names: {', '.join(model.feature_names)}"
             ) from None
     f = int(feature)
-    if not 0 <= f < model.n_features:
+    if not 0 <= f < len(model.feature_names):
         raise ValueError(f"feature index {f} out of range")
     return f
 

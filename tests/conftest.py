@@ -126,7 +126,7 @@ def write_series_csv(path, timestamps, target, exogenous=None, delimiter=","):
 
     exogenous = exogenous or {}
     header = ["time", "power", *exogenous.keys()]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(header)
         for k, (ts, y) in enumerate(zip(timestamps, target)):

@@ -257,6 +257,18 @@ class TestTrain:
                      "--set", "features.mode=exogenous",
                      "--set", "model.kind=pm"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("columns", ["power", "wind,power", "time"])
+    def test_target_or_timestamp_as_exogenous_is_usage_error(self, run_dir, columns, capsys):
+        """A column named for two roles is refused before any data is
+        read: even with no data file, the exit code is the config's."""
+        tmp, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg), "--set", "model.kind=lr",
+                     "--set", "features.mode=exogenous",
+                     "--set", f"data.exogenous_columns={columns}",
+                     "--set", f"data.path={tmp / 'missing.csv'}"]) == EXIT_USAGE
+        assert "is named for two roles" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_override_flag_wins(self, run_dir):
         _, cfg, out = run_dir
         assert main(["train", "--config", str(cfg),
@@ -654,8 +666,11 @@ class TestLocale:
         """Under the C locale with neither UTF-8 mode nor locale coercion,
         stdout and the default file encoding are ASCII: ``benchmark
         --repeats 2`` and ``explain --mode pfi`` still exit 0, and
-        benchmark.csv holds the bytes an in-process run writes."""
-        _, cfg, out = run_dir
+        benchmark.csv holds the bytes an in-process run writes. So do
+        ``explain`` in pfi, pdp, shape and heatmap modes on a model of a
+        column named ``vitesse_é``: each writes the files, named by the
+        same bytes, that an in-process run writes."""
+        tmp, cfg, out = run_dir
         bench = ["benchmark", "--config", str(cfg), "--repeats", "2",
                  "--set", "benchmark.models=lr,pm"]
         assert main(bench) == EXIT_OK
@@ -673,3 +688,42 @@ class TestLocale:
             assert done.returncode == EXIT_OK, done.stderr
             assert "+/-" in done.stdout
         assert (out / "benchmark.csv").read_bytes() == expected
+
+        rng = np.random.default_rng(3)
+        u, v = rng.uniform(size=(2, 400))
+        exo_csv = write_series_csv(tmp / "exo.csv", np.arange(400) * 3600.0, u * v + 0.2 * u,
+                                   exogenous={"vitesse_é": u, "b": v})
+        exo_out = tmp / "exo_out"
+        exo_cfg = tmp / "exo.cfg"
+        exo_cfg.write_text(BASE_CONFIG.format(csv=exo_csv, out=exo_out)
+                           .replace("mode = lags", "mode = exogenous"), encoding="utf-8")
+        assert main(["train", "--config", str(exo_cfg),
+                     "--set", "train.interaction_budget=all"]) == EXIT_OK
+        common = ["explain", "--config", str(exo_cfg),
+                  "--model", str(exo_out / "windebm.model.json")]
+        explains = [["--mode", "pfi"], ["--mode", "pdp", "--feature", "vitesse_é"],
+                    ["--mode", "shape", "--feature", "vitesse_é"],
+                    ["--mode", "heatmap", "--pair", "vitesse_é,b"]]
+
+        def written():
+            """The CSV files of ``exo_out`` by the bytes of their names,
+            removed so that the next run writes its own."""
+            files = {n: (exo_out / os.fsdecode(n)).read_bytes()
+                     for n in os.listdir(os.fsencode(exo_out)) if n.endswith(b".csv")}
+            for n in files:
+                os.remove(os.path.join(os.fsencode(exo_out), n))
+            return files
+
+        for args in explains:
+            assert main(common + args) == EXIT_OK
+        expected = written()
+        assert {"pfi.csv", "pdp_vitesse_é.csv", "shape_vitesse_é.csv",
+                "heatmap_vitesse_é_b.csv"} == {n.decode("utf-8") for n in expected}
+        for args in explains:
+            done = subprocess.run([sys.executable, "-X", "utf8=0", "-W", "error",
+                                   "-m", "windglass", *common, *args],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == EXIT_OK, done.stderr
+            if args[1] == "pfi":  # stdout is ASCII: the name is escaped
+                assert "vitesse_\\xe9: " in done.stdout
+        assert written() == expected

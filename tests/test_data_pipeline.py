@@ -2,7 +2,9 @@
 splitting, and binning."""
 
 import time
+import warnings
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,6 +83,18 @@ class TestLoadCsv:
         bad = wg.CsvSchema(timestamp_column="time", target_column="nope")
         with pytest.raises(ValueError, match="missing column"):
             wg.load_csv(path, bad)
+
+    @pytest.mark.parametrize("ts, target, exo, twice", [
+        ("time", "power", ("power", "b"), "power"),
+        ("time", "power", ("b", "time"), "time"),
+        ("time", "power", ("b", "c", "b"), "b"),
+        ("time", "time", (), "time"),
+    ])
+    def test_column_named_for_two_roles_errors(self, ts, target, exo, twice):
+        """The target as an exogenous column would let OLS read the
+        answer (test NRMSE 4.8e-16): the schema refuses it, naming it."""
+        with pytest.raises(ValueError, match=f"^column '{twice}' is named for two roles$"):
+            wg.CsvSchema(timestamp_column=ts, target_column=target, exogenous_columns=exo)
 
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -307,6 +321,57 @@ class TestNormalization:
         np.testing.assert_array_equal(fitted.X, applied.X)
 
 
+FITS = ("normalize_fit_apply", "fit_bins", "fit_ols", "fit_rt_baseline")
+
+
+def fit_outputs(name, matrix, fit_range, probe):
+    """The arrays a fit named ``name`` on ``fit_range`` of ``matrix``
+    produces: parameters, or the forecasts of the rows ``probe``."""
+    if name == "normalize_fit_apply":
+        p = wg.normalize_fit_apply(matrix, fit_range).norm_params
+        return [p.feature_min, p.feature_max, p.target_min, p.target_max]
+    if name == "fit_bins":
+        b = wg.fit_bins(matrix.X, fit_range, max_bins=8)
+        return [*b.edges, *b.populations, b.vmin, b.vmax]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # OLS on a few rows is rank-deficient
+        return [getattr(wg, name)(matrix, fit_range).predict(probe)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), lo=st.integers(-3, 15), hi=st.integers(-3, 15),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_fit_takes_the_rows_of_its_range_or_refuses_it(n, lo, hi, seed):
+    """Each fit raises ``ValueError`` exactly when ``0 <= lo < hi <= n``
+    fails; otherwise it equals the fit on rows ``lo:hi`` alone."""
+    rng = np.random.default_rng(seed)
+    m = wg.SupervisedMatrix(rng.uniform(size=(n, 2)), rng.uniform(size=n), ("a", "b"))
+    for name in FITS:
+        if 0 <= lo < hi <= n:
+            rows = wg.SupervisedMatrix(m.X[lo:hi], m.y[lo:hi], m.feature_names)
+            got = fit_outputs(name, m, (lo, hi), m.X)
+            want = fit_outputs(name, rows, (0, hi - lo), m.X)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+        else:
+            message = "empty fit range" if hi <= lo else f"outside the {n} rows"
+            with pytest.raises(ValueError, match=message):
+                fit_outputs(name, m, (lo, hi), m.X)
+
+
+@pytest.mark.parametrize("fit_range", [(0, 796), (-5, -1), (306, 316)])
+@pytest.mark.parametrize("name", FITS)
+def test_fit_range_beyond_the_rows_errors(name, fit_range):
+    """On a 296-row lag matrix these ranges once fitted all rows, the
+    last four, or nothing (OLS returned all-zero weights)."""
+    frame = wg.make_autocorrelated_series(300, seed=1)
+    m = wg.build_lag_features(frame, n_lags=4, horizon_steps=1)
+    assert m.n_rows == 296
+    with pytest.raises(ValueError, match=rf"^fit range \({fit_range[0]}, {fit_range[1]}\) "
+                                         "is outside the 296 rows$"):
+        fit_outputs(name, m, fit_range, m.X)
+
+
 class TestChronologicalSplit:
     def test_first_80_percent_then_10_10(self):
         split = wg.chronological_split(100)
@@ -431,6 +496,24 @@ def test_fit_bins_edges_equal_np_quantile_bit_for_bit(col, max_bins):
     bmap = wg.fit_bins(col.reshape(-1, 1), (0, len(col)), max_bins)
     assert bmap.edges[0].tobytes() == np_quantile_edges(col, max_bins).tobytes()
     assert np.all(bmap.edges[0][1:] > bmap.edges[0][:-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(col=bin_columns(), max_bins=st.integers(2, 64), draws=st.data())
+def test_fit_bins_counts_its_fit_rows_through_its_cell_index(col, max_bins, draws):
+    """``populations[f]`` is the bincount of ``apply_bins`` over the fit
+    rows, and ``apply_bins`` reads the index ``fit_bins`` built."""
+    X = np.column_stack([col, -col[::-1]])
+    lo = draws.draw(st.integers(0, len(col) - 1))
+    hi = draws.draw(st.integers(lo + 1, len(col)))
+    with mock.patch.object(data, "_cell_index", wraps=data._cell_index) as build:
+        bmap = wg.fit_bins(X, (lo, hi), max_bins)
+        assert build.call_count == 1
+        Xb = wg.apply_bins(bmap, X[lo:hi])
+        assert build.call_count == 1
+    for f in range(2):
+        want = np.bincount(Xb[:, f], minlength=bmap.n_bins(f))
+        assert bmap.populations[f].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

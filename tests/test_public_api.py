@@ -1,7 +1,9 @@
 """The package exports exactly the names of the README's API table,
-job by job."""
+job by job, and imports nothing but the standard library and numpy."""
 
+import ast
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -54,3 +56,21 @@ def test_each_name_is_exported_by_a_module_of_its_job(job):
         owners = [m for m in modules if name in m.__all__]
         assert owners, f"{name} is in no __all__ of {JOB_MODULES[job]}"
         assert getattr(wg, name) is getattr(owners[0], name)
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    """numpy is the one runtime dependency: every absolute import in
+    ``src/windglass`` names a standard-library module or numpy."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = []
+    for path in sorted(Path(wg.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {m}" for m in modules
+                        if m.split(".")[0] not in allowed]
+    assert outside == []

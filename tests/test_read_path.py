@@ -270,17 +270,20 @@ def test_cell_index_is_built_once_per_binning(tmp_path):
 
 
 def test_cell_index_of_48_by_255_edges_keeps_at_most_a_quarter_megabyte():
+    """``fit_bins`` builds the index with the map, so the index that
+    ``data._cell_index`` builds for the same edges is measured."""
     X = np.random.default_rng(4).standard_normal((1000, 48))
     bmap = wg.fit_bins(X, (0, 1000), max_bins=256)
     assert {len(e) for e in bmap.edges} == {255}
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        bmap.cells
+        index = data._cell_index(bmap.edges)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert 0 < kept <= 0.25 * 2**20
+    assert index.edges.shape == (48, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +433,43 @@ def test_rt_baseline_rejects_non_finite(served):
     with pytest.raises(ValueError, match="column 0"):
         rt.predict(X)
 
+
+@pytest.fixture(scope="module")
+def forecasters(served_fit):
+    """The served glass-box model and the three baselines on its rows."""
+    model, matrix, split = served_fit
+    return [model, wg.fit_ols(matrix, split.train),
+            wg.fit_rt_baseline(matrix, split.train, max_bins=8),
+            wg.PersistenceModel(lag_column=0, feature_names=matrix.feature_names)]
+
+
+@st.composite
+def bad_rows(draw):
+    """Rows that no forecaster of four features takes: finite rows with a
+    NaN or +-inf at one to three drawn cells, rows of another width, or
+    one row as a 1-D array."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["non-finite", "width", "1-D"]))
+    if kind == "width":
+        return rng.uniform(size=(n, draw(st.sampled_from([0, 1, 3, 5, 9]))))
+    X = rng.uniform(size=(n, 4))
+    if kind == "1-D":
+        return X[0]
+    for _ in range(draw(st.integers(1, 3))):
+        X[draw(st.integers(0, n - 1)), draw(st.integers(0, 3))] = draw(st.sampled_from(BAD))
+    return X
+
+
+@settings(max_examples=100, deadline=None)
+@given(X=bad_rows())
+def test_every_forecaster_refuses_the_rows_apply_bins_refuses(forecasters, X):
+    """Glass-box, OLS, CART and persistence ``predict`` raise the
+    ``ValueError`` of ``apply_bins``, word for word: the width it wanted,
+    or the first column holding a non-finite value."""
+    with pytest.raises(ValueError) as want:
+        wg.apply_bins(forecasters[0].bins, X)
+    for model in forecasters:
+        with pytest.raises(ValueError) as got:
+            model.predict(X)
+        assert str(got.value) == str(want.value), type(model).__name__
