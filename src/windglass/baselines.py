@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (MOST_RECENT_LAG, BinningMap, NormParams, SupervisedMatrix,
-                   _feature_rows, _fit_rows, apply_bins, fit_bins)
+                   _feature_rows, _fit_binned, _fit_rows, apply_bins)
 from .trees import RegressionTree, TreeParams, fit_cart, predict_tree
 
 __all__ = [
@@ -126,8 +126,7 @@ def _most_recent_lag_column(feature_names) -> int:
 def fit_rt_baseline(matrix: SupervisedMatrix, fit_range: tuple[int, int],
                     max_bins: int = 256) -> RTBaseline:
     """Fit the regression-tree baseline (``RT_BASELINE_PARAMS``)."""
-    bins = fit_bins(matrix.X, fit_range, max_bins)
-    Xb = apply_bins(bins, _fit_rows(matrix.X, fit_range))
+    bins, Xb = _fit_binned(matrix.X, fit_range, max_bins)
     tree = fit_cart(Xb, _fit_rows(matrix.y, fit_range), RT_BASELINE_PARAMS)
     return RTBaseline(
         tree=tree,

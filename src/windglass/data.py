@@ -524,7 +524,6 @@ class BinningMap:
         return _cell_index(self.edges)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> BinningMap:
     """Fit per-feature quantile bin edges on ``fit_range`` rows.
 
@@ -536,6 +535,15 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     whose edges would overflow (two values whose sum or difference is
     beyond the largest float) raises ``ValueError`` naming it too.
     """
+    return _fit_binned(X, fit_range, max_bins)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fit_binned(X, fit_range, max_bins, out=None) -> tuple[BinningMap, np.ndarray]:
+    """:func:`fit_bins` and the bins of its fit rows, which it computes
+    to count the populations: ``apply_bins(bmap, X[lo:hi])``, for
+    callers that would otherwise bin those rows a second time. They are
+    written into ``out`` when it is given."""
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
     Xf = _fit_rows(np.asarray(X, dtype=np.float64), fit_range)
@@ -566,7 +574,7 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
                              "its bin edges overflow")
         edges.append(cuts)
     index = _cell_index(edges)  # counts the fit rows; kept with the map
-    Xb = _bin(index, Xf, range(len(edges)))
+    Xb = _bin(index, Xf, range(len(edges)), out)
     bmap = BinningMap(
         edges=tuple(edges),
         vmin=Xf.min(axis=0),
@@ -576,7 +584,7 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
         max_bins=max_bins,
     )
     object.__setattr__(bmap, "cells", index)
-    return bmap
+    return bmap, Xb
 
 
 def _linear_quantiles(s: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -722,9 +730,9 @@ def _cell_index(edges) -> CellIndex:
                      edges=padded)
 
 
-def _bin(index: CellIndex, X: np.ndarray, features) -> np.ndarray:
+def _bin(index: CellIndex, X: np.ndarray, features, out=None) -> np.ndarray:
     """Bin column k of the 2-D, finite ``X`` by the edges of
-    ``features[k]`` in ``index``.
+    ``features[k]`` in ``index``, into ``out`` when it is given.
 
     A value's bin is its cell's start plus the edges of its own cell it
     reaches, found by up to :data:`_CELL_STEPS` gathers and compares for
@@ -737,7 +745,8 @@ def _bin(index: CellIndex, X: np.ndarray, features) -> np.ndarray:
     first_cell = f * index.n_cells
     first_edge = f * index.edges.shape[1]
     edges = index.edges.ravel()
-    out = np.empty(X.shape, dtype=np.int64)
+    if out is None:
+        out = np.empty(X.shape, dtype=np.int64)
     rows = max(1, _BLOCK_VALUES // max(len(f), 1))
     for a in range(0, len(X), rows):
         V = X[a:a + rows]

@@ -20,6 +20,7 @@ and curves are the generic path's, bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +126,18 @@ def _resolve_feature(model, feature) -> int:
             raise ValueError(
                 f"unknown feature {feature!r}; valid names: {', '.join(model.feature_names)}"
             ) from None
-    f = int(feature)
-    if not 0 <= f < len(model.feature_names):
-        raise ValueError(f"feature index {f} out of range")
+    return _column_index(feature, len(model.feature_names))
+
+
+def _column_index(feature, n_columns: int) -> int:
+    """``feature`` as an integer index into ``n_columns`` columns, or a
+    ``ValueError`` naming it and the valid range."""
+    try:
+        f = operator.index(feature)
+    except TypeError:
+        f = -1
+    if not 0 <= f < n_columns:
+        raise ValueError(f"feature {feature!r} is not a column index in 0..{n_columns - 1}")
     return f
 
 
@@ -292,9 +302,7 @@ def pdp(predict_fn, X: np.ndarray, feature: int, grid) -> CurveExport:
         raise ValueError("X must be a non-empty 2-D array")
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("grid must be a non-empty 1-D array")
-    f = int(feature)
-    if not 0 <= f < X.shape[1]:
-        raise ValueError(f"feature index {f} out of range")
+    f = _column_index(feature, X.shape[1])
     curve = np.empty(len(grid))
     # Column f as at the first grid point, so the binned path bins (and
     # rejects) exactly what the first generic call would see.

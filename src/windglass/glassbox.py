@@ -48,8 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (BinningMap, DataSplit, NormParams, SupervisedMatrix, apply_bins,
-                   bin_row, fit_bins)
+from .data import (BinningMap, DataSplit, NormParams, SupervisedMatrix, _fit_binned,
+                   apply_bins, bin_row)
 from .trees import TreeParams, histogram_table
 
 __all__ = [
@@ -624,8 +624,14 @@ def train(matrix: SupervisedMatrix, split: DataSplit,
     """
     config = config or TrainConfig()
     if bins is None:
-        bins = fit_bins(matrix.X, split.train, config.max_bins)
-    Xb = apply_bins(bins, matrix.X)
+        # The fit bins its own rows straight into Xb (the training rows
+        # come first), so only the others go through apply_bins.
+        n_fit = split.train[1]
+        Xb = np.empty(matrix.X.shape, dtype=np.int64)
+        bins = _fit_binned(matrix.X, split.train, config.max_bins, out=Xb[:n_fit])[0]
+        Xb[n_fit:] = apply_bins(bins, matrix.X[n_fit:])
+    else:
+        Xb = apply_bins(bins, matrix.X)
     maps = _coarse_maps(bins.populations, config.pair_bins)
     if config.bagging_count == 1:
         return _train_single(matrix, split, bins, config, Xb, matrix.y, maps)

@@ -25,14 +25,23 @@ one vectorised pass (:func:`restricted_tree_from_histogram`), and fills
 its table from it (:func:`tree_as_bin_table`). Both reproduce a
 node-at-a-time recursion bit for bit.
 
-The regression-tree baseline's absolute-error search scores a node's
-features together: it sorts the node's targets once and scores every
-(feature, threshold) candidate on masked prefix sums in sorted-value
-order, a block of candidates at a time. Only thresholds at bins present
-in the node are scored, since any other threshold repeats the left set,
-and so the cost, of the present bin below it. Every cost is bit for bit
-that of scoring each feature's every threshold on its own, so the same
-trees come out (the rule is in :func:`_best_split_mae_node`).
+The regression-tree baseline sorts its targets once, at the root, and
+every node keeps its rows in that order: a node's median is the middle
+of its sorted targets, and the absolute-error search reads prefix sums
+in sorted-value order. The search scores a node's features together,
+(feature, threshold) candidates on masked prefix sums, a block of
+candidates at a time. Only thresholds at bins present in the node are
+candidates, since any other threshold repeats the left set, and so the
+cost, of the present bin below it. A large node prunes: a side's cost,
+its sum of absolute deviations about its median, never falls when rows
+join it, so a threshold between two scored ones ``a < t < b`` of a
+feature costs at least ``cost_left(a) + cost_right(b)``. A first pass
+scores every 8th candidate of each feature and its last; a second
+scores only the runs between them whose bound comes within a rounding
+margin of the best scored cost. Every scored cost is bit for bit that
+of scoring each feature's every threshold on its own, and no skipped
+candidate could have been chosen, so the same trees come out (the rule
+is in :func:`_best_split_mae_node`).
 """
 
 from __future__ import annotations
@@ -59,6 +68,13 @@ MIN_GAIN = 1e-12
 # holds. Larger blocks save per-block overhead only on nodes of
 # thousands of rows, and raise peak memory.
 _MAE_BLOCK_CELLS = 16_384
+# Nodes of at least this many candidates x rows prune the MAE split
+# search; smaller ones score every candidate, since there a second pass
+# costs more than the cells it skips.
+_MAE_PRUNE_CELLS = 32_768
+# The pruned search's first pass scores every this-many-th candidate
+# threshold of each feature (and its last).
+_MAE_PRUNE_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -109,52 +125,21 @@ class RegressionTree:
 # Split searches
 # ---------------------------------------------------------------------------
 
-def _best_split_mae_node(cols, idx, y_node, min_leaf):
-    """Best (row of ``cols``, threshold) under absolute error, or None.
+def _mae_costs(bs, ys, vcum, feat, thr, min_leaf):
+    """Cost of every candidate ``(feat[k], thr[k])``, with the left and
+    right side costs it sums, as ``(cost, cost_left, cost_right)``.
 
-    ``cols`` holds the binned columns, one row per feature; ``idx``
-    selects the node's samples and ``y_node`` is their targets. A
-    side's cost is the sum of absolute deviations around its median:
-    with ``h = m // 2`` it is its total minus the sum of its ``m - h``
-    smallest values minus the sum of its ``h`` smallest, read off prefix
-    sums in sorted-value order. Every feature is scored in one pass over
-    blocks of (feature, threshold) candidates x rows.
-
-    Only thresholds at bins present in the node are candidates, minus
-    its top bin: a threshold between two present bins has the same left
-    set, and so the same cost, as the lower one, and one at or above the
-    top bin leaves the right side empty. The search returns what scoring
-    every threshold ``0 .. max bin - 1`` one feature at a time does: the
-    first minimum cost per feature, then the first maximum gain over
-    features. Its costs are bit for bit those of that search, because a
-    side's prefix sums come from the same sums: the left side's from
-    the ``cumsum`` of the node's values masked to its members, the right
-    side's as the ``cumsum`` of all values minus that, and the right
-    total as the grand total minus the left one.
+    ``bs`` and ``ys`` are the node's bins and targets in sorted-value
+    order and ``vcum`` the ``cumsum`` of ``ys``. A candidate that leaves
+    a side below ``min_leaf`` rows costs ``+inf``; its side costs are
+    kept. Each row of a block is its own masked ``cumsum``, so a cost
+    does not depend on which candidates share its block.
     """
-    n = len(y_node)
-    order = np.argsort(y_node, kind="stable")
-    ys = y_node[order]
-    bs = cols[:, idx[order]]
-
-    # A candidate is the lowest threshold >= 0 with a given left set, one
-    # that leaves both sides non-empty: a present bin, or 0 for bins
-    # below 0.
-    top = bs.max(axis=1)
-    width = max(int(top.max()), 1)
-    present = np.zeros((len(bs), width), dtype=bool)
-    present[np.arange(len(bs))[:, None], np.clip(bs, 0, width - 1)] = True
-    t = np.arange(width)
-    present &= (t >= np.maximum(bs.min(axis=1), 0)[:, None]) & (t < top[:, None])
-    feat, thr = np.nonzero(present)
-    if not len(thr):
-        return None
-    vcum = np.cumsum(ys)
+    n = len(ys)
     grand_total = vcum[-1]
-    h = n // 2  # >= 1: a candidate leaves a row on each side
-    parent_cost = grand_total - vcum[n - h - 1] - vcum[h - 1]
-
-    cost = np.empty(len(thr))
+    cost_left = np.empty(len(thr))
+    cost_right = np.empty(len(thr))
+    valid = np.empty(len(thr), dtype=bool)
     step = max(1, _MAE_BLOCK_CELLS // n)
     for s in range(0, len(thr), step):
         member = bs[feat[s:s + step]] <= thr[s:s + step, None]
@@ -179,12 +164,135 @@ def _best_split_mae_node(cols, idx, y_node, min_leaf):
 
         h_left, h_right = m_left // 2, m_right // 2
         total_left = vsum[:, -1]
-        cost_left = (total_left - prefix_left(m_left - h_left)
-                     - np.where(h_left >= 1, prefix_left(h_left), 0.0))
-        cost_right = ((grand_total - total_left) - prefix_right(m_right - h_right)
-                      - np.where(h_right >= 1, prefix_right(h_right), 0.0))
-        cost[s:s + step] = np.where(
-            (m_left >= min_leaf) & (m_right >= min_leaf), cost_left + cost_right, np.inf)
+        cost_left[s:s + step] = (total_left - prefix_left(m_left - h_left)
+                                 - np.where(h_left >= 1, prefix_left(h_left), 0.0))
+        cost_right[s:s + step] = ((grand_total - total_left) - prefix_right(m_right - h_right)
+                                  - np.where(h_right >= 1, prefix_right(h_right), 0.0))
+        valid[s:s + step] = (m_left >= min_leaf) & (m_right >= min_leaf)
+    return np.where(valid, cost_left + cost_right, np.inf), cost_left, cost_right
+
+
+def _sad_margin(ys):
+    """Rounding margin of the pruning test ``bound - margin > best``: a
+    candidate it skips would have had a computed gain strictly below the
+    best. ``+inf``, so no pruning, when ``sum(|ys|)`` is too large for
+    the rounding to be bounded.
+
+    Let ``n = len(ys)``, ``S = sum(|ys|)`` and ``u = eps / 2`` the unit
+    roundoff. Every prefix sum, total and side cost is at most ``S`` in
+    magnitude, and a sequential sum of ``k <= n`` terms errs by at most
+    ``k * u * S``. A left side's cost takes two such sums from its masked
+    ``cumsum`` and two subtractions: error ``<= 3nuS + 5uS``. A right
+    side's sums are differences of two ``cumsum`` values: ``<= 6nuS +
+    11uS``. A candidate's cost adds one rounding, so it is within ``9nuS
+    + 18uS`` of exact, and so is a bound ``cost_left(a) + cost_right(b)``
+    that adds two computed sides. A computed cost is therefore at least
+    the computed bound minus ``(18n + 36)uS``. For ``parent_cost - cost``
+    to round strictly below ``parent_cost - best`` it suffices that
+    ``cost - best > 6uS`` (each gain is below ``3S`` and rounds by at
+    most ``u`` of itself), and the test ``bound - margin > best`` rounds
+    by at most ``2uS`` more. The margin, ``16(n + 4)(eps S + d)`` with
+    ``d`` the smallest subnormal, is ``(32n + 128)uS`` plus room for
+    the absolute rounding of subnormal sums: it covers ``(18n + 44)uS``
+    with a wide berth. ``S`` above a quarter of the largest float could
+    make a sum overflow, where no relative bound holds.
+    """
+    fp = np.finfo(np.float64)
+    with np.errstate(over="ignore"):
+        total = np.abs(ys).sum()
+    if not total <= fp.max / 4:
+        return np.inf
+    return 16.0 * (len(ys) + 4) * (fp.eps * total + fp.smallest_subnormal)
+
+
+def _pruned_mae_costs(bs, ys, vcum, feat, thr, min_leaf, margin):
+    """Candidate costs as :func:`_mae_costs` gives them, except ``+inf``
+    for candidates that provably cannot be the chosen split.
+
+    Each feature's candidates run in threshold order. The first pass
+    scores every ``_MAE_PRUNE_STRIDE``-th of each run, starting at its
+    first, and its last one, so every other candidate lies between two
+    scored ones ``a < t < b``. The second pass scores only the gaps whose
+    bound ``cost_left(a) + cost_right(b)`` comes within
+    :func:`_sad_margin` of the best scored cost.
+    """
+    n_cand = len(thr)
+    first = np.flatnonzero(np.diff(feat, prepend=-1))
+    run = np.diff(first, append=n_cand)
+    rank = np.arange(n_cand) - np.repeat(first, run)
+    sampled = rank % _MAE_PRUNE_STRIDE == 0
+    sampled[first + run - 1] = True
+    at = np.flatnonzero(sampled)
+    cost = np.full(n_cand, np.inf)
+    cost[at], cost_left, cost_right = _mae_costs(bs, ys, vcum, feat[at], thr[at], min_leaf)
+
+    # A gap lies inside one feature's run: each run's last candidate is
+    # sampled, so the next sample starts the next run, with no gap.
+    gap = np.diff(at) > 1
+    gap &= ~(cost_left[:-1] + cost_right[1:] - margin > cost[at].min())
+    lo, size = at[:-1][gap] + 1, np.diff(at)[gap] - 1
+    rest = np.repeat(lo - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    cost[rest] = _mae_costs(bs, ys, vcum, feat[rest], thr[rest], min_leaf)[0]
+    return cost
+
+
+def _best_split_mae_node(bs, ys, min_leaf):
+    """Best (row of ``bs``, threshold) under absolute error, or None.
+
+    ``ys`` holds the node's targets in ascending order (a stable sort)
+    and ``bs`` the binned columns of the same rows in the same order, one
+    row per feature. A side's cost is the sum of absolute deviations
+    around its median (SAD): with ``h = m // 2`` it is its total minus
+    the sum of its ``m - h`` smallest values minus the sum of its ``h``
+    smallest, read off prefix sums in sorted-value order
+    (:func:`_mae_costs`, a block of (feature, threshold) candidates x
+    rows at a time).
+
+    Only thresholds at bins present in the node are candidates, minus
+    its top bin: a threshold between two present bins has the same left
+    set, and so the same cost, as the lower one, and one at or above the
+    top bin leaves the right side empty. The search returns what scoring
+    every threshold ``0 .. max bin - 1`` one feature at a time does: the
+    first minimum cost per feature, then the first maximum gain over
+    features. Its costs are bit for bit those of that search, because a
+    side's prefix sums come from the same sums: the left side's from
+    the ``cumsum`` of the node's values masked to its members, the right
+    side's as the ``cumsum`` of all values minus that, and the right
+    total as the grand total minus the left one.
+
+    A node of at least ``_MAE_PRUNE_CELLS`` candidates x rows skips the
+    candidates that cannot win (:func:`_pruned_mae_costs`). A side's SAD
+    never falls when rows join it, so for thresholds ``a < t < b`` of one
+    feature ``cost(t) >= cost_left(a) + cost_right(b)``. A candidate is
+    skipped only when that bound, less a margin for rounding
+    (:func:`_sad_margin`), exceeds a scored candidate's cost. Then its
+    cost exceeds the best one, and its gain rounds strictly below the
+    best gain: it is neither its feature's first minimum where that
+    feature could win, nor can it lift an earlier feature into a tie for
+    the first maximum gain. The search result is that of scoring every
+    candidate.
+    """
+    n = len(ys)
+    # A candidate is the lowest threshold >= 0 with a given left set, one
+    # that leaves both sides non-empty: a present bin, or 0 for bins
+    # below 0.
+    top = bs.max(axis=1)
+    width = max(int(top.max()), 1)
+    present = np.zeros((len(bs), width), dtype=bool)
+    present[np.arange(len(bs))[:, None], np.clip(bs, 0, width - 1)] = True
+    t = np.arange(width)
+    present &= (t >= np.maximum(bs.min(axis=1), 0)[:, None]) & (t < top[:, None])
+    feat, thr = np.nonzero(present)
+    if not len(thr):
+        return None
+    vcum = np.cumsum(ys)
+    h = n // 2  # >= 1: a candidate leaves a row on each side
+    parent_cost = vcum[-1] - vcum[n - h - 1] - vcum[h - 1]
+    margin = _sad_margin(ys) if len(thr) * n >= _MAE_PRUNE_CELLS else np.inf
+    if margin < np.inf:
+        cost = _pruned_mae_costs(bs, ys, vcum, feat, thr, min_leaf, margin)
+    else:
+        cost = _mae_costs(bs, ys, vcum, feat, thr, min_leaf)[0]
 
     first = np.flatnonzero(np.diff(feat, prepend=-1))
     gain = parent_cost - np.minimum.reduceat(cost, first)
@@ -200,6 +308,13 @@ def _best_split_mae_node(cols, idx, y_node, min_leaf):
 # Fitting and prediction
 # ---------------------------------------------------------------------------
 
+def _sorted_median(ys: np.ndarray) -> float:
+    """``np.median`` of the ascending ``ys``, bit for bit up to the sign
+    of a zero: its middle value, or the mean of its two middle values."""
+    h = len(ys) // 2
+    return float(ys[h] if len(ys) % 2 else (ys[h - 1] + ys[h]) / 2)
+
+
 def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree:
     """Grow the regression-tree baseline: an absolute-error CART tree
     with median leaves, by greedy best-split recursion on binned data.
@@ -207,16 +322,16 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams) -> Regress
     Recursion stops on ``max_depth``, ``min_samples_split``, or when no
     candidate split improves the criterion. Deterministic given inputs.
     One search per node scores every column at once, skipping
-    thresholds at bins absent from the node (see
-    :func:`_best_split_mae_node`). The lowest threshold, then the
-    lowest feature, wins ties, and a split needs a gain above
-    ``MIN_GAIN``.
+    thresholds at bins absent from the node and, on large nodes, those
+    that cannot beat the best split (see :func:`_best_split_mae_node`).
+    Among equal gains the lowest feature wins, at its lowest threshold,
+    and a split needs a gain above ``MIN_GAIN``.
 
     Parameters
     ----------
     X_binned : int array, shape (m, n)
-        Bin indices per feature. To restrict the tree to some columns,
-        pass ``X_binned[:, cols]``.
+        Bin indices per feature; any other dtype raises ``ValueError``.
+        To restrict the tree to some columns, pass ``X_binned[:, cols]``.
     y : float array, shape (m,)
         Targets.
     params : TreeParams
@@ -227,6 +342,8 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams) -> Regress
     y = np.asarray(y, dtype=np.float64)
     if Xb.ndim != 2 or len(Xb) != len(y):
         raise ValueError("X_binned must be 2-D and aligned with y")
+    if not np.issubdtype(Xb.dtype, np.integer):
+        raise ValueError(f"X_binned must hold integer bin indices, got {Xb.dtype}")
     if len(y) == 0:
         raise ValueError("empty data")
     if not np.all(np.isfinite(y)):
@@ -235,22 +352,24 @@ def fit_cart(X_binned: np.ndarray, y: np.ndarray, params: TreeParams) -> Regress
     nodes: list[TreeNode] = []
 
     def grow(idx: np.ndarray, depth: int) -> int:
-        y_node = y[idx]
+        # ``idx`` lists the node's rows by ascending target, ties in row
+        # order (the root's stable sort), an order every subset keeps.
+        ys = y[idx]
         nid = len(nodes)
-        nodes.append(TreeNode(-1, -1, -1, -1, float(np.median(y_node)), len(idx)))
+        nodes.append(TreeNode(-1, -1, -1, -1, _sorted_median(ys), len(idx)))
         if depth >= params.max_depth or len(idx) < params.min_samples_split:
             return nid
-        best = _best_split_mae_node(cols, idx, y_node, params.min_samples_leaf)
+        best = _best_split_mae_node(cols[:, idx], ys, params.min_samples_leaf)
         if best is None:
             return nid
         bf, bt = best
-        go_left = Xb[idx, bf] <= bt
+        go_left = cols[bf, idx] <= bt
         left = grow(idx[go_left], depth + 1)
         right = grow(idx[~go_left], depth + 1)
         nodes[nid] = TreeNode(bf, bt, left, right, nodes[nid].value, len(idx))
         return nid
 
-    grow(np.arange(len(y)), 0)
+    grow(np.argsort(y, kind="stable"), 0)
     return RegressionTree(nodes=tuple(nodes), params=params)
 
 

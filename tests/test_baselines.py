@@ -1,9 +1,12 @@
 """Baseline forecaster tests: OLS, persistence, and the CART baseline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import windglass as wg
+from windglass import data
 from conftest import tree_depth
 
 
@@ -132,6 +135,17 @@ class TestRtBaseline:
         assert tree_depth(model.tree) <= 4
         r2 = wg.r2(model.predict(matrix.X[te]), matrix.y[te])
         assert r2 > 0.5
+
+    def test_bins_each_fit_row_once(self):
+        """The binning fit's own pass over the fit rows gives the tree its
+        bins: no row is binned a second time."""
+        matrix, split = lag_setup(n=800, n_lags=2)
+        lo, hi = split.train
+        with mock.patch.object(data, "_bin", wraps=data._bin) as each_pass:
+            model = wg.fit_rt_baseline(matrix, split.train, max_bins=16)
+        assert sum(len(call.args[1]) for call in each_pass.call_args_list) == hi - lo
+        Xb = wg.apply_bins(model.bins, matrix.X[lo:hi])
+        assert model.tree == wg.fit_cart(Xb, matrix.y[lo:hi], wg.RT_BASELINE_PARAMS)
 
     def test_predicts_leaf_medians(self):
         matrix, split = lag_setup(n=800, n_lags=2)

@@ -502,7 +502,8 @@ def test_fit_bins_edges_equal_np_quantile_bit_for_bit(col, max_bins):
 @given(col=bin_columns(), max_bins=st.integers(2, 64), draws=st.data())
 def test_fit_bins_counts_its_fit_rows_through_its_cell_index(col, max_bins, draws):
     """``populations[f]`` is the bincount of ``apply_bins`` over the fit
-    rows, and ``apply_bins`` reads the index ``fit_bins`` built."""
+    rows, and ``apply_bins`` reads the index ``fit_bins`` built; the
+    binned fit rows the fit hands its callers are those bins."""
     X = np.column_stack([col, -col[::-1]])
     lo = draws.draw(st.integers(0, len(col) - 1))
     hi = draws.draw(st.integers(lo + 1, len(col)))
@@ -514,6 +515,7 @@ def test_fit_bins_counts_its_fit_rows_through_its_cell_index(col, max_bins, draw
     for f in range(2):
         want = np.bincount(Xb[:, f], minlength=bmap.n_bins(f))
         assert bmap.populations[f].tobytes() == want.tobytes()
+    assert data._fit_binned(X, (lo, hi), max_bins)[1].tobytes() == Xb.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Explanation tooling tests: importances, exports, PDP, PFI, and
 cross-method ranking agreement."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -152,6 +153,21 @@ class TestPdp:
             got = curve.values - curve.values.mean()
             want = model.shapes[f].values - model.shapes[f].values.mean()
             np.testing.assert_allclose(got, want, atol=1e-6)
+
+    @pytest.mark.parametrize("feature", ["lag_0", "1", 1.0, 3, -1, None])
+    def test_feature_must_be_a_column_index(self, feature):
+        """A name, a float or an index outside the columns is refused with
+        the value and the valid range."""
+        with pytest.raises(ValueError, match=rf"feature {re.escape(repr(feature))} "
+                                             r"is not a column index in 0\.\.2"):
+            wg.pdp(lambda Z: Z[:, 0], np.zeros((5, 3)), feature, [0.5])
+
+    def test_index_rule_is_shared_with_named_features(self, trained_setup):
+        model, _, _ = trained_setup
+        n = len(model.feature_names)
+        with pytest.raises(ValueError, match=rf"feature {n} is not a column index in 0\.\.{n - 1}"):
+            wg.export_shape(model, n)
+        assert wg.export_shape(model, np.int64(n - 1)).name == model.feature_names[-1]
 
     def test_empty_inputs_error(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ The reference below scores one feature at a time, every threshold
 ``0 .. n_bins - 2``, and finds each threshold's order statistics with
 compare-and-``argmax`` passes over a thresholds x rows matrix. The
 node-level search inside ``fit_cart`` must grow the same trees: same
-nodes, in the same order, with the same field values.
+nodes, in the same order, with the same field values, also with its
+bound-and-prune pass forced onto every node.
 """
 
 from unittest import mock
@@ -185,3 +186,111 @@ def test_small_blocks_match(data, params, cells):
     """Blocks of a few candidates: results combine across blocks."""
     with mock.patch.object(trees, "_MAE_BLOCK_CELLS", cells):
         _assert_same_tree(data, params)
+
+
+# ---------------------------------------------------------------------------
+# Bound-and-prune: the search skips candidates that cannot win
+# ---------------------------------------------------------------------------
+
+@st.composite
+def extreme_data(draw):
+    """:func:`binned_data` with targets scaled to about 1e-300 or 1e300."""
+    Xb, y = draw(binned_data())
+    return Xb, y * draw(st.sampled_from([1e-300, 1e300]))
+
+
+def _assert_same_pruned_tree(data, params, stride, cells):
+    """Every node of at least one cell prunes, in blocks of ``cells``."""
+    with (mock.patch.object(trees, "_MAE_PRUNE_CELLS", 0),
+          mock.patch.object(trees, "_MAE_PRUNE_STRIDE", stride),
+          mock.patch.object(trees, "_MAE_BLOCK_CELLS", cells)):
+        _assert_same_tree(data, params)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=binned_data(), params=PARAMS, stride=st.integers(2, 9),
+       cells=st.integers(1, 300))
+def test_pruned_search_matches_per_feature_search(data, params, stride, cells):
+    _assert_same_pruned_tree(data, params, stride, cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=extreme_data(), params=PARAMS, stride=st.integers(2, 9),
+       cells=st.integers(1, 300))
+def test_pruned_search_matches_at_extreme_scales(data, params, stride, cells):
+    """Targets near either end of the float range: the rounding margin
+    scales with sum(|y|), so pruning stays exact there too."""
+    _assert_same_pruned_tree(data, params, stride, cells)
+
+
+def _scored_cells(bs, ys, min_leaf, prune_cells):
+    """The search's result, with nodes of ``prune_cells`` or more pruned,
+    and the candidate x row cells it scored."""
+    scored = []
+
+    def counted(bs_, ys_, vcum, feat, thr, min_leaf_):
+        scored.append(len(thr) * len(ys_))
+        return real(bs_, ys_, vcum, feat, thr, min_leaf_)
+
+    real = trees._mae_costs
+    with (mock.patch.object(trees, "_mae_costs", counted),
+          mock.patch.object(trees, "_MAE_PRUNE_CELLS", prune_cells)):
+        best = trees._best_split_mae_node(bs, ys, min_leaf)
+    return best, sum(scored)
+
+
+def _root(Xb, y):
+    """The root's bins and targets in the order ``fit_cart`` passes them."""
+    order = np.argsort(y, kind="stable")
+    return np.ascontiguousarray(Xb.T, dtype=np.int64)[:, order], y[order]
+
+
+def test_pruning_skips_most_root_cells_of_a_benchmark_sized_fit():
+    """The root of the regression-tree baseline on a 300-row series with
+    13 lags and the (0.5, 0.1, 0.4) split, 143 training rows, scores at
+    most half of its candidate cells and finds the split that scoring
+    every one of them finds."""
+    frame = wg.make_autocorrelated_series(300, seed=0)
+    raw = wg.build_lag_features(frame, 13, 1)
+    split = wg.chronological_split(raw.n_rows, (0.5, 0.1, 0.4))
+    matrix = wg.normalize_fit_apply(raw, split.train)
+    lo, hi = split.train
+    assert hi - lo == 143
+    bins = wg.fit_bins(matrix.X, split.train)
+    bs, ys = _root(wg.apply_bins(bins, matrix.X[lo:hi]), matrix.y[lo:hi])
+    every, all_cells = _scored_cells(bs, ys, 1, np.inf)
+    pruned, cells = _scored_cells(bs, ys, 1, trees._MAE_PRUNE_CELLS)
+    assert pruned == every
+    assert all_cells >= trees._MAE_PRUNE_CELLS
+    assert cells <= all_cells / 2
+
+
+def test_overflowing_targets_turn_pruning_off():
+    """With sum(|y|) beyond a quarter of the largest float, no rounding
+    bound holds: the margin is infinite and every candidate is scored."""
+    rng = np.random.default_rng(5)
+    Xb = rng.integers(0, 12, size=(60, 3))
+    y = rng.uniform(1e306, 1e307, size=60)
+    bs, ys = _root(Xb, y)
+    assert trees._sad_margin(ys) == np.inf
+    assert trees._sad_margin(ys / 100) < np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        every, all_cells = _scored_cells(bs, ys, 1, np.inf)
+        best, cells = _scored_cells(bs, ys, 1, 0)
+    assert best == every
+    assert cells == all_cells
+
+
+@settings(max_examples=500, deadline=None)
+@given(y=st.lists(st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-3, 1e3]),
+    st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: round(v, 1))),
+    min_size=1, max_size=40))
+def test_sorted_median_is_np_median(y):
+    """The leaf value is ``np.median`` of the node's targets, bit for bit
+    once the sign of a zero is dropped."""
+    ys = np.sort(np.asarray(y, dtype=np.float64), kind="stable")
+    got = trees._sorted_median(ys) + 0.0
+    want = float(np.median(np.asarray(y))) + 0.0
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -213,13 +213,18 @@ def test_bagged_training_derives_the_coarse_maps_once(tmp_path, bagging_count):
 @pytest.mark.parametrize("bagging_count", [1, 2])
 def test_training_bins_the_rows_once(bagging_count):
     """One ``apply_bins`` call serves the main stage, ranking, the pair
-    stage and every bag."""
+    stage and every bag, and every row is binned once: bins that
+    ``train`` fits itself have already binned the training rows, so
+    ``apply_bins`` takes only the others."""
     first, matrix, split = small_fit(seed=9, n_features=3, rounds=2)
     config = replace(first.config, bagging_count=bagging_count)
-    with mock.patch.object(glassbox, "apply_bins", wraps=glassbox.apply_bins) as binned:
-        model = wg.train(matrix, split, config)
-    assert binned.call_count == 1
-    assert model.pairs
+    for bins in (None, wg.fit_bins(matrix.X, split.train, config.max_bins)):
+        with (mock.patch.object(glassbox, "apply_bins", wraps=glassbox.apply_bins) as binned,
+              mock.patch.object(data, "_bin", wraps=data._bin) as each_pass):
+            model = wg.train(matrix, split, config, bins=bins)
+        assert binned.call_count == 1
+        assert sum(len(call.args[1]) for call in each_pass.call_args_list) == matrix.n_rows
+        assert model.pairs
 
 
 def test_pair_stage_with_other_pair_bins_derives_its_own_maps():

@@ -141,6 +141,14 @@ class TestFitCart:
         with pytest.raises(ValueError, match="empty"):
             wg.fit_cart(np.zeros((0, 1), dtype=int), np.zeros(0), wg.TreeParams())
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object])
+    def test_non_integer_bins_error(self, dtype):
+        """Rows are routed on the bins as given, so a fractional bin would
+        reach a leaf the search never counted it in."""
+        Xb = np.array([0, .5, 1, 1.7, 2, 3]).astype(dtype).reshape(-1, 1)
+        with pytest.raises(ValueError, match="integer bin indices"):
+            wg.fit_cart(Xb, np.arange(6.0), wg.TreeParams(max_depth=2))
+
     def test_root_split_matches_brute_force(self):
         rng = np.random.default_rng(17)
         for trial in range(15):
