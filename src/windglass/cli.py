@@ -426,6 +426,12 @@ def cmd_benchmark(args) -> int:
         for kind, label, means, stds in results
     ]
     _write_csv(out / "benchmark.csv", header, rows)
+    _write_csv(out / "timings.csv",
+               ["model", "horizon_steps", "repeat", "train_seconds", "inference_seconds",
+                "reused_repeat"],
+               [[kind, label, rep, "", "", 0] if t_fit is None
+                else [kind, label, rep, f"{t_fit:.6f}", f"{t_pred:.6f}", ""]
+                for kind, label, rep, t_fit, t_pred in timings])
 
     widths = [10, 8, 18, 18, 18]
     lines = ["".join(h.ljust(w) for h, w in

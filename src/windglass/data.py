@@ -3,7 +3,9 @@ chronological splitting, and quantile binning.
 
 Everything here is deterministic and value-like: functions return new
 objects and never mutate their inputs, so results are safe to share
-across threads.
+across threads. Batch binning reads each binning's :class:`CellIndex`:
+one gather to the first edge of a value's cell, then the index's fixed
+number of steps of one gather, one compare and one add per block.
 """
 
 from __future__ import annotations
@@ -614,8 +616,7 @@ def apply_bins(bmap: BinningMap, X: np.ndarray) -> np.ndarray:
     land in the top bin and +-inf in an extreme one, giving a plausible
     forecast from no data (``load_csv`` drops such rows for the same
     reason). The bins are read from the map's cell index
-    (``BinningMap.cells``), a few gathers over all features at once
-    instead of a binary search per feature.
+    (``BinningMap.cells``), every feature at once.
     """
     return _bin(bmap.cells, _feature_rows(X, bmap.n_features), range(bmap.n_features))
 
@@ -664,8 +665,8 @@ def _require_finite(X: np.ndarray, features) -> None:
 
 # Uniform cells per edge of the binning's longest edge vector.
 _CELLS_PER_EDGE = 4
-# Edges a value is compared with inside its own cell before a binary
-# search finishes its feature.
+# Most edges one cell of a feature may hold; a feature with more in a
+# cell is dense and binned by a binary search.
 _CELL_STEPS = 4
 # Most values (rows x features) binned at once, bounding the temporaries.
 _BLOCK_VALUES = 16_384
@@ -673,14 +674,13 @@ _BLOCK_VALUES = 16_384
 
 class CellIndex(NamedTuple):
     """A binning's edges laid out so that a block of rows x features
-    bins in a few gathers.
-
-    Feature ``f``'s values are mapped to ``n_cells`` uniform cells by
-    :func:`_cell`, ``clip(floor((v - lo[f]) * scale[f]), 0, n_cells - 1)``,
-    the same map for edges and values. ``starts[f * n_cells + c]`` counts
-    ``f``'s edges in cells before ``c`` (in the narrowest unsigned dtype
-    that holds the edge counts), and row ``f`` of ``edges`` holds ``f``'s
-    edges padded with ``+inf`` to one column more than the longest.
+    bins in ``steps + 1`` gathers. Row ``f`` of ``edges`` holds ``f``'s edges
+    padded with ``+inf`` to one column more than the longest; :func:`_cell`
+    maps ``f``'s values and edges to cells ``f * n_cells`` to ``(f + 1) *
+    n_cells - 1``, and ``starts[c]`` is the flat position of cell ``c``'s
+    first edge in ``edges`` (narrowest unsigned dtype). ``steps`` is the
+    most edges a cell holds, over the features that are not ``dense``:
+    those with a cell of more than :data:`_CELL_STEPS` edges.
     """
 
     lo: np.ndarray
@@ -688,29 +688,33 @@ class CellIndex(NamedTuple):
     n_cells: int
     starts: np.ndarray
     edges: np.ndarray
+    steps: int
+    dense: np.ndarray
 
 
-def _cell(V: np.ndarray, lo, scale, n_cells: int) -> np.ndarray:
-    """Cell of every value of ``V``, column k by ``lo[k]`` and ``scale[k]``.
+def _cell(V: np.ndarray, lo, scale, n_cells: int, first) -> np.ndarray:
+    """Cell of every value of ``V``, column k by ``lo[k]``, ``scale[k]``
+    and its first cell ``first[k]``, a whole float added after the clip.
 
-    Each step (subtract, multiply, clip, truncate a non-negative float)
-    rounds monotonically, so ``v <= w`` gives ``cell(v) <= cell(w)``:
-    edges in earlier cells are at most ``v`` and edges in later cells
-    exceed it. A far-out value's offset may overflow to +-inf; it clips
-    into an end cell like any other.
+    Each step (subtract, multiply, clip, add, truncate a non-negative
+    float) rounds monotonically, so ``v <= w`` gives ``cell(v) <= cell(w)``
+    and cells stay in ``first[k]`` to ``first[k] + n_cells - 1``: edges in
+    earlier cells are at most ``v`` and edges in later cells exceed it. A
+    far-out value's offset may overflow to +-inf and clip to an end cell.
     """
     with np.errstate(over="ignore", under="ignore"):
-        c = (V - lo) * scale
-    return np.clip(c, 0, n_cells - 1, out=c).astype(np.intp)
+        c = np.subtract(V, lo)
+        c *= scale
+    return np.add(np.clip(c, 0, n_cells - 1, out=c), first, out=c).astype(np.intp)
 
 
 def _cell_index(edges) -> CellIndex:
     """The :class:`CellIndex` of the sorted edge vectors ``edges``."""
     counts = np.array([len(e) for e in edges], dtype=np.intp)
-    most = int(counts.max(initial=0))
-    padded = np.full((len(edges), most + 1), np.inf)
-    padded[np.arange(most + 1) < counts[:, None]] = np.concatenate((np.empty(0), *edges))
-    n_cells = _CELLS_PER_EDGE * max(most, 1)
+    width = int(counts.max(initial=0)) + 1
+    padded = np.full((len(edges), width), np.inf)
+    padded[np.arange(width) < counts[:, None]] = np.concatenate((np.empty(0), *edges))
+    n_cells = _CELLS_PER_EDGE * max(width - 1, 1)
     lo = np.where(counts > 0, padded[:, 0], 0.0)
     # A feature's last edge (+inf for one without edges) sets its scale.
     # Any finite positive scale keeps the map monotone, so one that the
@@ -719,49 +723,45 @@ def _cell_index(edges) -> CellIndex:
     with np.errstate(over="ignore", divide="ignore"):
         scale = n_cells / (padded[np.arange(len(edges)), counts - 1] - lo)
     scale = np.clip(scale, 1e-300, 1e300)
-    # The +inf padding lands in the last cell, which no start counts.
-    flat = _cell(padded, lo[:, None], scale[:, None], n_cells)
-    flat += n_cells * np.arange(len(edges))[:, None]
-    per_cell = np.bincount(flat.ravel(), minlength=len(edges) * n_cells)
+    first = n_cells * np.arange(len(edges), dtype=float)
+    cell = _cell(padded, lo[:, None], scale[:, None], n_cells, first[:, None])
+    per_cell = np.bincount(cell.ravel(), minlength=len(edges) * n_cells)
+    # A feature's ``width`` slots, padding included, precede the next's.
+    starts = (np.cumsum(per_cell) - per_cell).astype(np.min_scalar_type(padded.size))
     per_cell = per_cell.reshape(-1, n_cells)
-    starts = np.cumsum(per_cell, axis=1) - per_cell
-    return CellIndex(lo=lo, scale=scale, n_cells=n_cells,
-                     starts=starts.astype(np.min_scalar_type(most)).ravel(),
-                     edges=padded)
+    per_cell[:, -1] -= width - counts  # the +inf padding lands in the last cell
+    densest = per_cell.max(axis=1, initial=0)
+    dense = densest > _CELL_STEPS
+    return CellIndex(lo=lo, scale=scale, n_cells=n_cells, starts=starts, edges=padded,
+                     steps=int(densest[~dense].max(initial=0)), dense=dense)
 
 
 def _bin(index: CellIndex, X: np.ndarray, features, out=None) -> np.ndarray:
     """Bin column k of the 2-D, finite ``X`` by the edges of
     ``features[k]`` in ``index``, into ``out`` when it is given.
 
-    A value's bin is its cell's start plus the edges of its own cell it
-    reaches, found by up to :data:`_CELL_STEPS` gathers and compares for
-    a whole block of values. A feature that still has a value stepping
-    after the last of them is finished by ``searchsorted`` on its padded
-    edge row (a finite value never reaches the ``+inf`` padding).
+    A value's position in the flat edge matrix starts at its cell's
+    first edge and takes ``index.steps`` steps of one gather, one compare
+    and one add for a whole block of values: each step passes one more
+    edge of its own cell that it reaches, and no step passes the next
+    cell's first edge or the ``+inf`` padding. A dense feature is binned
+    by ``searchsorted`` on its padded edge row instead.
     """
     f = np.asarray(features, dtype=np.intp)
     lo, scale = index.lo[f], index.scale[f]
-    first_cell = f * index.n_cells
-    first_edge = f * index.edges.shape[1]
+    first_cell, first_edge = f * float(index.n_cells), f * index.edges.shape[1]
     edges = index.edges.ravel()
     if out is None:
         out = np.empty(X.shape, dtype=np.int64)
     rows = max(1, _BLOCK_VALUES // max(len(f), 1))
     for a in range(0, len(X), rows):
         V = X[a:a + rows]
-        cell = _cell(V, lo, scale, index.n_cells) + first_cell
-        pos = index.starts.take(cell) + first_edge
-        for _ in range(_CELL_STEPS):
-            step = edges.take(pos) <= V
-            if not step.any():
-                break
-            pos += step
-        else:
-            for k in np.flatnonzero(step.any(axis=0)):
-                found = index.edges[f[k]].searchsorted(V[:, k], side="right")
-                pos[:, k] = first_edge[k] + found
-        out[a:a + rows] = pos - first_edge
+        pos = index.starts.take(_cell(V, lo, scale, index.n_cells, first_cell))
+        for _ in range(index.steps):
+            pos += edges.take(pos) <= V
+        np.subtract(pos, first_edge, out=out[a:a + rows])
+    for k in np.flatnonzero(index.dense[f]):
+        out[:, k] = index.edges[f[k]].searchsorted(X[:, k], side="right")
     return out
 
 

@@ -496,6 +496,28 @@ class TestBenchmark:
         assert ([r for r in rows if r[0] != seeded_kind]
                 == [r for r in single if r[0] != seeded_kind])
 
+    def test_timings_csv_has_a_row_per_model_horizon_and_repeat(self, run_dir, capsys):
+        """``timings.csv`` holds the train and inference seconds of every
+        (model, horizon, repeat) in the order of the ``timing:`` lines; a
+        reused repeat has no seconds and names repeat 0."""
+        _, cfg, out = run_dir
+        assert main(["benchmark", "--config", str(cfg), "--repeats", "2",
+                     "--set", "train.max_rounds=5"]) == EXIT_OK
+        timing = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("timing:")]
+        rows = read_csv(out / "timings.csv")
+        assert rows[0] == ["model", "horizon_steps", "repeat", "train_seconds",
+                           "inference_seconds", "reused_repeat"]
+        assert len(rows) == 1 + 4 * 2 * 2 == 1 + len(timing)
+        for row, line in zip(rows[1:], timing):
+            assert line[1:4] == [row[0], f"h={row[1]}", f"repeat={row[2]}"]
+            if line[4] == "reused":
+                assert row[3:] == ["", "", "0"]
+            else:
+                assert line[4].startswith("train=") and line[5].startswith("inference=")
+                assert float(row[3]) >= 0 and float(row[4]) >= 0 and row[5] == ""
+        assert sum(row[5] == "0" for row in rows[1:]) == 4 * 2
+
     @pytest.mark.parametrize("argv", [
         ["benchmark", "--repeats", "0"],
         ["benchmark", "--repeats", "-1"],

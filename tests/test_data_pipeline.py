@@ -599,3 +599,57 @@ def test_cell_index_bins_equal_a_binary_search(case, bad, draws):
         wg.apply_bins(bmap, X)
     with pytest.raises(ValueError, match=f"^non-finite value in feature column {first}$"):
         data.bin_values(bmap, first, X[:, first])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges=st.lists(edge_vectors(), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_cell_map_is_monotone_and_keeps_to_its_features_cells(edges, seed):
+    """Each feature's offset cell map never decreases and stays in the
+    feature's own cells, ``f * n_cells`` to ``(f + 1) * n_cells - 1``, for
+    +-0.0, subnormals, the largest floats, values at 1e+-300 scales and
+    the edges with their neighbours: bins are exact because of it."""
+    index = data._cell_index(edges)
+    n = index.n_cells
+    rng = np.random.default_rng(seed)
+    biggest = np.finfo(float).max
+    for f, e in enumerate(edges):
+        with np.errstate(over="ignore"):
+            near = np.concatenate([e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf)])
+        values = np.sort(np.concatenate([
+            near[np.isfinite(near)], SPECIAL, [biggest, -biggest],
+            rng.standard_normal(40) * 10.0 ** rng.choice([-300, 300], 40)]))
+        cells = data._cell(values[:, None], index.lo[[f]], index.scale[[f]], n,
+                           np.array([f * n], dtype=float))[:, 0]
+        assert np.all(np.diff(cells) >= 0)
+        assert f * n <= cells[0] and cells[-1] <= (f + 1) * n - 1
+
+
+@pytest.mark.parametrize("cell_steps", [0, 1])
+@settings(max_examples=100, deadline=None)
+@given(case=binned_blocks())
+def test_dense_features_bin_by_binary_search_and_set_no_steps(cell_steps, case):
+    """With at most 0 or 1 steps allowed, features whose densest cell
+    holds more edges are dense; the rest set ``steps`` to the most edges
+    one of their cells holds, cells start at each cell's first edge in the
+    flat edge matrix, and every bin is still one binary search."""
+    bmap, X = case
+    with mock.patch.object(data, "_CELL_STEPS", cell_steps):
+        index = bmap.cells
+        got = wg.apply_bins(bmap, X)
+    n, width = index.n_cells, index.edges.shape[1]
+    most, dense = [], []
+    for f, e in enumerate(bmap.edges):
+        cells = data._cell(e[:, None], index.lo[[f]], index.scale[[f]], n,
+                           np.array([f * n], dtype=float))[:, 0]
+        per_cell = np.bincount(cells - f * n, minlength=n)
+        starts = f * width + np.cumsum(per_cell) - per_cell
+        np.testing.assert_array_equal(index.starts[f * n:(f + 1) * n], starts)
+        most.append(int(per_cell.max()))
+        dense.append(most[-1] > cell_steps)
+    assert index.dense.tolist() == dense
+    assert index.steps == max([m for m, d in zip(most, dense) if not d], default=0)
+    want = reference_bins(bmap, X)
+    np.testing.assert_array_equal(got, want)
+    for f in range(bmap.n_features):
+        np.testing.assert_array_equal(data.bin_values(bmap, f, X[:, f]), want[:, f])
