@@ -481,27 +481,70 @@ def _pair_cells(coarse: np.ndarray, sizes: list[int], pairs):
         yield (sizes[i], sizes[j]), coarse[:, i] * sizes[j] + coarse[:, j]
 
 
-def _group_mean_fit(index: np.ndarray, values: np.ndarray, size: int) -> float:
-    """SSE reduction of the per-group-mean model: sum of s^2/c."""
-    cnt = np.bincount(index, minlength=size).astype(np.float64)
-    sums = np.bincount(index, weights=values, minlength=size)
-    nz = cnt > 0
-    return float(np.sum(sums[nz] ** 2 / cnt[nz]))
-
-
 def _rank_pairs(Xb, residuals, cmaps) -> list[tuple[int, int, float]]:
     """:func:`rank_interaction_pairs` of the binned rows ``Xb`` under
-    the coarse maps ``cmaps``."""
-    coarse, sizes = _coarse(Xb, cmaps)
-    n = coarse.shape[1]
-    marginal = [_group_mean_fit(coarse[:, f], residuals, sizes[f]) for f in range(n)]
-    pairs = list(itertools.combinations(range(n), 2))
-    scored = []
-    for (i, j), ((si, sj), cell) in zip(pairs, _pair_cells(coarse, sizes, pairs)):
-        pair_fit = _group_mean_fit(cell, residuals, si * sj)
-        scored.append((i, j, pair_fit - marginal[i] - marginal[j]))
+    the coarse maps ``cmaps``, unchecked.
+
+    A grid's fit is the SSE reduction of its per-cell means, the sum
+    over non-empty cells of ``s**2 / c`` (residual sum ``s``, row count
+    ``c``). Each feature's coarse column is one contiguous row of ``C``,
+    and every pair's cells share the stride ``S``, the largest coarse
+    size, so a pair costs nine array calls and at most ``S**2`` cells,
+    no more than a ``pair_bins`` square grid. The scores are exactly
+    those of bincounts over each pair's own ``ci * sj + cj`` grid:
+
+    1. ``ci * S + cj`` orders the non-empty cells by ``(ci, cj)``, as
+       ``ci * sj + cj`` does, so compacting them gives the same sequence.
+    2. ``bincount`` adds each row's residual into its cell in row order,
+       whatever the output length.
+    3. The integer counts convert to float exactly below 2**53 rows,
+       and ``s * s`` is ``s ** 2``.
+    4. ``np.add.reduce`` on the compacted 1-D array is the pairwise sum
+       ``np.sum`` runs.
+    """
+    C = np.stack([cmaps[f][Xb[:, f]] for f in range(Xb.shape[1])])
+    A = C * (C.max() + 1)
+
+    def fit(cell):
+        cnt = np.bincount(cell)
+        nz = cnt.nonzero()[0]
+        s = np.bincount(cell, residuals).take(nz)
+        return float(np.add.reduce(s * s / cnt.take(nz)))
+
+    marginal = [fit(c) for c in C]
+    scored = [(i, j, fit(A[i] + C[j]) - marginal[i] - marginal[j])
+              for i, j in itertools.combinations(range(len(C)), 2)]
     scored.sort(key=lambda t: (-t[2], t[0], t[1]))
     return scored
+
+
+def _bin_rows(X_binned, n_bins=None) -> np.ndarray:
+    """``X_binned`` as rows of bins, or ``ValueError``: a 2-D integer
+    array (a bool one is not), with at least one row and no negative
+    bin. Given ``n_bins``, it needs one column per entry, each bin below
+    its column's entry. The one check of :func:`rank_interaction_pairs`'
+    and :func:`train_interactions`' binned rows."""
+    Xb = np.asarray(X_binned)
+    width = "" if n_bins is None else f"{len(n_bins)} "
+    if (Xb.ndim != 2 or not np.issubdtype(Xb.dtype, np.integer)
+            or (n_bins is not None and Xb.shape[1] != len(n_bins))):
+        raise ValueError(f"X_binned needs {width}integer columns, got {Xb.dtype} {Xb.shape}")
+    if len(Xb) == 0:
+        raise ValueError("X_binned has no rows")
+    if n_bins is None:
+        if Xb.min() < 0:
+            raise ValueError("X_binned holds a negative bin")
+    elif Xb.min() < 0 or np.any(Xb >= n_bins):
+        raise ValueError("X_binned holds a bin outside [0, n_bins(f))")
+    return Xb
+
+
+def _finite_residuals(residuals) -> np.ndarray:
+    """``residuals`` as floats, or ``ValueError`` if one is not finite."""
+    r = np.asarray(residuals, dtype=np.float64)
+    if not np.isfinite(r).all():
+        raise ValueError("residuals hold a non-finite value")
+    return r
 
 
 def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
@@ -514,13 +557,20 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     means. Purely additive structure therefore scores near zero. Pairs
     come back sorted by descending strength, ties broken by (i, j).
     Coarse bins come from ``X_binned``'s own per-bin row counts.
+
+    ``X_binned`` must be non-empty rows of non-negative integer bins with
+    at least two columns, and ``residuals`` one finite value per row;
+    ``pair_bins`` an integer ``>= 2`` (``TypeError`` if not an integer).
+    ``ValueError`` otherwise.
     """
+    if isinstance(pair_bins, bool) or not isinstance(pair_bins, _FIELD_KINDS["int"]):
+        raise TypeError(f"pair_bins must be int, got {pair_bins!r}")
     if pair_bins < 2:
         raise ValueError("pair_bins must be >= 2")
-    Xb = np.asarray(X_binned)
-    r = np.asarray(residuals, dtype=np.float64)
-    if Xb.ndim != 2 or len(Xb) != len(r):
-        raise ValueError("X_binned must be 2-D and aligned with residuals")
+    Xb = _bin_rows(X_binned)
+    r = _finite_residuals(residuals)
+    if r.shape != (len(Xb),):
+        raise ValueError("residuals must be 1-D and aligned with X_binned")
     n = Xb.shape[1]
     if n < 2:
         raise ValueError("need at least two features to rank pairs")
@@ -537,20 +587,18 @@ def train_interactions(model: GlassBoxModel, X_binned: np.ndarray, split: DataSp
     """Boost 2-D interaction grids on the main-effects residuals.
 
     ``X_binned`` is every row's bins under ``model.bins``: integer, one
-    column per feature, each bin in ``[0, n_bins(f))``, or ``ValueError``.
-    Same cyclic schedule and early-stopping rule as the main stage, under
-    ``model.config`` (for other settings pass ``replace(model, config=c)``),
-    but each term is a feature pair fitted with pair-restricted trees over
-    coarse bins: runs of main bins of near-equal ``model.bins.populations``,
-    i.e. of the rows the bins were fit on. Grids are re-centered to
+    column per feature, each bin in ``[0, n_bins(f))``, or ``ValueError``;
+    a non-finite residual is a ``ValueError`` too. Same cyclic schedule
+    and early-stopping rule as the main stage, under ``model.config``
+    (for other settings pass ``replace(model, config=c)``), but each term
+    is a feature pair fitted with pair-restricted trees over coarse bins:
+    runs of main bins of near-equal ``model.bins.populations``, i.e. of
+    the rows the bins were fit on. Grids are re-centered to
     training-weighted mean zero, offsets folded into the intercept.
     """
-    Xb = np.asarray(X_binned)
     n = model.n_features
-    if Xb.ndim != 2 or Xb.shape[1] != n or not np.issubdtype(Xb.dtype, np.integer):
-        raise ValueError(f"X_binned needs {n} integer columns, got {Xb.dtype} {Xb.shape}")
-    if np.any(Xb < 0) or np.any(Xb >= [model.bins.n_bins(f) for f in range(n)]):
-        raise ValueError("X_binned holds a bin outside [0, n_bins(f))")
+    Xb = _bin_rows(X_binned, [model.bins.n_bins(f) for f in range(n)])
+    r = _finite_residuals(residuals)
     pairs: list[tuple[int, int]] = []
     for p in selected_pairs:
         i, j = int(p[0]), int(p[1])
@@ -566,8 +614,7 @@ def train_interactions(model: GlassBoxModel, X_binned: np.ndarray, split: DataSp
     coarse, sizes = _coarse(Xb, model.coarse_maps)
     shapes, cells = zip(*_pair_cells(coarse, sizes, pairs))
     grids, intercept, rounds, val_curve = _boost(
-        shapes, cells, np.asarray(residuals, dtype=np.float64), split,
-        model.config.pair_depth, model.config, model.intercept)
+        shapes, cells, r, split, model.config.pair_depth, model.config, model.intercept)
 
     return _with_maps(replace(
         model,

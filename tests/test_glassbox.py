@@ -259,6 +259,116 @@ class TestInteractionRanking:
             assert strength == pytest.approx(oracle[(i, j)], abs=1e-8)
 
 
+def reference_group_mean_fit(index, values, size):
+    """SSE reduction of the per-group-mean model: sum of s^2/c."""
+    cnt = np.bincount(index, minlength=size).astype(np.float64)
+    sums = np.bincount(index, weights=values, minlength=size)
+    nz = cnt > 0
+    return float(np.sum(sums[nz] ** 2 / cnt[nz]))
+
+
+def reference_rank_pairs(Xb, residuals, cmaps):
+    """The pair ranker the one-stride ranker replaced: two masked
+    bincounts over each pair's own ``ci * sj + cj`` grid, summed by
+    ``np.sum``."""
+    n = Xb.shape[1]
+    coarse = np.column_stack([cmaps[f][Xb[:, f]] for f in range(n)])
+    sizes = [int(cmaps[f].max()) + 1 for f in range(n)]
+    marginal = [reference_group_mean_fit(coarse[:, f], residuals, sizes[f])
+                for f in range(n)]
+    scored = []
+    for i, j in itertools.combinations(range(n), 2):
+        cell = coarse[:, i] * sizes[j] + coarse[:, j]
+        pair_fit = reference_group_mean_fit(cell, residuals, sizes[i] * sizes[j])
+        scored.append((i, j, pair_fit - marginal[i] - marginal[j]))
+    scored.sort(key=lambda t: (-t[2], t[0], t[1]))
+    return scored
+
+
+@st.composite
+def ranker_inputs(draw):
+    """Binned rows and residuals: columns of 1 to 60 bins, some shifted
+    (leading empty bins, constant columns), some copies of an earlier
+    column (exactly tied scores); residuals with per-row scales drawn
+    from a range inside 1e-300 .. 1e300."""
+    rows, n = draw(st.integers(2, 400)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for f in range(n):
+        copy = draw(st.none() | st.integers(0, f - 1)) if f else None
+        if copy is None:
+            width, shift = draw(st.integers(1, 60)), draw(st.sampled_from([0, 0, 3]))
+            cols.append(shift + rng.integers(0, width, size=rows))
+        else:
+            cols.append(cols[copy])
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, min(lo + 20, 300)))
+    r = rng.standard_normal(rows) * 10.0 ** rng.integers(lo, hi + 1, size=rows)
+    return np.column_stack(cols), r
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=ranker_inputs(), pair_bins=st.integers(2, 40))
+def test_ranking_equals_the_reference_bit_for_bit(case, pair_bins):
+    """Same pairs, same order, same score bits as the reference on the
+    same coarse columns, overflowed scores (1e300 residuals) included."""
+    Xb, r = case
+    cmaps = [coarse_map(np.bincount(Xb[:, f]), pair_bins) for f in range(Xb.shape[1])]
+    with np.errstate(all="ignore"):
+        got = wg.rank_interaction_pairs(Xb, r, pair_bins)
+        want = reference_rank_pairs(Xb, r, cmaps)
+    assert [(i, j, s.hex()) for i, j, s in got] == [(i, j, s.hex()) for i, j, s in want]
+
+
+# The staged pair API's input rule: each bad input, one bad cell or
+# residual enough, and the message that names it.
+BAD_RANKER_INPUTS = {"nan_residual": "non-finite", "inf_residual": "non-finite",
+                     "bool_bins": "integer columns", "float_bins": "integer columns",
+                     "negative_bin": "negative bin", "no_rows": "no rows"}
+
+
+def spoil(Xb, r, bad, at):
+    """``Xb`` and ``r`` with the fault ``bad`` put in at cell ``at``."""
+    Xb, r = Xb.copy(), r.copy()
+    if bad == "nan_residual":
+        r[at % len(r)] = np.nan
+    elif bad == "inf_residual":
+        r[at % len(r)] = -np.inf if at % 2 else np.inf
+    elif bad == "bool_bins":
+        Xb = Xb > 0
+    elif bad == "float_bins":
+        Xb = Xb.astype(np.float64)
+    elif bad == "negative_bin":
+        Xb.flat[at % Xb.size] = -1 - at % 3
+    else:
+        Xb, r = Xb[:0], r[:0]
+    return Xb, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ranker_inputs(), bad=st.sampled_from(sorted(BAD_RANKER_INPUTS)),
+       at=st.integers(0, 10**6))
+def test_ranking_refuses_bad_input_by_name(case, bad, at):
+    Xb, r = spoil(*case, bad, at)
+    with pytest.raises(ValueError, match=BAD_RANKER_INPUTS[bad]):
+        wg.rank_interaction_pairs(Xb, r, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ranker_inputs(),
+       pair_bins=st.floats(2, 40) | st.booleans() | st.text(max_size=2) | st.none()
+       | st.just(np.float64(8.0)))
+def test_ranking_refuses_a_pair_bins_that_is_not_an_integer(case, pair_bins):
+    """As ``TrainConfig`` does: ``TypeError``, a bool and a whole float
+    included; a numpy integer ranks as the Python integer it equals."""
+    Xb, r = case
+    with pytest.raises(TypeError, match="pair_bins must be int"):
+        wg.rank_interaction_pairs(Xb, r, pair_bins)
+    with np.errstate(all="ignore"):
+        got, want = (wg.rank_interaction_pairs(Xb, r, b) for b in (np.int32(5), 5))
+    assert [(i, j, s.hex()) for i, j, s in got] == [(i, j, s.hex()) for i, j, s in want]
+
+
 def reference_coarse_map(populations, target_bins):
     """The coarse map compressed by sorting, ``np.unique``'s inverse."""
     nb = len(populations)
@@ -479,6 +589,21 @@ class TestInteractions:
         with pytest.raises(ValueError, match=message):
             wg.train_interactions(replace(model, pairs=()), bad, split,
                                   np.zeros(matrix.n_rows), [(0, 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=st.sampled_from(sorted(BAD_RANKER_INPUTS)), at=st.integers(0, 10**6),
+       pairs=st.sampled_from([[(0, 1)], []]))
+def test_pair_stage_refuses_bad_input_by_name(trained_setup, bad, at, pairs):
+    """The pair stage holds the ranker's rule for binned rows and
+    residuals, with no pairs to train too: a NaN residual used to give
+    a NaN model that ``save_model`` wrote and ``load_model`` refused."""
+    model, matrix, split = trained_setup
+    mains = replace(model, pairs=())
+    Xb, r = spoil(wg.apply_bins(model.bins, matrix.X), np.zeros(matrix.n_rows), bad, at)
+    message = "outside" if bad == "negative_bin" else BAD_RANKER_INPUTS[bad]
+    with pytest.raises(ValueError, match=message):
+        wg.train_interactions(mains, Xb, split, r, pairs)
 
 
 class TestModelInvariants:
