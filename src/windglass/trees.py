@@ -22,8 +22,8 @@ A single-feature step builds no tree: it grows depth-first, at most
 three internal nodes at the default depth, straight into its table. A
 pair step grows its tree level-wise, scoring every node of a depth in
 one vectorised pass (:func:`restricted_tree_from_histogram`), and fills
-its table from it (:func:`tree_as_bin_table`). Both reproduce a
-node-at-a-time recursion bit for bit.
+its table from the nodes as :func:`tree_as_bin_table` does, unchecked.
+Both reproduce a node-at-a-time recursion bit for bit.
 
 The regression-tree baseline sorts its targets once, at the root, and
 every node keeps its rows in that order: a node's median is the middle
@@ -47,6 +47,7 @@ is in :func:`_best_split_mae_node`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,9 +95,8 @@ class TreeParams:
             raise ValueError("min_samples_leaf must be >= 1")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One node in the flat node list; ``feature == -1`` marks a leaf."""
+class TreeNode(NamedTuple):
+    """One node in the flat node list, a named tuple; ``feature == -1`` marks a leaf."""
 
     feature: int
     threshold: int
@@ -384,12 +384,15 @@ def _split_gains(cum, min_leaf):
     Invalid candidates score ``-inf``.
     """
     cc, cs = cum
-    c_left, s_left = cc[:, :-1], cs[:, :-1]
-    c_tot, s_tot = cc[:, -1:], cs[:, -1:]
-    c_right = c_tot - c_left
-    s_right = s_tot - s_left
-    gain = (s_left ** 2 / c_left + s_right ** 2 / c_right
-            - s_tot ** 2 / c_tot)
+    c_left = cc[:, :-1]
+    c_right = cc[:, -1:] - c_left
+    # One pass gives the left terms and, in the last column, the parent's.
+    terms = cs * cs / cc
+    gain = cs[:, -1:] - cs[:, :-1]
+    gain *= gain
+    gain /= c_right
+    np.add(terms[:, :-1], gain, out=gain)
+    gain -= terms[:, -1:]
     gain[np.minimum(c_left, c_right) < min_leaf] = -np.inf
     return gain
 
@@ -406,7 +409,7 @@ def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
     come back in preorder, as a depth-first recursion makes them. Slice
     sums, not differences of cumulative sums, keep it exact.
     """
-    both = np.stack((cnt2, sum2))
+    both = np.array((cnt2, sum2))
     level = [(0, cnt2.shape[0], 0, cnt2.shape[1], total)]
     # One entry per node, in level order: [feature, threshold, left, right, value, count].
     grown: list[list] = []
@@ -522,35 +525,41 @@ def tree_as_bin_table(tree: RegressionTree, feature_bins: dict[int, int]) -> np.
 
     Leaf regions of a bin-split tree are axis-aligned bin rectangles, so
     the table is filled by interval narrowing; looking it up reproduces
-    ``predict_tree`` for every bin combination. One fill serves both
-    cases: a 1-D table is filled through a one-column view of it.
+    ``predict_tree`` for every bin combination. After its checks, it
+    fills as :func:`histogram_table` does a pair tree's table.
     """
     feats = sorted(feature_bins)
     if len(feats) not in (1, 2):
         raise ValueError("feature_bins must describe 1 or 2 features")
     if not tree.features_used() <= set(feats):
         raise ValueError("tree references a feature outside feature_bins")
-    table = np.zeros([feature_bins[f] for f in feats])
-    grid = table if table.ndim == 2 else table[:, None]
+    return _fill_table(tree.nodes, [feature_bins[f] for f in feats], feats[0])
 
-    def fill(nid, lo0, hi0, lo1, hi1):
-        nd = tree.nodes[nid]
-        if nd.is_leaf:
-            grid[lo0:hi0, lo1:hi1] = nd.value
-            return
-        cut = nd.threshold + 1
-        if nd.feature == feats[0]:
+
+def _fill_table(nodes, shape, first_feature):
+    """A 1- or 2-feature tree's table: splits on ``first_feature`` cut
+    axis 0, others axis 1, each clamped to the table; a 1-D table is
+    filled through a one-column view of it."""
+    table = np.zeros(shape)
+    grid = table if table.ndim == 2 else table[:, None]
+    stack = [(0, 0, grid.shape[0], 0, grid.shape[1])]
+    while stack:
+        nid, lo0, hi0, lo1, hi1 = stack.pop()
+        feature, threshold, left, right, value, _ = nodes[nid]
+        if feature < 0:
+            grid[lo0:hi0, lo1:hi1] = value
+            continue
+        cut = threshold + 1
+        if feature == first_feature:
             if lo0 < cut:
-                fill(nd.left, lo0, min(hi0, cut), lo1, hi1)
+                stack.append((left, lo0, min(hi0, cut), lo1, hi1))
             if cut < hi0:
-                fill(nd.right, max(lo0, cut), hi0, lo1, hi1)
+                stack.append((right, max(lo0, cut), hi0, lo1, hi1))
         else:
             if lo1 < cut:
-                fill(nd.left, lo0, hi0, lo1, min(hi1, cut))
+                stack.append((left, lo0, hi0, lo1, min(hi1, cut)))
             if cut < hi1:
-                fill(nd.right, lo0, hi0, max(lo1, cut), hi1)
-
-    fill(0, 0, grid.shape[0], 0, grid.shape[1])
+                stack.append((right, lo0, hi0, max(lo1, cut), hi1))
     return table
 
 
@@ -560,8 +569,9 @@ def histogram_table(cnt, sums, params: TreeParams) -> np.ndarray:
 
     ``cnt``/``sums`` are the row counts and residual sums per bin of one
     feature, or per cell of a pair's grid; the table has their shape. A
-    pair's table is its :func:`restricted_tree_from_histogram` tree,
-    filled. A feature's builds no tree: a depth-first recursion over
+    pair's table is its :func:`restricted_tree_from_histogram` tree's
+    nodes, filled with no checks, since the tree is known to fit the
+    grid. A feature's builds no tree: a depth-first recursion over
     bin intervals scores each node on differences of the histogram's
     cumulative counts and sums, and each leaf, reached left to right,
     repeats its mean across its interval. Either table is bit for bit
@@ -569,9 +579,9 @@ def histogram_table(cnt, sums, params: TreeParams) -> np.ndarray:
     """
     if cnt.ndim == 2:
         tree = restricted_tree_from_histogram(cnt, sums, (0, 1), params)
-        return tree_as_bin_table(tree, dict(enumerate(cnt.shape)))
+        return _fill_table(tree.nodes, cnt.shape, 0)
     cum = np.zeros((2, len(cnt) + 1))
-    np.cumsum(np.stack((cnt, sums)), axis=1, out=cum[:, 1:])
+    np.cumsum(np.array((cnt, sums)), axis=1, out=cum[:, 1:])
     cnt_cum, sum_cum = cum
     if not cnt_cum[-1] > 0:
         raise ValueError("histogram holds no rows")

@@ -5,9 +5,13 @@ The references below grow one node at a time and score each node's
 candidate splits on its own cumulative histogram. The pair kernel
 (level-wise) must give the same nodes, in the same order, with the same
 field values. ``histogram_table``, which builds no tree for one feature,
-must give the reference tree's lookup table byte for byte.
+must give the reference tree's lookup table byte for byte; the
+reference table is filled by the recursive fill the kernel's iterative
+one replaced, and the kernel's fused split gains are held to the
+unfused formula bit for bit.
 """
 
+import pickle
 from dataclasses import replace
 from unittest import mock
 
@@ -25,6 +29,47 @@ from windglass.trees import (MIN_GAIN, TreeNode, histogram_table,
 # ---------------------------------------------------------------------------
 # Reference: depth-first recursion over the histogram
 # ---------------------------------------------------------------------------
+
+def reference_split_gains(cum, min_leaf):
+    """``trees._split_gains`` as one unfused formula: the left, right and
+    parent terms each squared and divided on their own."""
+    cc, cs = cum
+    c_left, s_left = cc[:, :-1], cs[:, :-1]
+    c_tot, s_tot = cc[:, -1:], cs[:, -1:]
+    c_right = c_tot - c_left
+    s_right = s_tot - s_left
+    gain = (s_left ** 2 / c_left + s_right ** 2 / c_right
+            - s_tot ** 2 / c_tot)
+    gain[np.minimum(c_left, c_right) < min_leaf] = -np.inf
+    return gain
+
+
+def reference_fill(nodes, shape, first_feature):
+    """The lookup table of a 1- or 2-feature tree's ``nodes`` by a
+    recursion over bin rectangles, narrowing each child's to the table."""
+    table = np.zeros(shape)
+    grid = table if table.ndim == 2 else table[:, None]
+
+    def fill(nid, lo0, hi0, lo1, hi1):
+        nd = nodes[nid]
+        if nd.is_leaf:
+            grid[lo0:hi0, lo1:hi1] = nd.value
+            return
+        cut = nd.threshold + 1
+        if nd.feature == first_feature:
+            if lo0 < cut:
+                fill(nd.left, lo0, min(hi0, cut), lo1, hi1)
+            if cut < hi0:
+                fill(nd.right, max(lo0, cut), hi0, lo1, hi1)
+        else:
+            if lo1 < cut:
+                fill(nd.left, lo0, hi0, lo1, min(hi1, cut))
+            if cut < hi1:
+                fill(nd.right, lo0, hi0, max(lo1, cut), hi1)
+
+    fill(0, 0, grid.shape[0], 0, grid.shape[1])
+    return table
+
 
 def _interval_split(cnt_cum, sum_cum, lo, hi, min_leaf):
     """Best SSE split of bin interval [lo, hi) given cumulative
@@ -168,8 +213,7 @@ def reference_table(cnt, sums, params):
         nodes = reference_grow_1d(cnt, sums, 0, params)
     else:
         nodes = reference_grow_2d(cnt, sums, 0, 1, params)
-    tree = wg.RegressionTree(nodes=nodes, params=params)
-    return wg.tree_as_bin_table(tree, dict(enumerate(cnt.shape)))
+    return reference_fill(nodes, cnt.shape, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,7 +251,8 @@ def test_2d_kernel_matches_recursion(hist, params):
 
 def test_no_tree_for_one_feature():
     """``restricted_tree_from_histogram`` refuses a one-feature
-    histogram, and a fit of shape functions alone builds no tree."""
+    histogram, a fit of shape functions alone builds no tree, and a pair
+    fit calls it once per pair step."""
     with pytest.raises(ValueError, match="pair"):
         restricted_tree_from_histogram(np.ones(4), np.zeros(4), (0,), wg.TreeParams())
     raw = wg.make_interaction_data(300, seed=3)
@@ -215,10 +260,96 @@ def test_no_tree_for_one_feature():
     matrix = wg.normalize_fit_apply(raw, split.train)
     config = wg.TrainConfig(learning_rate=0.1, max_rounds=5, interaction_budget=0)
     with mock.patch.object(trees, "TreeNode", wraps=TreeNode) as node, \
-            mock.patch.object(trees, "RegressionTree", wraps=wg.RegressionTree) as tree:
+            mock.patch.object(trees, "RegressionTree", wraps=wg.RegressionTree) as tree, \
+            mock.patch.object(trees, "restricted_tree_from_histogram",
+                              wraps=restricted_tree_from_histogram) as pair_tree:
         model = wg.train(matrix, split, config)
         assert model.rounds_main == 5 and not model.pairs
-        assert node.call_count == tree.call_count == 0
-        # The same wrappers see the trees of a pair stage.
-        wg.train(matrix, split, replace(config, interaction_budget=1))
-        assert node.call_count > 0 and tree.call_count > 0
+        assert node.call_count == tree.call_count == pair_tree.call_count == 0
+        # The same wrappers see the trees of a pair stage: one pair tree
+        # per pair step, fitted through the module attribute.
+        model = wg.train(matrix, split, replace(config, interaction_budget=2))
+        assert model.rounds_pairs > 0 and len(model.pairs) == 2
+        assert pair_tree.call_count == model.rounds_pairs * len(model.pairs)
+        assert node.call_count > 0 and tree.call_count == pair_tree.call_count
+
+
+# ---------------------------------------------------------------------------
+# Fused split gains and the iterative table fill
+# ---------------------------------------------------------------------------
+
+BIN_SUMS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e150, 1e150))
+
+
+@st.composite
+def cumulative_margins(draw):
+    """``(2, rows, width)`` cumulative counts and sums as the split
+    search reads them: whole counts from bins of 0 to 4 rows (so empty
+    bins and empty sides), sums from bins of up to 1e150 and signed
+    zeros, some rows padded at the end with their last value."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    cnt = np.array(draw(st.lists(st.integers(0, 4), min_size=rows * width,
+                                 max_size=rows * width)), dtype=np.float64)
+    sums = np.array(draw(st.lists(BIN_SUMS, min_size=rows * width, max_size=rows * width)))
+    margins = np.stack((cnt, sums)).reshape(2, rows, width)
+    for row in range(rows):
+        used = draw(st.integers(1, width))
+        margins[:, row, used:] = 0.0
+    return margins.cumsum(axis=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cum=cumulative_margins(), min_leaf=st.integers(1, 5))
+def test_fused_split_gains_match_the_unfused_formula(cum, min_leaf):
+    with np.errstate(all="ignore"):
+        reference = reference_split_gains(cum, min_leaf)
+        fused = trees._split_gains(cum, min_leaf)
+    assert fused.tobytes() == reference.tobytes()
+
+
+@st.composite
+def node_lists(draw):
+    """A random 1- or 2-feature tree's preorder nodes with its table's
+    shape and first feature. Thresholds reach past both ends of the
+    table and repeat or contradict an ancestor's, so the fill's clamps
+    and empty sides are exercised."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)))
+    first = draw(st.integers(0, 5))
+    features = [first] if len(shape) == 1 else [first, first + draw(st.integers(1, 3))]
+    nodes = []
+
+    def grow(depth):
+        nid = len(nodes)
+        nodes.append(None)
+        if depth < 4 and draw(st.booleans()):
+            axis = draw(st.integers(0, len(shape) - 1))
+            t = draw(st.integers(-3, shape[axis] + 2))
+            left = grow(depth + 1)
+            right = grow(depth + 1)
+            nodes[nid] = TreeNode(features[axis], t, left, right, 0.0, 1)
+        else:
+            nodes[nid] = TreeNode(-1, -1, -1, -1, float(nid + 1), 1)
+        return nid
+
+    grow(0)
+    return tuple(nodes), shape, first
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=node_lists())
+def test_fill_table_matches_the_recursive_fill(drawn):
+    nodes, shape, first = drawn
+    table = trees._fill_table(nodes, shape, first)
+    assert table.shape == shape
+    assert table.tobytes() == reference_fill(nodes, shape, first).tobytes()
+
+
+def test_tree_node_is_an_immutable_named_tuple():
+    leaf, split = TreeNode(-1, -1, -1, -1, 0.5, 3), TreeNode(2, 4, 1, 2, 0.25, 7)
+    with pytest.raises(AttributeError):
+        split.threshold = 5
+    assert leaf.is_leaf and not split.is_leaf
+    assert split == (2, 4, 1, 2, 0.25, 7) and split.value == 0.25
+    tree = wg.RegressionTree(nodes=(split, leaf, leaf), params=wg.TreeParams())
+    again = pickle.loads(pickle.dumps(tree))
+    assert again == tree and type(again.nodes[0]) is TreeNode

@@ -1,5 +1,6 @@
 """Model file round trips and failure modes."""
 
+import hashlib
 import json
 import tempfile
 from dataclasses import fields, is_dataclass, replace
@@ -65,6 +66,18 @@ class TestRoundTrip:
         wg.save_model(model, tmp_path / "rt.json")
         loaded = wg.load_model(tmp_path / "rt.json")
         np.testing.assert_array_equal(loaded.predict(matrix.X), model.predict(matrix.X))
+
+    def test_rt_file_bytes_are_pinned(self, lag_matrix, tmp_path):
+        """One fixed RT fit writes the same file bytes: a change to the
+        node type or the fitter that shifts them fails here (the
+        benchmark digests hash no RT model file)."""
+        matrix, split = lag_matrix
+        model = wg.fit_rt_baseline(matrix, split.train, max_bins=32)
+        wg.save_model(model, tmp_path / "rt.json")
+        data = (tmp_path / "rt.json").read_bytes()
+        assert len(model.tree.nodes) == 31 and len(data) == 8533
+        assert hashlib.sha256(data).hexdigest() == (
+            "a75f1b70927fbfb3974e8ac62ac5e5a8bd3468e4c6b1ae74f6418ca8465ed0a6")
 
 
 def swap_two_edges(doc):
