@@ -558,6 +558,12 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     come back sorted by descending strength, ties broken by (i, j).
     Coarse bins come from ``X_binned``'s own per-bin row counts.
 
+    The order is taken on ``residuals * 2.0**-k``, ``k`` the exponent of
+    ``max|residuals|`` (``np.frexp``; 0 if every residual is 0), an exact
+    scale under which no sum of squares overflows, so scaling the
+    residuals by a power of two keeps the order. The scores returned are
+    scaled back by ``2.0**(2 * k)`` and may be ``inf``.
+
     ``X_binned`` must be non-empty rows of non-negative integer bins with
     at least two columns, and ``residuals`` one finite value per row;
     ``pair_bins`` an integer ``>= 2`` (``TypeError`` if not an integer).
@@ -575,7 +581,11 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     if n < 2:
         raise ValueError("need at least two features to rank pairs")
     cmaps = _coarse_maps([np.bincount(Xb[:, f]) for f in range(n)], pair_bins)
-    return _rank_pairs(Xb, r, cmaps)
+    k = int(np.frexp(np.abs(r).max())[1])
+    ranked = _rank_pairs(Xb, np.ldexp(r, -k), cmaps)
+    with np.errstate(over="ignore"):
+        scores = np.ldexp([s for _, _, s in ranked], 2 * k).tolist()
+    return [(i, j, s) for (i, j, _), s in zip(ranked, scores)]
 
 
 # ---------------------------------------------------------------------------

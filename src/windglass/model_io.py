@@ -22,21 +22,25 @@ File invariants:
 - The checksum is ``"sha256:"`` plus the SHA-256 hex digest of the
   document without its checksum, as sorted compact text
   (``json.dumps(doc, sort_keys=True, separators=(",", ":"))``).
-- :func:`save_model` formats every number once: each list of plain
-  scalars (a table, grid row, edge vector or coarse map) becomes compact
-  text of the C JSON encoder, the checksum is hashed piece by piece
-  from those strings in sorted-key order (:func:`_digest`), and the
-  indented file is streamed from the same strings in insertion order.
-  Neither layout is ever held whole in memory.
-- Each distinct float of a top-level member is formatted only once
-  (:func:`_format_floats`), and its text is reused wherever the float
-  repeats. Floats repeat a lot in these files: a boosted shape function
-  is a step function, and the lags of one series share quantile edges.
-  A 48-lag file holds about 35,000 floats, of which 7.6-20% are distinct.
-  Floats are told apart by their bits, so each text is still exactly
-  ``float.__repr__`` of its own value.
-- :func:`load_model` checks the stored checksum against the model's
-  document (:func:`_document`); it digests the parsed document only to
+- :func:`save_model` formats every number once: the document holds the
+  model's own arrays (tables, grid rows, edge vectors, populations,
+  coarse maps), each array or list of plain scalars becomes compact
+  text, the checksum is hashed piece by piece from those strings in
+  sorted-key order (:func:`_digest`), and the indented file is streamed
+  from the same strings in insertion order. Neither layout is ever held
+  whole in memory.
+- Each distinct number of a top-level member's ``float64`` arrays and
+  float lists, and of its ``int64`` arrays, is formatted only once, by
+  the C JSON encoder (:func:`_format_batch`), and its text is reused
+  wherever it repeats. Floats repeat a lot in these files: a boosted
+  shape function is a step function, and the lags of one series share
+  quantile edges. A 48-lag file holds about 35,000 floats, of which
+  7.6-20% are distinct. Numbers are told apart by their bits, so each
+  text is still exactly the ``repr`` of its own value. Any other array,
+  and a list of Python ints, is encoded as its list.
+- :func:`load_model` converts each distinct float text once
+  (:class:`_FloatMemo`), checks the stored checksum against the model's
+  document (:func:`_document`), and digests the parsed document only to
   word a refusal.
 """
 
@@ -45,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -77,8 +80,8 @@ def _norm_to_doc(p: NormParams | None):
     if p is None:
         return None
     return {
-        "feature_min": p.feature_min.tolist(),
-        "feature_max": p.feature_max.tolist(),
+        "feature_min": p.feature_min,
+        "feature_max": p.feature_max,
         "target_min": float(p.target_min),
         "target_max": float(p.target_max),
     }
@@ -101,10 +104,10 @@ def _norm_from_doc(d) -> NormParams | None:
 def _bins_to_doc(b: BinningMap):
     """Flat binning fields, spliced into the document top level."""
     return {
-        "bin_edges": [e.tolist() for e in b.edges],
-        "bin_vmin": b.vmin.tolist(),
-        "bin_vmax": b.vmax.tolist(),
-        "bin_populations": [p.tolist() for p in b.populations],
+        "bin_edges": b.edges,
+        "bin_vmin": b.vmin,
+        "bin_vmax": b.vmax,
+        "bin_populations": b.populations,
         "max_bins": b.max_bins,
     }
 
@@ -175,12 +178,12 @@ def _glassbox_doc(m: GlassBoxModel) -> dict:
         "normalization": _norm_to_doc(m.norm_params),
         **_bins_to_doc(m.bins),
         "shape_functions": [
-            {"feature": sf.feature, "values": sf.values.tolist()} for sf in m.shapes
+            {"feature": sf.feature, "values": sf.values} for sf in m.shapes
         ],
         "pair_terms": [
-            {"i": pt.i, "j": pt.j, "grid": pt.grid.tolist()} for pt in m.pairs
+            {"i": pt.i, "j": pt.j, "grid": pt.grid} for pt in m.pairs
         ],
-        "coarse_maps": ({str(f): cm.tolist() for f, cm in m.coarse_maps.items()}
+        "coarse_maps": ({str(f): cm for f, cm in m.coarse_maps.items()}
                         if m.pairs else {}),
     }
 
@@ -247,7 +250,7 @@ def _linear_doc(m: LinearModel) -> dict:
         "kind": "linear",
         "metadata": {},
         "intercept": float(m.intercept),
-        "weights": m.weights.tolist(),
+        "weights": m.weights,
         "feature_names": list(map(str, m.feature_names)),
         "normalization": _norm_to_doc(m.norm_params),
     }
@@ -346,7 +349,10 @@ _READERS = {
 # Encoding and checksum
 # ---------------------------------------------------------------------------
 
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+# An array among a list's scalars is encoded as its list.
+_compact = json.JSONEncoder(separators=(",", ":"), default=np.ndarray.tolist).encode
+# The array dtypes a member batches, each formatted in one pass.
+_BATCHED = (np.dtype(np.float64), np.dtype(np.int64))
 
 
 class _Text(str):
@@ -362,18 +368,19 @@ class _Object(list):
 
 
 def _encode_leaves(obj):
-    """``obj`` with every scalar and every non-empty list of scalars
-    replaced by its compact JSON text, and every dict by an
-    :class:`_Object`.
+    """``obj`` with every scalar and every non-empty list or array of
+    scalars replaced by its compact JSON text (an array's is that of its
+    ``tolist()``), and every dict by an :class:`_Object`.
 
     The C encoder formats numbers exactly as ``json.dump`` does
     (``float.__repr__``, ``NaN``/``Infinity``), so each number is
-    formatted here once and reused by both layouts. Lists of only
-    ``float`` are formatted together, one batch per member of a
-    document (:func:`_format_floats`), so that a float repeated
-    anywhere in the batch is formatted once. One batch per member
-    rather than per document halves the batches' extra peak memory
-    when saving and loading a 48-lag file (1.4 MB rather than 2.7 MB).
+    formatted here once and reused by both layouts. ``float64`` and
+    ``int64`` arrays (a grid row by row) and lists of only ``float``
+    are formatted in one batch per dtype and member of a document
+    (:func:`_format_batch`), so that a number repeated anywhere in its
+    batch is formatted once. One batch per member rather than per
+    document halves the batches' extra peak memory when encoding a
+    48-lag file (0.6 MB rather than 1.2 MB).
     """
     if isinstance(obj, dict):
         return _Object([key, _key_text(key), _encode_batch(value)]
@@ -388,30 +395,38 @@ def _key_text(key) -> str:
 
 
 def _encode_batch(obj):
-    """``obj`` encoded, with its float lists formatted as one batch."""
+    """``obj`` encoded, with its number arrays formatted as one batch per dtype."""
     root = [None]
-    float_lists = []
-    _encode_into(root, 0, obj, float_lists)
-    _format_floats(float_lists)
+    batches = {dtype: [] for dtype in _BATCHED}
+    _encode_into(root, 0, obj, batches)
+    for batch in batches.values():
+        _format_batch(batch)
     return root[0]
 
 
-def _encode_into(holder, index, obj, float_lists) -> None:
+def _encode_into(holder, index, obj, batches) -> None:
     """Set ``holder[index]`` to ``obj`` encoded, except that a non-empty
-    list of only ``float`` is appended to ``float_lists`` with its slot,
-    for :func:`_format_floats` to fill."""
+    1-D array of a batched dtype or list of only ``float`` is appended to
+    its dtype's batch with its slot, for :func:`_format_batch` to fill.
+    A list of Python ints, which may not fit in ``int64``, is not."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.size and obj.dtype in batches:
+            batches[obj.dtype].append((holder, index, obj))
+            return
+        # A grid is the list of its rows; any other array its tolist().
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
     if isinstance(obj, dict):
         items = _Object()
         for key, value in obj.items():
             item = [key, _key_text(key), None]
             items.append(item)
-            _encode_into(item, 2, value, float_lists)
+            _encode_into(item, 2, value, batches)
         holder[index] = items
         return
     if isinstance(obj, (list, tuple)):
-        if obj and not isinstance(obj[0], (list, tuple, dict, str)):
+        if obj and not isinstance(obj[0], (list, tuple, dict, str, np.ndarray)):
             if type(obj[0]) is float and set(map(type, obj)) == {float}:
-                float_lists.append((holder, index, obj))
+                batches[_BATCHED[0]].append((holder, index, np.array(obj, np.float64)))
                 return
             text = _compact(obj)
             # No string (so no key of a non-empty object) and no inner
@@ -421,32 +436,32 @@ def _encode_into(holder, index, obj, float_lists) -> None:
                 return
         node = [None] * len(obj)
         for k, value in enumerate(obj):
-            _encode_into(node, k, value, float_lists)
+            _encode_into(node, k, value, batches)
         holder[index] = node
         return
     holder[index] = _Text(_compact(obj))
 
 
-def _format_floats(float_lists) -> None:
-    """Fill each ``(holder, index, floats)`` slot with the compact text
-    of its list, formatting each distinct float of all the lists once.
+def _format_batch(batch) -> None:
+    """Fill each ``(holder, index, array)`` slot of ``batch``, whose
+    arrays share one dtype, with the compact text of its array,
+    formatting each distinct number of the batch once.
 
-    Floats are told apart by their bit pattern, so ``0.0`` and ``-0.0``
-    keep their own texts. The distinct floats are formatted by one
-    :data:`_compact` call, and no float's text holds a comma.
+    Numbers are told apart by their 64 bits, so ``0.0`` and ``-0.0``
+    keep their own texts. The distinct numbers are formatted by one
+    :data:`_compact` call, and no number's text holds a comma.
     """
-    if not float_lists:
+    if not batch:
         return
-    sizes = [len(floats) for _, _, floats in float_lists]
-    values = np.fromiter(chain.from_iterable(floats for _, _, floats in float_lists),
-                         np.float64, sum(sizes))
+    values = np.concatenate([array for _, _, array in batch])
     bits, which = np.unique(values.view(np.int64), return_inverse=True)
-    piece = _compact(bits.view(np.float64).tolist())[1:-1].split(",").__getitem__
-    which = which.tolist()
+    texts = _compact(bits.view(values.dtype).tolist())[1:-1].split(",")
+    texts = np.array(texts, dtype=object)[which].tolist()
     start = 0
-    for (holder, index, _), size in zip(float_lists, sizes):
-        holder[index] = _Text("[" + ",".join(map(piece, which[start:start + size])) + "]")
-        start += size
+    for holder, index, array in batch:
+        end = start + len(array)
+        holder[index] = _Text("[" + ",".join(texts[start:end]) + "]")
+        start = end
 
 
 def _hash_sorted(node, update) -> None:
@@ -532,6 +547,18 @@ def save_model(model, path) -> None:
     _write_document(_document(model), path)
 
 
+class _FloatMemo(dict):
+    """A ``parse_float`` memo for one load: each distinct float text is
+    converted once, by ``float``, so every value is exactly the one the
+    default parser gives. Floats repeat a lot in a model file."""
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
+
 def load_model(path):
     """Read a model file back; predictions round-trip bit-identically.
 
@@ -541,9 +568,10 @@ def load_model(path):
     that pass the checksum but do not fit together, hold a non-finite
     table value, or are not what :func:`save_model` writes for them.
     """
+    parse_float = _FloatMemo().__getitem__
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=parse_float)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {path} ({exc})") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -571,7 +599,7 @@ def load_model(path):
             if stored == _digest(_encode_leaves(_document(model))):
                 return model
             with open(path) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_float=parse_float)
             doc.pop("checksum", None)
             problem = "not what save_model writes for its model"
     if stored != _digest(_encode_leaves(doc)):

@@ -259,6 +259,9 @@ class TestInteractionRanking:
             assert strength == pytest.approx(oracle[(i, j)], abs=1e-8)
 
 
+TINY = np.finfo(np.float64).tiny
+
+
 def reference_group_mean_fit(index, values, size):
     """SSE reduction of the per-group-mean model: sum of s^2/c."""
     cnt = np.bincount(index, minlength=size).astype(np.float64)
@@ -307,17 +310,49 @@ def ranker_inputs(draw):
     return np.column_stack(cols), r
 
 
+def score_hexes(ranked):
+    return [(i, j, s.hex()) for i, j, s in ranked]
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=ranker_inputs(), pair_bins=st.integers(2, 40))
 def test_ranking_equals_the_reference_bit_for_bit(case, pair_bins):
     """Same pairs, same order, same score bits as the reference on the
-    same coarse columns, overflowed scores (1e300 residuals) included."""
+    same coarse columns and the residuals scaled by ``2**-k`` (``k`` the
+    exponent of the largest), its scores scaled back by ``2**(2k)``, with
+    no overflow warning at 1e300 residuals. Where the reference on the
+    raw residuals stays in the normal range (each score finite and zero
+    or normal, each ``r * r / rows`` normal), the bits are its bits too:
+    a power-of-two scale is exact there."""
     Xb, r = case
     cmaps = [coarse_map(np.bincount(Xb[:, f]), pair_bins) for f in range(Xb.shape[1])]
+    got = score_hexes(wg.rank_interaction_pairs(Xb, r, pair_bins))
+    k = int(np.frexp(np.abs(r).max())[1])
     with np.errstate(all="ignore"):
-        got = wg.rank_interaction_pairs(Xb, r, pair_bins)
-        want = reference_rank_pairs(Xb, r, cmaps)
-    assert [(i, j, s.hex()) for i, j, s in got] == [(i, j, s.hex()) for i, j, s in want]
+        scaled = reference_rank_pairs(Xb, np.ldexp(r, -k), cmaps)
+        raw = reference_rank_pairs(Xb, r, cmaps)
+        scores = np.array([s for _, _, s in raw])
+        in_range = (np.isfinite(scores).all()
+                    and ((scores == 0) | (np.abs(scores) >= TINY)).all()
+                    and (r * r / len(r) >= TINY).all())
+        assert got == score_hexes((i, j, float(np.ldexp(s, 2 * k))) for i, j, s in scaled)
+    if in_range:
+        assert got == score_hexes(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ranker_inputs(), pair_bins=st.integers(2, 40), data=st.data())
+def test_ranking_order_is_unchanged_by_a_power_of_two_scale(case, pair_bins, data):
+    """``r * 2**j`` ranks as ``r`` does, for every ``|j| <= 900`` that
+    keeps each residual finite and normal."""
+    Xb, r = case
+    exps = np.frexp(np.abs(r[r != 0]))[1]
+    j = data.draw(st.integers(max(-900, -1021 - int(exps.min())),
+                              min(900, 1024 - int(exps.max()))))
+    scaled = np.ldexp(r, j)
+    assert np.array_equal(np.ldexp(scaled, -j), r)
+    order = [(a, b) for a, b, _ in wg.rank_interaction_pairs(Xb, r, pair_bins)]
+    assert order == [(a, b) for a, b, _ in wg.rank_interaction_pairs(Xb, scaled, pair_bins)]
 
 
 # The staged pair API's input rule: each bad input, one bad cell or
