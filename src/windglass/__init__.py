@@ -73,7 +73,6 @@ from .trees import (
     TreeParams,
     fit_cart,
     predict_tree,
-    tree_as_bin_table,
 )
 
 # Model files: versioned, checksummed JSON for every forecaster.

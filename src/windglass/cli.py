@@ -467,6 +467,20 @@ def _feature(model, name) -> int:
         raise UsageError(str(exc)) from None
 
 
+def _pair(model, text):
+    """The interaction term of ``--pair a,b``; a malformed or unknown
+    pair, or one the model has no grid for, is a usage error."""
+    try:
+        a, b = (s.strip() for s in text.split(","))
+    except (AttributeError, ValueError):
+        raise UsageError("--pair expects two feature names: a,b") from None
+    pair = _feature(model, a), _feature(model, b)
+    try:
+        return explain._pair_term(model, pair)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _require_glassbox(model, mode):
     if not isinstance(model, GlassBoxModel):
         raise UsageError(f"explain mode {mode!r} requires a glass-box model file")
@@ -518,15 +532,10 @@ def cmd_explain(args) -> int:
         print(f"wrote {path} ({len(curve.x)} bins)")
     elif mode == "heatmap":
         _require_glassbox(model, mode)
-        try:
-            a, b = (s.strip() for s in args.pair.split(","))
-        except (AttributeError, ValueError):
-            raise UsageError("--pair expects two feature names: a,b") from None
-        i, j = _feature(model, a), _feature(model, b)
-        curve = explain.export_pair_heatmap(model, (i, j),
+        pt = _pair(model, args.pair)
+        curve = explain.export_pair_heatmap(model, (pt.i, pt.j),
                                             denormalize=args.denormalize)
-        i, j = min(i, j), max(i, j)
-        path = out / f"heatmap_{names[i]}_{names[j]}.csv"
+        path = out / f"heatmap_{names[pt.i]}_{names[pt.j]}.csv"
         _write_csv(path, ["row", "col", "value"],
                    [[repr(float(curve.x[r])), repr(float(curve.y[c])),
                      repr(float(curve.values[r, c]))]

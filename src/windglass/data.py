@@ -269,7 +269,9 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
     to hold every declared column raises, and so does a line the csv
     module cannot read (a cell over its field size limit, say), each
     naming its line. Duplicate, out-of-order or non-finite timestamps
-    raise; rows are never silently reordered.
+    raise; rows are never silently reordered. A column the schema reads
+    (with ``exogenous_columns=None``, every column) that the header
+    names twice raises, naming it and the file.
 
     Parameters
     ----------
@@ -299,6 +301,9 @@ def load_csv(path, schema: CsvSchema) -> TimeSeriesFrame:
             for col in exo_names:
                 if col not in header:
                     raise ValueError(f"missing column {col!r} in {path}")
+        for col in (schema.timestamp_column, schema.target_column, *exo_names):
+            if header.count(col) > 1:
+                raise ValueError(f"column {col!r} is named twice in the header of {path}")
         ts_idx = header.index(schema.timestamp_column)
         y_idx = header.index(schema.target_column)
         exo_idx = [header.index(c) for c in exo_names]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import apply_bins, bin_boundaries, bin_centers, bin_values
-from .glassbox import GlassBoxModel
+from .glassbox import GlassBoxModel, PairShapeFunction
 from .metrics import nrmse
 
 __all__ = [
@@ -199,26 +199,31 @@ def _coarse_centers(model: GlassBoxModel, f: int) -> np.ndarray:
     return centers
 
 
-def export_pair_heatmap(model: GlassBoxModel, pair, denormalize: bool = False) -> CurveExport:
-    """Dump one interaction grid with its two axis grids."""
-    i = _resolve_feature(model, pair[0])
-    j = _resolve_feature(model, pair[1])
-    i, j = min(i, j), max(i, j)
+def _pair_term(model: GlassBoxModel, pair) -> PairShapeFunction:
+    """The model's interaction term for ``pair``, two feature names or
+    indices in either order, or a ``ValueError`` naming the model's pairs."""
+    i, j = sorted(_resolve_feature(model, f) for f in pair)
     for pt in model.pairs:
         if (pt.i, pt.j) == (i, j):
-            xi = _coarse_centers(model, i)
-            xj = _coarse_centers(model, j)
-            if denormalize:
-                if model.norm_params is None:
-                    raise ValueError("model has no normalization parameters to invert")
-                xi = model.norm_params.invert_feature(i, xi)
-                xj = model.norm_params.invert_feature(j, xj)
-            name = f"{model.feature_names[i]} x {model.feature_names[j]}"
-            return CurveExport(name=name, x=xi, y=xj, values=pt.grid.copy())
-    raise ValueError(
-        f"model has no interaction term for pair ({model.feature_names[i]}, "
-        f"{model.feature_names[j]})"
-    )
+            return pt
+    names = model.feature_names
+    have = ", ".join(f"({names[pt.i]}, {names[pt.j]})" for pt in model.pairs)
+    raise ValueError(f"model has no interaction term for pair ({names[i]}, {names[j]}); "
+                     f"its pairs: {have or 'none'}")
+
+
+def export_pair_heatmap(model: GlassBoxModel, pair, denormalize: bool = False) -> CurveExport:
+    """Dump one interaction grid with its two axis grids."""
+    pt = _pair_term(model, pair)
+    xi = _coarse_centers(model, pt.i)
+    xj = _coarse_centers(model, pt.j)
+    if denormalize:
+        if model.norm_params is None:
+            raise ValueError("model has no normalization parameters to invert")
+        xi = model.norm_params.invert_feature(pt.i, xi)
+        xj = model.norm_params.invert_feature(pt.j, xj)
+    name = f"{model.feature_names[pt.i]} x {model.feature_names[pt.j]}"
+    return CurveExport(name=name, x=xi, y=xj, values=pt.grid.copy())
 
 
 # ---------------------------------------------------------------------------

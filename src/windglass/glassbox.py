@@ -29,11 +29,12 @@ convergence first; interaction terms are then boosted on what is left.
 
 Both stages run the same engine, :func:`_boost`, on rows :func:`train`
 bins once (a bag indexes them). A term is a table of one axis (a shape
-function over bins) or two (a pair grid over coarse bins, cells from
-:func:`_pair_cells`). A stage hands it every row's flat cell in each
-table and every row's residual; it checks them against the split,
-counts training rows per cell, boosts, and centers the tables with
-:func:`_center`, which also serves a bagged average. A feature's coarse
+function over bins) or two (a pair grid over coarse bins, each row's
+cell read from its two features' coarse maps by :func:`_pair_cells`).
+A stage hands it every row's flat cell in each table and every row's
+residual; it checks them against the split, counts training rows per
+cell, boosts, and centers the tables with :func:`_center`, which also
+serves a bagged average. A feature's coarse
 bins are derived once per fit, never stored (``GlassBoxModel.coarse_maps``,
 every feature's in one pass): its main bins grouped into runs of
 near-equal ``BinningMap.populations``.
@@ -466,19 +467,14 @@ def _coarse_maps(populations, target_bins: int) -> dict[int, np.ndarray]:
             for f, nb in enumerate(sizes)}
 
 
-def _coarse(Xb: np.ndarray, cmaps: dict[int, np.ndarray]):
-    """Every row's coarse bin per feature, and each feature's coarse
-    bin count."""
-    n = Xb.shape[1]
-    coarse = np.column_stack([cmaps[f][Xb[:, f]] for f in range(n)])
-    return coarse, [int(cmaps[f].max()) + 1 for f in range(n)]
-
-
-def _pair_cells(coarse: np.ndarray, sizes: list[int], pairs):
+def _pair_cells(Xb: np.ndarray, cmaps: dict[int, np.ndarray], pairs):
     """Yield each pair's grid shape and every row's flat cell in that
-    grid, one pair at a time."""
+    grid, one pair at a time, from the rows' bins ``Xb`` and the coarse
+    maps ``cmaps``."""
     for i, j in pairs:
-        yield (sizes[i], sizes[j]), coarse[:, i] * sizes[j] + coarse[:, j]
+        ci, cj = cmaps[i], cmaps[j]
+        sj = int(cj.max()) + 1
+        yield (int(ci.max()) + 1, sj), ci[Xb[:, i]] * sj + cj[Xb[:, j]]
 
 
 def _rank_pairs(Xb, residuals, cmaps) -> list[tuple[int, int, float]]:
@@ -621,8 +617,7 @@ def train_interactions(model: GlassBoxModel, X_binned: np.ndarray, split: DataSp
     if not pairs:
         return model
 
-    coarse, sizes = _coarse(Xb, model.coarse_maps)
-    shapes, cells = zip(*_pair_cells(coarse, sizes, pairs))
+    shapes, cells = zip(*_pair_cells(Xb, model.coarse_maps, pairs))
     grids, intercept, rounds, val_curve = _boost(
         shapes, cells, r, split, model.config.pair_depth, model.config, model.intercept)
 
@@ -715,18 +710,18 @@ def _train_bagged(matrix, split, bins, config, Xb, maps) -> GlassBoxModel:
             shape_values[sf.feature] += k * sf.values
 
     # Every bag shares the binning and coarse maps, so their pair grids
-    # line up for averaging.
-    coarse_tr, sizes = _coarse(Xb[lo:hi], maps)
+    # line up for averaging. A grid's weights, its training rows per
+    # cell, also give its shape.
     pair_keys = sorted({(pt.i, pt.j) for m in bag_models for pt in m.pairs})
-    grids = {p: np.zeros((sizes[p[0]], sizes[p[1]])) for p in pair_keys}
+    pair_weights = [_cell_counts(cell, shape)
+                    for shape, cell in _pair_cells(Xb[lo:hi], maps, pair_keys)]
+    grids = {p: np.zeros(w.shape) for p, w in zip(pair_keys, pair_weights)}
     for m in bag_models:
         for pt in m.pairs:
             grids[(pt.i, pt.j)] += k * pt.grid
 
     # Re-center everything against the true training populations.
-    weights = [pops.astype(np.float64) for pops in bins.populations]
-    weights += [_cell_counts(cell, shape)
-                for shape, cell in _pair_cells(coarse_tr, sizes, pair_keys)]
+    weights = [pops.astype(np.float64) for pops in bins.populations] + pair_weights
     intercept = _center(shape_values + list(grids.values()), weights, intercept)
 
     return _with_maps(GlassBoxModel(

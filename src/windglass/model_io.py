@@ -29,15 +29,16 @@ File invariants:
   sorted-key order (:func:`_digest`), and the indented file is streamed
   from the same strings in insertion order. Neither layout is ever held
   whole in memory.
-- Each distinct number of a top-level member's ``float64`` arrays and
-  float lists, and of its ``int64`` arrays, is formatted only once, by
-  the C JSON encoder (:func:`_format_batch`), and its text is reused
-  wherever it repeats. Floats repeat a lot in these files: a boosted
-  shape function is a step function, and the lags of one series share
-  quantile edges. A 48-lag file holds about 35,000 floats, of which
-  7.6-20% are distinct. Numbers are told apart by their bits, so each
-  text is still exactly the ``repr`` of its own value. Any other array,
-  and a list of Python ints, is encoded as its list.
+- Each distinct number of a top-level member's ``float64`` and
+  ``int64`` arrays is formatted only once, by the C JSON encoder
+  (:func:`_format_batch`), and its text is reused wherever it repeats.
+  Floats repeat a lot in these files: a boosted shape function is a
+  step function, and the lags of one series share quantile edges. A
+  48-lag file holds about 35,000 floats, of which 7.6-20% are distinct.
+  Numbers are told apart by their bits, so each text is still exactly
+  the ``repr`` of its own value. The writers give every float vector (a
+  validation curve, a tree's ``value`` column) as a ``float64`` array.
+  Any other array, and any list, is encoded as its list.
 - :func:`load_model` converts each distinct float text once
   (:class:`_FloatMemo`), checks the stored checksum against the model's
   document (:func:`_document`), and digests the parsed document only to
@@ -142,7 +143,7 @@ def _tree_to_doc(t: RegressionTree):
         "threshold": [nd.threshold for nd in t.nodes],
         "left": [nd.left for nd in t.nodes],
         "right": [nd.right for nd in t.nodes],
-        "value": [nd.value for nd in t.nodes],
+        "value": np.array([nd.value for nd in t.nodes], dtype=np.float64),
         "count": [nd.count for nd in t.nodes],
         # Every fit_cart tree is an absolute-error tree.
         "params": {**asdict(t.params), "split_criterion": "mae"},
@@ -170,8 +171,8 @@ def _glassbox_doc(m: GlassBoxModel) -> dict:
             "config": asdict(m.config),
             "rounds_main": m.rounds_main,
             "rounds_pairs": m.rounds_pairs,
-            "val_curve_main": list(map(float, m.val_curve_main)),
-            "val_curve_pairs": list(map(float, m.val_curve_pairs)),
+            "val_curve_main": np.array(m.val_curve_main, dtype=np.float64),
+            "val_curve_pairs": np.array(m.val_curve_pairs, dtype=np.float64),
         },
         "intercept": float(m.intercept),
         "feature_names": list(map(str, m.feature_names)),
@@ -375,12 +376,11 @@ def _encode_leaves(obj):
     The C encoder formats numbers exactly as ``json.dump`` does
     (``float.__repr__``, ``NaN``/``Infinity``), so each number is
     formatted here once and reused by both layouts. ``float64`` and
-    ``int64`` arrays (a grid row by row) and lists of only ``float``
-    are formatted in one batch per dtype and member of a document
-    (:func:`_format_batch`), so that a number repeated anywhere in its
-    batch is formatted once. One batch per member rather than per
-    document halves the batches' extra peak memory when encoding a
-    48-lag file (0.6 MB rather than 1.2 MB).
+    ``int64`` arrays (a grid row by row) are formatted in one batch per
+    dtype and member of a document (:func:`_format_batch`), so that a
+    number repeated anywhere in its batch is formatted once. One batch
+    per member rather than per document halves the batches' extra peak
+    memory when encoding a 48-lag file (0.6 MB rather than 1.2 MB).
     """
     if isinstance(obj, dict):
         return _Object([key, _key_text(key), _encode_batch(value)]
@@ -406,9 +406,9 @@ def _encode_batch(obj):
 
 def _encode_into(holder, index, obj, batches) -> None:
     """Set ``holder[index]`` to ``obj`` encoded, except that a non-empty
-    1-D array of a batched dtype or list of only ``float`` is appended to
-    its dtype's batch with its slot, for :func:`_format_batch` to fill.
-    A list of Python ints, which may not fit in ``int64``, is not."""
+    1-D array of a batched dtype is appended to its dtype's batch with
+    its slot, for :func:`_format_batch` to fill. A list, of Python ints
+    (which may not fit in ``int64``) or floats, is not."""
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.size and obj.dtype in batches:
             batches[obj.dtype].append((holder, index, obj))
@@ -425,9 +425,6 @@ def _encode_into(holder, index, obj, batches) -> None:
         return
     if isinstance(obj, (list, tuple)):
         if obj and not isinstance(obj[0], (list, tuple, dict, str, np.ndarray)):
-            if type(obj[0]) is float and set(map(type, obj)) == {float}:
-                batches[_BATCHED[0]].append((holder, index, np.array(obj, np.float64)))
-                return
             text = _compact(obj)
             # No string (so no key of a non-empty object) and no inner
             # list: every comma separates two scalars or empty objects.

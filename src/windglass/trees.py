@@ -21,9 +21,10 @@ On histograms, per-step interpreter overhead, not rows, sets the cost.
 A single-feature step builds no tree: it grows depth-first, at most
 three internal nodes at the default depth, straight into its table. A
 pair step grows its tree level-wise, scoring every node of a depth in
-one vectorised pass (:func:`restricted_tree_from_histogram`), and fills
-its table from the nodes as :func:`tree_as_bin_table` does, unchecked.
-Both reproduce a node-at-a-time recursion bit for bit.
+one vectorised pass (:func:`restricted_tree_from_histogram`), keeps its
+nodes in the order that pass makes them, and fills its table from them
+(:func:`_fill_table`). Both reproduce a node-at-a-time recursion bit
+for bit.
 
 The regression-tree baseline sorts its targets once, at the root, and
 every node keeps its rows in that order: a node's median is the middle
@@ -59,7 +60,6 @@ __all__ = [
     "restricted_tree_from_histogram",
     "histogram_table",
     "predict_tree",
-    "tree_as_bin_table",
 ]
 
 # Gains at or below this are treated as zero (stops splitting).
@@ -116,9 +116,6 @@ class RegressionTree:
 
     nodes: tuple[TreeNode, ...]
     params: TreeParams
-
-    def features_used(self) -> set[int]:
-        return {nd.feature for nd in self.nodes if not nd.is_leaf}
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +403,8 @@ def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
     candidate is scored in one pass. A node takes the first maximum
     over its axis-0 thresholds followed by its axis-1 thresholds, so
     the lowest axis and then the lowest threshold win ties. The nodes
-    come back in preorder, as a depth-first recursion makes them. Slice
-    sums, not differences of cumulative sums, keep it exact.
+    come back in level order, as the depths are grown. Slice sums, not
+    differences of cumulative sums, keep it exact.
     """
     both = np.array((cnt2, sum2))
     level = [(0, cnt2.shape[0], 0, cnt2.shape[1], total)]
@@ -453,16 +450,7 @@ def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
             break
         level = children
 
-    order, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        if grown[i][0] >= 0:
-            stack += (grown[i][3], grown[i][2])
-    position = {old: new for new, old in enumerate(order)}
-    position[-1] = -1
-    return tuple(TreeNode(f, t, position[left], position[right], value, count)
-                 for f, t, left, right, value, count in map(grown.__getitem__, order))
+    return tuple(TreeNode(*node) for node in grown)
 
 
 def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
@@ -472,8 +460,15 @@ def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
     ``cnt``/``sums`` are the per bin-pair row counts and residual sums;
     ``features`` maps the two histogram axes to global feature indices.
     The tree grows level-wise: all open nodes of one depth are scored
-    in a single vectorised pass. Its nodes come back in preorder and are
-    bit-for-bit those of a recursion that scores one node at a time.
+    in a single vectorised pass. Its nodes come back in that order:
+
+    * the root first, then each depth from left to right;
+    * a split's children come after it, next to each other
+      (``right == left + 1``);
+    * renumbered into preorder, they are bit for bit the nodes of a
+      recursion that scores one node at a time.
+
+    :func:`predict_tree` and the node count do not depend on the order.
     Exactness rests on one rule: counts are whole numbers, so they may
     be summed in any order, but residual sums keep the recursion's
     order. A node's marginal sums are its slice's ``sum(axis)``,
@@ -520,46 +515,22 @@ def predict_tree(tree: RegressionTree, X_binned: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_as_bin_table(tree: RegressionTree, feature_bins: dict[int, int]) -> np.ndarray:
-    """Collapse a 1- or 2-feature tree into its exact lookup table.
-
-    Leaf regions of a bin-split tree are axis-aligned bin rectangles, so
-    the table is filled by interval narrowing; looking it up reproduces
-    ``predict_tree`` for every bin combination. After its checks, it
-    fills as :func:`histogram_table` does a pair tree's table.
-    """
-    feats = sorted(feature_bins)
-    if len(feats) not in (1, 2):
-        raise ValueError("feature_bins must describe 1 or 2 features")
-    if not tree.features_used() <= set(feats):
-        raise ValueError("tree references a feature outside feature_bins")
-    return _fill_table(tree.nodes, [feature_bins[f] for f in feats], feats[0])
-
-
-def _fill_table(nodes, shape, first_feature):
-    """A 1- or 2-feature tree's table: splits on ``first_feature`` cut
-    axis 0, others axis 1, each clamped to the table; a 1-D table is
-    filled through a one-column view of it."""
+def _fill_table(nodes, shape):
+    """The table of a pair tree from :func:`histogram_table`: a split on
+    feature 0 cuts axis 0 and one on feature 1 axis 1, each strictly
+    inside its node's box."""
     table = np.zeros(shape)
-    grid = table if table.ndim == 2 else table[:, None]
-    stack = [(0, 0, grid.shape[0], 0, grid.shape[1])]
+    stack = [(0, 0, shape[0], 0, shape[1])]
     while stack:
         nid, lo0, hi0, lo1, hi1 = stack.pop()
         feature, threshold, left, right, value, _ = nodes[nid]
-        if feature < 0:
-            grid[lo0:hi0, lo1:hi1] = value
-            continue
         cut = threshold + 1
-        if feature == first_feature:
-            if lo0 < cut:
-                stack.append((left, lo0, min(hi0, cut), lo1, hi1))
-            if cut < hi0:
-                stack.append((right, max(lo0, cut), hi0, lo1, hi1))
+        if feature < 0:
+            table[lo0:hi0, lo1:hi1] = value
+        elif feature == 0:
+            stack += ((left, lo0, cut, lo1, hi1), (right, cut, hi0, lo1, hi1))
         else:
-            if lo1 < cut:
-                stack.append((left, lo0, hi0, lo1, min(hi1, cut)))
-            if cut < hi1:
-                stack.append((right, lo0, hi0, max(lo1, cut), hi1))
+            stack += ((left, lo0, hi0, lo1, cut), (right, lo0, hi0, cut, hi1))
     return table
 
 
@@ -569,9 +540,9 @@ def histogram_table(cnt, sums, params: TreeParams) -> np.ndarray:
 
     ``cnt``/``sums`` are the row counts and residual sums per bin of one
     feature, or per cell of a pair's grid; the table has their shape. A
-    pair's table is its :func:`restricted_tree_from_histogram` tree's
-    nodes, filled with no checks, since the tree is known to fit the
-    grid. A feature's builds no tree: a depth-first recursion over
+    pair's table is filled from the nodes of its
+    :func:`restricted_tree_from_histogram` tree. A feature's builds no
+    tree: a depth-first recursion over
     bin intervals scores each node on differences of the histogram's
     cumulative counts and sums, and each leaf, reached left to right,
     repeats its mean across its interval. Either table is bit for bit
@@ -579,7 +550,7 @@ def histogram_table(cnt, sums, params: TreeParams) -> np.ndarray:
     """
     if cnt.ndim == 2:
         tree = restricted_tree_from_histogram(cnt, sums, (0, 1), params)
-        return _fill_table(tree.nodes, cnt.shape, 0)
+        return _fill_table(tree.nodes, cnt.shape)
     cum = np.zeros((2, len(cnt) + 1))
     np.cumsum(np.array((cnt, sums)), axis=1, out=cum[:, 1:])
     cnt_cum, sum_cum = cum

@@ -209,6 +209,14 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
         assert "line 1202" in capsys.readouterr().err
 
+    def test_target_named_twice_in_header_is_data_error(self, run_dir, capsys):
+        tmp_path, cfg, _ = run_dir
+        lines = (tmp_path / "wind.csv").read_text().splitlines()
+        lines[0] += ",power"
+        (tmp_path / "wind.csv").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+        assert "column 'power' is named twice" in capsys.readouterr().err
+
     def test_oversized_csv_cell_is_data_error(self, run_dir, capsys):
         tmp_path, cfg, _ = run_dir
         with open(tmp_path / "wind.csv", "a") as fh:
@@ -606,6 +614,27 @@ class TestExplain:
                      "--mode", "shape", "--feature", "windspeed"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "lag_0" in err and "lag_3" in err
+
+    def test_pair_without_a_grid_is_usage_error(self, run_dir, capsys):
+        """A pair the model keeps no grid for, or a feature paired with
+        itself, exits 2 as an unknown name does, naming the model's pairs."""
+        _, cfg, out = run_dir
+        assert main(["train", "--config", str(cfg),
+                     "--set", "train.interaction_budget=1"]) == EXIT_OK
+        model = wg.load_model(out / "windebm.model.json")
+        (kept,) = model.pairs
+        names = model.feature_names
+        missing = next((i, j) for i in range(4) for j in range(i + 1, 4)
+                       if (i, j) != (kept.i, kept.j))
+        capsys.readouterr()
+        for pair in (f"{names[missing[1]]},{names[missing[0]]}", "lag_0,lag_0"):
+            assert main(["explain", "--config", str(cfg),
+                         "--model", str(out / "windebm.model.json"),
+                         "--mode", "heatmap", "--pair", pair]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "no interaction term" in err
+            assert f"its pairs: ({names[kept.i]}, {names[kept.j]})" in err
+        assert not list(out.glob("heatmap_*.csv"))
 
 
 class TestUsage:

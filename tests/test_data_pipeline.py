@@ -96,6 +96,33 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"^column '{twice}' is named for two roles$"):
             wg.CsvSchema(timestamp_column=ts, target_column=target, exogenous_columns=exo)
 
+    @pytest.mark.parametrize("header, exo, twice", [
+        ("time,power,a,a", None, "a"),
+        ("time,power,power", None, "power"),
+        ("time,power,power", (), "power"),
+        ("time,power,time", (), "time"),
+        ("time,a,power,b,a", ("a",), "a"),
+    ])
+    def test_column_read_twice_errors(self, tmp_path, header, exo, twice):
+        """A column the schema reads that the header names twice raises,
+        naming it and the file: reading the first one would drop the
+        other's values without a word."""
+        path = tmp_path / "a.csv"
+        width = header.count(",") + 1
+        path.write_text(f"{header}\n100{',1' * (width - 1)}\n200{',2' * (width - 1)}\n")
+        schema = wg.CsvSchema("time", "power", exo, timestamp_format="epoch")
+        with pytest.raises(ValueError, match=f"^column '{twice}' is named twice") as err:
+            wg.load_csv(path, schema)
+        assert str(err.value).endswith(str(path))
+
+    def test_duplicate_of_a_column_not_read_loads(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("time,power,b,a,b\n100,0.5,1,2,3\n200,0.6,4,5,6\n")
+        schema = wg.CsvSchema("time", "power", ("a",), timestamp_format="epoch")
+        frame = wg.load_csv(path, schema)
+        assert list(frame.exogenous) == ["a"]
+        np.testing.assert_array_equal(frame.exogenous["a"], [2.0, 5.0])
+
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

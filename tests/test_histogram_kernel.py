@@ -3,8 +3,9 @@ node-at-a-time recursion they replaced.
 
 The references below grow one node at a time and score each node's
 candidate splits on its own cumulative histogram. The pair kernel
-(level-wise) must give the same nodes, in the same order, with the same
-field values. ``histogram_table``, which builds no tree for one feature,
+(level-wise) must give its nodes in level order, and renumbered into
+preorder they must be the reference's, field for field.
+``histogram_table``, which builds no tree for one feature,
 must give the reference tree's lookup table byte for byte; the
 reference table is filled by the recursive fill the kernel's iterative
 one replaced, and the kernel's fused split gains are held to the
@@ -230,10 +231,39 @@ def test_1d_kernel_matches_recursion(hist, params, feature):
     """A one-feature table is the reference tree's, whatever feature
     index the tree names."""
     cnt, sums = hist
-    ref_tree = wg.RegressionTree(nodes=reference_grow_1d(cnt, sums, feature, params),
-                                 params=params)
-    table = wg.tree_as_bin_table(ref_tree, {feature: len(cnt)})
+    table = reference_fill(reference_grow_1d(cnt, sums, feature, params), cnt.shape, feature)
     assert histogram_table(cnt, sums, params).tobytes() == table.tobytes()
+
+
+def preorder(nodes):
+    """``nodes`` renumbered into preorder, as a depth-first recursion
+    numbers them."""
+    out = []
+
+    def visit(nid):
+        new = len(out)
+        out.append(nodes[nid])
+        if not nodes[nid].is_leaf:
+            left, right = visit(nodes[nid].left), visit(nodes[nid].right)
+            out[new] = out[new]._replace(left=left, right=right)
+        return new
+
+    visit(0)
+    return tuple(out)
+
+
+def assert_level_order(nodes):
+    """The root first, then each depth left to right: the k-th split's
+    children are nodes ``2k + 1`` and ``2k + 2``, after it, next to each
+    other and in the order of their parents."""
+    splits = [nd for nd in nodes if not nd.is_leaf]
+    assert [(nd.left, nd.right) for nd in splits] == [(2 * k + 1, 2 * k + 2)
+                                                      for k in range(len(splits))]
+    depth = [0] * len(nodes)
+    for k, nd in enumerate(nodes):
+        if not nd.is_leaf:
+            depth[nd.left] = depth[nd.right] = depth[k] + 1
+    assert depth == sorted(depth)
 
 
 @settings(max_examples=300, deadline=None)
@@ -241,12 +271,8 @@ def test_1d_kernel_matches_recursion(hist, params, feature):
 def test_2d_kernel_matches_recursion(hist, params):
     cnt, sums = hist
     tree = restricted_tree_from_histogram(cnt, sums, (2, 5), params)
-    ref = reference_grow_2d(cnt, sums, 2, 5, params)
-    assert tree.nodes == ref
-    ref_tree = wg.RegressionTree(nodes=ref, params=tree.params)
-    feature_bins = {2: cnt.shape[0], 5: cnt.shape[1]}
-    table = wg.tree_as_bin_table(tree, feature_bins)
-    assert table.tobytes() == wg.tree_as_bin_table(ref_tree, feature_bins).tobytes()
+    assert_level_order(tree.nodes)
+    assert preorder(tree.nodes) == reference_grow_2d(cnt, sums, 2, 5, params)
 
 
 def test_no_tree_for_one_feature():
@@ -308,40 +334,37 @@ def test_fused_split_gains_match_the_unfused_formula(cum, min_leaf):
 
 
 @st.composite
-def node_lists(draw):
-    """A random 1- or 2-feature tree's preorder nodes with its table's
-    shape and first feature. Thresholds reach past both ends of the
-    table and repeat or contradict an ancestor's, so the fill's clamps
-    and empty sides are exercised."""
-    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)))
-    first = draw(st.integers(0, 5))
-    features = [first] if len(shape) == 1 else [first, first + draw(st.integers(1, 3))]
+def pair_trees(draw):
+    """A random pair tree's preorder nodes with its table's shape, in the
+    domain of the pair kernel's trees: a split on feature 0 cuts axis 0,
+    one on feature 1 axis 1, each strictly inside its node's box."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     nodes = []
 
-    def grow(depth):
+    def grow(box, depth):
         nid = len(nodes)
-        nodes.append(None)
-        if depth < 4 and draw(st.booleans()):
-            axis = draw(st.integers(0, len(shape) - 1))
-            t = draw(st.integers(-3, shape[axis] + 2))
-            left = grow(depth + 1)
-            right = grow(depth + 1)
-            nodes[nid] = TreeNode(features[axis], t, left, right, 0.0, 1)
-        else:
-            nodes[nid] = TreeNode(-1, -1, -1, -1, float(nid + 1), 1)
+        nodes.append(TreeNode(-1, -1, -1, -1, float(nid + 1), 1))
+        axes = [axis for axis in (0, 1) if box[2 * axis + 1] - box[2 * axis] > 1]
+        if depth < 4 and axes and draw(st.booleans()):
+            axis = draw(st.sampled_from(axes))
+            cut = draw(st.integers(box[2 * axis] + 1, box[2 * axis + 1] - 1))
+            left, right = list(box), list(box)
+            left[2 * axis + 1] = right[2 * axis] = cut
+            nodes[nid] = TreeNode(axis, cut - 1, grow(left, depth + 1),
+                                  grow(right, depth + 1), 0.0, 1)
         return nid
 
-    grow(0)
-    return tuple(nodes), shape, first
+    grow((0, shape[0], 0, shape[1]), 0)
+    return tuple(nodes), shape
 
 
 @settings(max_examples=300, deadline=None)
-@given(drawn=node_lists())
+@given(drawn=pair_trees())
 def test_fill_table_matches_the_recursive_fill(drawn):
-    nodes, shape, first = drawn
-    table = trees._fill_table(nodes, shape, first)
+    nodes, shape = drawn
+    table = trees._fill_table(nodes, shape)
     assert table.shape == shape
-    assert table.tobytes() == reference_fill(nodes, shape, first).tobytes()
+    assert table.tobytes() == reference_fill(nodes, shape, 0).tobytes()
 
 
 def test_tree_node_is_an_immutable_named_tuple():

@@ -79,6 +79,26 @@ class TestRoundTrip:
         assert hashlib.sha256(data).hexdigest() == (
             "a75f1b70927fbfb3974e8ac62ac5e5a8bd3468e4c6b1ae74f6418ca8465ed0a6")
 
+    @pytest.mark.parametrize("bagging_count, size, digest", [
+        (1, 58221, "749d029304600ee5755b1616dbd52b7cc0affe14a6ef6ae338c8cecb2df1297c"),
+        (2, 56335, "daa3bd7a447a2fa5d7427ce592f8348544fd99e13119caaab5f8a4fa1fb5efe6"),
+    ], ids=["single", "bagged"])
+    def test_pair_model_file_bytes_are_pinned(self, bagging_count, size, digest, tmp_path):
+        """One fixed fit with every pair, alone and bagged, writes the
+        same file bytes: a change to the pair trees, their tables, the
+        pair cells or the bagged average that shifts them fails here."""
+        raw = wg.make_interaction_data(1200, 5, seed=5)
+        split = wg.chronological_split(raw.n_rows)
+        matrix = wg.normalize_fit_apply(raw, split.train)
+        config = wg.TrainConfig(learning_rate=0.1, max_rounds=40, early_stop_patience=40,
+                                max_bins=40, pair_bins=12, interaction_budget="all",
+                                bagging_count=bagging_count, seed=3)
+        model = wg.train(matrix, split, config)
+        wg.save_model(model, tmp_path / "m.json")
+        data = (tmp_path / "m.json").read_bytes()
+        assert len(model.pairs) == 10 and model.rounds_pairs == 40
+        assert len(data) == size and hashlib.sha256(data).hexdigest() == digest
+
 
 def swap_two_edges(doc):
     edges = doc["bin_edges"][0]

@@ -6,13 +6,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
 from windglass.trees import MIN_GAIN, histogram_table, restricted_tree_from_histogram
 from conftest import n_leaves, tree_depth
-from test_histogram_kernel import reference_grow_1d
+from test_histogram_kernel import PARAMS, histograms
 
 
 def histograms_of(Xb, y, allowed):
@@ -68,40 +68,6 @@ def brute_best_split(Xb, y, allowed, n_bins, min_leaf, criterion="sse"):
             if best is None or gain > best[0] + 1e-9:
                 best = (gain, f, t)
     return best
-
-
-@st.composite
-def bin_trees(draw):
-    """A tree on one feature or a pair with its table's bin counts:
-    either a histogram tree (the pair kernel's, or the reference
-    grower's on one feature), on counts with empty bins and features at
-    any index, or ``fit_cart``'s on one or two columns, whose tables may
-    reach past the top bin seen."""
-    n_axes = draw(st.integers(1, 2))
-    depth = draw(st.integers(0, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        shape = tuple(draw(st.lists(st.integers(1, 16), min_size=n_axes,
-                                    max_size=n_axes)))
-        cnt = rng.integers(0, 4, size=shape).astype(np.float64)
-        assume(cnt.sum() > 0)
-        sums = rng.normal(size=shape) * cnt
-        features = tuple(sorted(draw(st.sets(st.integers(0, 5), min_size=n_axes,
-                                             max_size=n_axes))))
-        params = wg.TreeParams(max_depth=depth,
-                               min_samples_leaf=draw(st.integers(1, 2)))
-        if n_axes == 1:
-            nodes = reference_grow_1d(cnt, sums, features[0], params)
-            tree = wg.RegressionTree(nodes=nodes, params=params)
-        else:
-            tree = restricted_tree_from_histogram(cnt, sums, features, params)
-        return tree, dict(zip(features, shape))
-    m = draw(st.integers(2, 80))
-    Xb = rng.integers(0, draw(st.integers(1, 16)), size=(m, n_axes))
-    y = rng.normal(size=m)
-    tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=depth))
-    extra = draw(st.integers(0, 2))
-    return tree, {f: int(Xb[:, f].max()) + 1 + extra for f in range(n_axes)}
 
 
 class TestFitCart:
@@ -348,52 +314,33 @@ class TestRestrictedTrees:
 
 
 class TestBinTable:
-    def test_two_leaf_tree_table(self):
-        Xb = np.repeat([[0], [1]], 10, axis=0)
-        y = np.array([0.0] * 10 + [1.0] * 10)
-        tree = wg.fit_cart(Xb, y, wg.TreeParams(max_depth=1))
-        np.testing.assert_array_equal(wg.tree_as_bin_table(tree, {0: 2}), [0.0, 1.0])
+    """A pair step's table is its tree's lookup table: looking up any
+    cell gives the tree's own prediction for it."""
 
     def test_pair_grid_matches_predictions_exhaustively(self):
         rng = np.random.default_rng(19)
         Xb = np.column_stack([rng.integers(0, 3, size=400),
                               rng.integers(0, 3, size=400)])
         y = rng.normal(size=400) + Xb[:, 0] * Xb[:, 1]
-        tree = hist_tree(Xb, y, [0, 1], wg.TreeParams(max_depth=3))
-        grid = wg.tree_as_bin_table(tree, {0: 3, 1: 3})
+        params = wg.TreeParams(max_depth=3)
+        grid = hist_table(Xb, y, [0, 1], params)
         assert grid.shape == (3, 3)
         combos = np.array([[a, b] for a in range(3) for b in range(3)])
         np.testing.assert_array_equal(
-            grid[combos[:, 0], combos[:, 1]], wg.predict_tree(tree, combos))
+            grid[combos[:, 0], combos[:, 1]],
+            wg.predict_tree(hist_tree(Xb, y, [0, 1], params), combos))
 
     def test_depth_zero_constant_table(self):
-        tree = wg.fit_cart(np.zeros((5, 1), dtype=int), np.full(5, 0.7),
-                           wg.TreeParams(max_depth=0))
-        np.testing.assert_array_equal(wg.tree_as_bin_table(tree, {0: 6}),
-                                      np.full(6, 0.7))
+        cnt = np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 2.0]])
+        table = histogram_table(cnt, 0.75 * cnt, wg.TreeParams(max_depth=0))
+        np.testing.assert_array_equal(table, np.full((2, 3), 0.75))
 
     @settings(max_examples=150, deadline=None)
-    @given(drawn=bin_trees())
-    def test_exhaustive_equivalence_on_larger_tables(self, drawn):
-        """Looking up any bin combination in the table gives the tree's
-        own prediction for it."""
-        tree, feature_bins = drawn
-        feats = sorted(feature_bins)
-        table = wg.tree_as_bin_table(tree, feature_bins)
-        assert table.shape == tuple(feature_bins[f] for f in feats)
-        combos = np.indices(table.shape).reshape(len(feats), -1).T
-        probe = np.zeros((len(combos), max(feats) + 1), dtype=int)
-        probe[:, feats] = combos
-        np.testing.assert_array_equal(table[tuple(combos.T)],
-                                      wg.predict_tree(tree, probe))
-
-    def test_disallowed_feature_errors(self):
-        rng = np.random.default_rng(21)
-        Xb = rng.integers(0, 4, size=(50, 2))
-        tree = wg.fit_cart(Xb, rng.normal(size=50), wg.TreeParams(max_depth=2))
-        if tree.features_used() == {0}:
-            with pytest.raises(ValueError, match="outside"):
-                wg.tree_as_bin_table(tree, {1: 4})
-        else:
-            with pytest.raises(ValueError, match="outside"):
-                wg.tree_as_bin_table(tree, {0: 4})
+    @given(hist=histograms(32, 2), params=PARAMS)
+    def test_exhaustive_equivalence_on_larger_tables(self, hist, params):
+        cnt, sums = hist
+        table = histogram_table(cnt, sums, params)
+        assert table.shape == cnt.shape
+        cells = np.indices(cnt.shape).reshape(2, -1).T
+        tree = restricted_tree_from_histogram(cnt, sums, (0, 1), params)
+        np.testing.assert_array_equal(table[tuple(cells.T)], wg.predict_tree(tree, cells))
