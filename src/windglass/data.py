@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime
 from functools import cached_property
 from typing import NamedTuple
 
@@ -235,6 +235,10 @@ class DataSplit:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+# The Unix epoch as a naive stamp: naive stamps are UTC.
+_EPOCH = datetime(1970, 1, 1)
+
+
 def _parse_timestamp(raw: str, fmt: str) -> float:
     if fmt == "epoch":
         try:
@@ -247,8 +251,11 @@ def _parse_timestamp(raw: str, fmt: str) -> float:
         except ValueError:
             raise ValueError(f"unparseable timestamp {raw!r}") from None
         # A naive timestamp is UTC, so the host's DST shifts never apply.
+        # Its offset from the naive epoch is what ``.timestamp()`` of the
+        # stamp in UTC computes, whole microseconds over 10**6, without
+        # building an aware copy.
         if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=timezone.utc)
+            return (stamp - _EPOCH).total_seconds()
         return stamp.timestamp()
     raise ValueError(f"unknown timestamp format {fmt!r}")
 
@@ -541,6 +548,11 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     ``ValueError`` of :func:`apply_bins`, naming its column; a column
     whose edges would overflow (two values whose sum or difference is
     beyond the largest float) raises ``ValueError`` naming it too.
+
+    One sort per binning: every fit column is sorted in one call, which
+    runs the kernel that ``np.unique`` and ``np.sort`` run per column on
+    the same values, so the edges are bit for bit those of sorting each
+    column on its own (see :func:`_fit_binned`).
     """
     return _fit_binned(X, fit_range, max_bins)[0]
 
@@ -550,64 +562,123 @@ def _fit_binned(X, fit_range, max_bins, out=None) -> tuple[BinningMap, np.ndarra
     """:func:`fit_bins` and the bins of its fit rows, which it computes
     to count the populations: ``apply_bins(bmap, X[lo:hi])``, for
     callers that would otherwise bin those rows a second time. They are
-    written into ``out`` when it is given."""
+    written into ``out`` when it is given.
+
+    One sort of every fit column at once, along the rows of a copy of
+    the transposed fit rows, replaces a per-column ``np.unique`` and
+    ``np.sort``: each of those sorts a contiguous copy of the column's
+    values, in row order, with the same kernel, so every sorted column
+    is bit for bit the same, down to the signs of its zeros (which that
+    kernel may change). The edges are then those of the per-column rule
+    (:func:`_edges_of_sorted`), and the populations one ``bincount`` of
+    the fit rows' bins, offset per feature.
+    """
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
     Xf = _fit_rows(np.asarray(X, dtype=np.float64), fit_range)
     _require_finite(Xf, range(Xf.shape[1]))
-    edges = []
-    for f in range(Xf.shape[1]):
-        col = Xf[:, f]
-        uniq = np.unique(col)
-        if len(uniq) < 2:
-            cuts = np.empty(0)
-        elif len(uniq) <= max_bins:
-            # Few distinct values: cut midway between each two. The two
-            # midpoints of three consecutive floats can round to one
-            # value; collapsing it keeps the edges strictly increasing.
-            cuts = np.unique(0.5 * (uniq[:-1] + uniq[1:]))
-        else:
-            # Only here is max_bins below the row count, so a huge
-            # max_bins never sizes an array.
-            cand = _linear_quantiles(np.sort(col), np.arange(1, max_bins) / max_bins)
-            # Quantiles that collapse onto the value span's endpoints
-            # (heavy mass at zero output, say) would produce empty or
-            # merged extreme bins; pull them strictly inside.
-            cand = np.clip(cand, 0.5 * (uniq[0] + uniq[1]),
-                           0.5 * (uniq[-2] + uniq[-1]))
-            cuts = np.unique(cand)
-        if not np.isfinite(cuts).all():
-            raise ValueError(f"feature column {f} spans more than the largest float: "
-                             "its bin edges overflow")
-        edges.append(cuts)
+    S = Xf.T.copy()
+    S.sort(axis=1)
+    edges = _edges_of_sorted(S, max_bins)
     index = _cell_index(edges)  # counts the fit rows; kept with the map
     Xb = _bin(index, Xf, range(len(edges)), out)
+    sizes = np.array([len(e) + 1 for e in edges], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    counts = np.bincount((Xb + offsets).ravel(), minlength=int(sizes.sum()))
     bmap = BinningMap(
-        edges=tuple(edges),
+        edges=edges,
         vmin=Xf.min(axis=0),
         vmax=Xf.max(axis=0),
-        populations=tuple(np.bincount(Xb[:, f], minlength=len(e) + 1)
-                          for f, e in enumerate(edges)),
+        populations=_split(counts, sizes),
         max_bins=max_bins,
     )
     object.__setattr__(bmap, "cells", index)
     return bmap, Xb
 
 
+def _edges_of_sorted(S: np.ndarray, max_bins: int) -> tuple[np.ndarray, ...]:
+    """The edges of every row of ``S``, the sorted fit values of one
+    feature per row, in whole-matrix passes.
+
+    Per feature, ``uniq`` its distinct values: fewer than two give no
+    edges; at most ``max_bins`` give ``np.unique`` of the midpoints of
+    each two consecutive ones; more give ``np.unique`` of the type-7
+    quantiles at ``1/max_bins .. (max_bins-1)/max_bins``, clipped to the
+    first and last of those midpoints. A midpoint is taken across each
+    boundary between two runs of equal values: the values either side
+    are not equal, so when one is a zero the other is not, and the sign
+    of that zero cannot change the sum. The candidates of all features
+    with as many of them are sorted in one call, so each feature's are
+    sorted as ``np.unique`` sorts them, by the same kernel on as many
+    values, and then each loses every value equal to the one before it.
+    A feature whose edges overflow raises ``ValueError`` naming it, the
+    first such feature.
+    """
+    n_features, n = S.shape
+    bound = S[:, 1:] != S[:, :-1]  # a run of equal values ends after column j
+    distinct = 1 + np.count_nonzero(bound, axis=1)
+    # A huge max_bins exceeds every count, so it never sizes an array.
+    many = distinct > min(max_bins, n)
+    n_cand = np.where(many, min(max_bins, n) - 1, distinct - 1)
+    cand = np.zeros((n_features, int(n_cand.max(initial=0))))
+    slot = np.arange(cand.shape[1]) < n_cand[:, None]
+    # Few distinct values: cut midway between each two. The two midpoints
+    # of three consecutive floats can round to one value; the dedupe
+    # below collapses it and keeps the edges strictly increasing.
+    few = ~many
+    Sf = S[few]
+    cand[slot & few[:, None]] = (0.5 * (Sf[:, :-1] + Sf[:, 1:]))[bound[few]]
+    if many.any():
+        # Quantiles that collapse onto the value span's endpoints (heavy
+        # mass at zero output, say) would produce empty or merged extreme
+        # bins; pull them strictly inside, between the first and the last
+        # midpoint.
+        rows = np.arange(n_features)
+        first = bound.argmax(axis=1)
+        last = n - 2 - bound[:, ::-1].argmax(axis=1)
+        lo = 0.5 * (S[rows, first] + S[rows, first + 1])
+        hi = 0.5 * (S[rows, last] + S[rows, last + 1])
+        q = _linear_quantiles(S, np.arange(1, max_bins) / max_bins)
+        # np.clip of a column's candidates by its two bounds as scalars:
+        # a candidate equal to a bound, a zero of the other sign included,
+        # stays as it is. (np.clip by bound arrays would take the bound.)
+        lo, hi = lo[:, None], hi[:, None]
+        cand[many] = np.where(q < lo, lo, np.where(q > hi, hi, q))[many]
+    for length in np.unique(n_cand[n_cand > 0]).tolist():
+        rows = np.flatnonzero(n_cand == length)
+        block = cand[rows, :length]
+        block.sort(axis=1)
+        cand[rows, :length] = block
+    overflow = (slot & ~np.isfinite(cand)).any(axis=1)
+    if overflow.any():
+        raise ValueError(f"feature column {overflow.argmax()} spans more than the "
+                         "largest float: its bin edges overflow")
+    keep = slot.copy()
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    return _split(cand[keep], keep.sum(axis=1))
+
+
+def _split(flat: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
+    """``flat`` cut into consecutive pieces of ``sizes`` values."""
+    ends = np.cumsum(sizes).tolist()
+    return tuple(flat[a:b] for a, b in zip([0, *ends], ends))
+
+
 def _linear_quantiles(s: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """``np.quantile(s, qs)`` (method ``linear``, Hyndman & Fan type 7)
-    of the sorted sample ``s``, for ``qs`` in [0, 1) and ``len(s) > 1``.
+    of each row of the sorted samples ``s``, for ``qs`` in [0, 1) and
+    rows of more than one value.
 
     One sort instead of numpy's partition around two indices per
     quantile; the arithmetic is numpy's ``_lerp``, so the values are
     bit-identical (up to the sign of a zero edge between tied -0.0 and
     +0.0, which numpy's partition leaves unspecified).
     """
-    v = (len(s) - 1) * qs
+    v = (s.shape[-1] - 1) * qs
     below = np.floor(v)
     g = v - below
     k = below.astype(np.intp)
-    a, b = s[k], s[k + 1]
+    a, b = s[..., k], s[..., k + 1]
     d = b - a
     return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
 

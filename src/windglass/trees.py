@@ -23,8 +23,11 @@ three internal nodes at the default depth, straight into its table. A
 pair step grows its tree level-wise, scoring every node of a depth in
 one vectorised pass (:func:`restricted_tree_from_histogram`), keeps its
 nodes in the order that pass makes them, and fills its table from them
-(:func:`_fill_table`). Both reproduce a node-at-a-time recursion bit
-for bit.
+in one pass in that level order (:func:`_fill_table`). Both reproduce a
+node-at-a-time recursion bit for bit. Their sums call ``np.add.reduce``
+and ``np.add.accumulate`` directly: the ufunc methods that
+``ndarray.sum`` and ``cumsum`` call, so the same sums, without the
+wrappers' Python frames.
 
 The regression-tree baseline sorts its targets once, at the root, and
 every node keeps its rows in that order: a node's median is the middle
@@ -406,14 +409,15 @@ def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
     come back in level order, as the depths are grown. Slice sums, not
     differences of cumulative sums, keep it exact.
     """
+    add = np.add
     both = np.array((cnt2, sum2))
     level = [(0, cnt2.shape[0], 0, cnt2.shape[1], total)]
     # One entry per node, in level order: [feature, threshold, left, right, value, count].
     grown: list[list] = []
     for depth in range(params.max_depth + 1):
         first = len(grown)
-        grown += ([-1, -1, -1, -1, sum2[lo0:hi0, lo1:hi1].sum() / c, int(c)]
-                  for lo0, hi0, lo1, hi1, c in level)
+        grown += ([-1, -1, -1, -1, add.reduce(sum2[lo0:hi0, lo1:hi1], axis=None) / c,
+                   int(c)] for lo0, hi0, lo1, hi1, c in level)
         if depth == params.max_depth:
             break
         scored = [i for i, node in enumerate(level)
@@ -426,9 +430,9 @@ def _grow_2d(cnt2, sum2, total, fi, fj, params) -> tuple[TreeNode, ...]:
         margins = np.zeros((2, 2 * len(boxes), width))
         for row, (lo0, hi0, lo1, hi1) in enumerate(boxes):
             sub = both[:, lo0:hi0, lo1:hi1]
-            sub.sum(axis=2, out=margins[:, 2 * row, :hi0 - lo0])
-            sub.sum(axis=1, out=margins[:, 2 * row + 1, :hi1 - lo1])
-        cum = margins.cumsum(axis=2)
+            add.reduce(sub, axis=2, out=margins[:, 2 * row, :hi0 - lo0])
+            add.reduce(sub, axis=1, out=margins[:, 2 * row + 1, :hi1 - lo1])
+        cum = add.accumulate(margins, axis=2)
         gains = _split_gains(cum, params.min_samples_leaf).reshape(
             len(scored), 2 * (width - 1))
         children = []
@@ -473,12 +477,14 @@ def restricted_tree_from_histogram(cnt, sums, features, params: TreeParams,
     be summed in any order, but residual sums keep the recursion's
     order. A node's marginal sums are its slice's ``sum(axis)``,
     accumulated by ``cumsum``, and its value is the slice's ``sum()``
-    over its count. Zero padding after the end of a marginal is exact;
-    a summed-area table of the sums is not, since it rounds differently.
+    over its count, each called as the ufunc method it wraps
+    (``np.add.reduce``, ``np.add.accumulate``). Zero padding after the
+    end of a marginal is exact; a summed-area table of the sums is not,
+    since it rounds differently.
     A one-feature histogram raises ``ValueError``: its table comes from
     :func:`histogram_table`, with no tree.
     """
-    total = float(cnt.sum())
+    total = float(np.add.reduce(cnt, axis=None))
     if total <= 0:
         raise ValueError("histogram holds no rows")
     if cnt.ndim != 2:
@@ -518,19 +524,24 @@ def predict_tree(tree: RegressionTree, X_binned: np.ndarray) -> np.ndarray:
 def _fill_table(nodes, shape):
     """The table of a pair tree from :func:`histogram_table`: a split on
     feature 0 cuts axis 0 and one on feature 1 axis 1, each strictly
-    inside its node's box."""
+    inside its node's box.
+
+    One pass over the nodes in their order, which puts every split
+    before its children (level order, or preorder): a node's box is
+    known when the pass reaches it, and a split hands each child its
+    part of that box.
+    """
     table = np.zeros(shape)
-    stack = [(0, 0, shape[0], 0, shape[1])]
-    while stack:
-        nid, lo0, hi0, lo1, hi1 = stack.pop()
-        feature, threshold, left, right, value, _ = nodes[nid]
+    boxes = {0: (0, shape[0], 0, shape[1])}
+    for nid, (feature, threshold, left, right, value, _) in enumerate(nodes):
+        lo0, hi0, lo1, hi1 = boxes.pop(nid)
         cut = threshold + 1
         if feature < 0:
             table[lo0:hi0, lo1:hi1] = value
         elif feature == 0:
-            stack += ((left, lo0, cut, lo1, hi1), (right, cut, hi0, lo1, hi1))
+            boxes[left], boxes[right] = (lo0, cut, lo1, hi1), (cut, hi0, lo1, hi1)
         else:
-            stack += ((left, lo0, hi0, lo1, cut), (right, lo0, hi0, cut, hi1))
+            boxes[left], boxes[right] = (lo0, hi0, lo1, cut), (lo0, hi0, cut, hi1)
     return table
 
 
@@ -552,7 +563,7 @@ def histogram_table(cnt, sums, params: TreeParams) -> np.ndarray:
         tree = restricted_tree_from_histogram(cnt, sums, (0, 1), params)
         return _fill_table(tree.nodes, cnt.shape)
     cum = np.zeros((2, len(cnt) + 1))
-    np.cumsum(np.array((cnt, sums)), axis=1, out=cum[:, 1:])
+    np.add.accumulate(np.array((cnt, sums)), axis=1, out=cum[:, 1:])
     cnt_cum, sum_cum = cum
     if not cnt_cum[-1] > 0:
         raise ValueError("histogram holds no rows")

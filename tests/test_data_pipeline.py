@@ -1,6 +1,7 @@
 """Data pipeline tests: ingestion, feature building, normalization,
 splitting, and binning."""
 
+import re
 import time
 import warnings
 from datetime import datetime, timezone
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
@@ -205,6 +206,17 @@ class TestLoadCsv:
             time.tzset()
         start = datetime(2012, 3, 25, tzinfo=timezone.utc).timestamp()
         np.testing.assert_array_equal(frame.timestamps, start + 3600.0 * np.arange(5))
+
+    @settings(max_examples=500, deadline=None)
+    @given(stamp=st.datetimes(min_value=datetime(1, 1, 1),
+                              max_value=datetime(9999, 12, 31, 23, 59, 59, 999_999)))
+    def test_naive_stamp_seconds_are_its_utc_timestamp(self, stamp):
+        """A naive stamp's offset from the naive epoch, as parsed, has the
+        float bits of ``.timestamp()`` of the same stamp in UTC, from year
+        1 to 9999 and to the microsecond."""
+        want = stamp.replace(tzinfo=timezone.utc).timestamp()
+        assert (stamp - data._EPOCH).total_seconds().hex() == want.hex()
+        assert data._parse_timestamp(stamp.isoformat(), "iso8601").hex() == want.hex()
 
     def test_utf8_bom_before_header(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -543,6 +555,112 @@ def test_fit_bins_counts_its_fit_rows_through_its_cell_index(col, max_bins, draw
         want = np.bincount(Xb[:, f], minlength=bmap.n_bins(f))
         assert bmap.populations[f].tobytes() == want.tobytes()
     assert data._fit_binned(X, (lo, hi), max_bins)[1].tobytes() == Xb.tobytes()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_fit_bins(X, fit_range, max_bins):
+    """``fit_bins`` one feature at a time: ``np.unique`` and ``np.sort``
+    of each fit column, ``np.unique`` of its candidate edges. Returns
+    the edges, populations, ``vmin``, ``vmax`` and the fit rows' bins,
+    or raises the overflow ``ValueError`` for the first feature whose
+    edges are not finite."""
+    Xf = X[fit_range[0]:fit_range[1]]
+    edges = []
+    for f in range(Xf.shape[1]):
+        col = Xf[:, f]
+        uniq = np.unique(col)
+        if len(uniq) < 2:
+            cuts = np.empty(0)
+        elif len(uniq) <= max_bins:
+            cuts = np.unique(0.5 * (uniq[:-1] + uniq[1:]))
+        else:
+            s = np.sort(col)
+            v = (len(s) - 1) * (np.arange(1, max_bins) / max_bins)
+            below = np.floor(v)
+            g = v - below
+            k = below.astype(np.intp)
+            d = s[k + 1] - s[k]
+            cand = np.where(g >= 0.5, s[k + 1] - d * (1 - g), s[k] + d * g)
+            cand = np.clip(cand, 0.5 * (uniq[0] + uniq[1]), 0.5 * (uniq[-2] + uniq[-1]))
+            cuts = np.unique(cand)
+        if not np.isfinite(cuts).all():
+            raise ValueError(f"feature column {f} spans more than the largest float: "
+                             "its bin edges overflow")
+        edges.append(cuts)
+    Xb = np.column_stack([np.searchsorted(e, Xf[:, f], side="right")
+                          for f, e in enumerate(edges)])
+    populations = [np.bincount(Xb[:, f], minlength=len(e) + 1) for f, e in enumerate(edges)]
+    return edges, populations, Xf.min(axis=0), Xf.max(axis=0), Xb
+
+
+SIGNED_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323]
+
+
+@st.composite
+def fit_matrices(draw):
+    """Fit rows of one to four columns, each normal, tied, tied at its
+    top, signed zeros among subnormals and other values, subnormal,
+    near +-1e300 or +-1.7e308 (whose edges may overflow), constant or
+    two-valued; with a fit range and a ``max_bins`` below and above
+    the distinct counts, or huge."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["normal", "ties", "top_ties", "zeros", "subnormal",
+                                     "huge", "constant", "two"]))
+        if kind == "normal":
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+        elif kind == "ties":
+            col = rng.integers(-draw(st.integers(1, 40)), 40, n) * 0.25
+        elif kind == "top_ties":
+            col = np.minimum(rng.standard_normal(n), rng.uniform(-0.5, 1.0))
+        elif kind == "zeros":
+            pool = np.concatenate([SIGNED_TINY, rng.standard_normal(draw(st.integers(0, 300)))])
+            col = rng.choice(pool, n)
+        elif kind == "subnormal":
+            col = rng.integers(-60, 60, n) * 5e-324 * rng.choice([-1.0, 1.0], n)
+        elif kind == "huge":
+            col = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1e300, 1.7e308]))
+        elif kind == "constant":
+            col = np.full(n, draw(st.sampled_from([0.0, -0.0, 1.5, -1e300])))
+        else:
+            col = rng.choice(rng.standard_normal(2), n)
+        columns.append(col)
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    max_bins = draw(st.integers(2, 300) | st.sampled_from([2, 3, 17, 10**15]))
+    return np.column_stack(columns), (lo, hi), max_bins
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=fit_matrices())
+@example(case=(np.arange(-8.0, 9.0)[:, None] * 5e-324, (0, 17), 25))
+@example(case=(np.concatenate([np.arange(1, 41) / 8.0, [0.0] * 8 + [-0.0] * 8,
+                               -np.arange(1, 41) / 8.0])[:, None], (0, 96), 17))
+def test_fit_bins_equals_the_per_feature_loop(case):
+    """The one-sort binning gives the per-feature loop's edges bit for
+    bit (the sign of a zero edge included), its populations, ``vmin``,
+    ``vmax`` and fit-row bins, or the same overflow refusal naming the
+    same first column; a huge ``max_bins`` sizes no array.
+
+    The examples put a -0.0 and a +0.0 side by side among 16 or more
+    candidate edges, midpoints and quantiles: where the sort kernel
+    reorders tied zeros of both signs (its AVX-512 form does), they
+    fail a dedupe that skips the sort ``np.unique`` makes."""
+    X, fit_range, max_bins = case
+    try:
+        want = reference_fit_bins(X, fit_range, max_bins)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            data._fit_binned(X, fit_range, max_bins)
+        return
+    bmap, Xb = data._fit_binned(X, fit_range, max_bins)
+    edges, populations, vmin, vmax, bins = want
+    assert [e.tobytes() for e in bmap.edges] == [e.tobytes() for e in edges]
+    assert [p.tobytes() for p in bmap.populations] == [p.tobytes() for p in populations]
+    assert bmap.vmin.tobytes() == vmin.tobytes() and bmap.vmax.tobytes() == vmax.tobytes()
+    assert Xb.tobytes() == bins.tobytes()
 
 
 # ---------------------------------------------------------------------------

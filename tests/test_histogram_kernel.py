@@ -335,9 +335,11 @@ def test_fused_split_gains_match_the_unfused_formula(cum, min_leaf):
 
 @st.composite
 def pair_trees(draw):
-    """A random pair tree's preorder nodes with its table's shape, in the
-    domain of the pair kernel's trees: a split on feature 0 cuts axis 0,
-    one on feature 1 axis 1, each strictly inside its node's box."""
+    """A random pair tree's nodes with its table's shape, in the domain of
+    the pair kernel's trees: a split on feature 0 cuts axis 0, one on
+    feature 1 axis 1, each strictly inside its node's box. The nodes are
+    numbered in preorder or, as the kernel hands them to ``_fill_table``,
+    in level order (``right == left + 1``)."""
     shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     nodes = []
 
@@ -355,6 +357,16 @@ def pair_trees(draw):
         return nid
 
     grow((0, shape[0], 0, shape[1]), 0)
+    if draw(st.booleans()):
+        order = [0]
+        for nid in order:  # grows as it goes: a breadth-first walk
+            if not nodes[nid].is_leaf:
+                order += [nodes[nid].left, nodes[nid].right]
+        new = {old: k for k, old in enumerate(order)}
+        nodes = [nodes[old] if nodes[old].is_leaf else
+                 nodes[old]._replace(left=new[nodes[old].left], right=new[nodes[old].right])
+                 for old in order]
+        assert_level_order(nodes)
     return tuple(nodes), shape
 
 
