@@ -210,10 +210,10 @@ def read_run_config(path, overrides=()) -> RunConfig:
                for (section, key), (field, parse) in _KEYS.items()
                if parser.has_option(section, key)},
         )
+        cfg.validate()  # its messages name the config keys CsvSchema also checks
         _schema(cfg)  # refuses a column named for two roles, before any data is read
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
-    cfg.validate()
     return cfg
 
 

@@ -51,10 +51,11 @@ class CsvSchema:
     """Column roles for :func:`load_csv`.
 
     ``timestamp_format`` is ``"iso8601"`` (a stamp without a zone is
-    UTC) or ``"epoch"`` (seconds).
+    UTC) or ``"epoch"`` (seconds), and ``delimiter`` one character.
     ``exogenous_columns=None`` takes every remaining column in header
-    order; pass ``()`` for none. A column named for two roles (the
-    timestamp or target as an exogenous column, say) raises ``ValueError``.
+    order; pass ``()`` for none. Any other format or delimiter, or a
+    column named for two roles (the timestamp or target as an exogenous
+    column, say), raises ``ValueError``.
     """
 
     timestamp_column: str
@@ -64,6 +65,10 @@ class CsvSchema:
     delimiter: str = ","
 
     def __post_init__(self):
+        if self.timestamp_format not in ("iso8601", "epoch"):
+            raise ValueError(f"unknown timestamp format {self.timestamp_format!r}")
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
         roles = [self.timestamp_column, self.target_column, *(self.exogenous_columns or ())]
         for k, col in enumerate(roles):
             if col in roles[:k]:
@@ -240,24 +245,20 @@ _EPOCH = datetime(1970, 1, 1)
 
 
 def _parse_timestamp(raw: str, fmt: str) -> float:
-    if fmt == "epoch":
-        try:
+    """Seconds since the epoch of ``raw``, in a format ``CsvSchema`` admits."""
+    try:
+        if fmt == "epoch":
             return float(raw)
-        except ValueError:
-            raise ValueError(f"unparseable timestamp {raw!r}") from None
-    if fmt == "iso8601":
-        try:
-            stamp = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-        except ValueError:
-            raise ValueError(f"unparseable timestamp {raw!r}") from None
-        # A naive timestamp is UTC, so the host's DST shifts never apply.
-        # Its offset from the naive epoch is what ``.timestamp()`` of the
-        # stamp in UTC computes, whole microseconds over 10**6, without
-        # building an aware copy.
-        if stamp.tzinfo is None:
-            return (stamp - _EPOCH).total_seconds()
-        return stamp.timestamp()
-    raise ValueError(f"unknown timestamp format {fmt!r}")
+        stamp = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
+    except ValueError:
+        raise ValueError(f"unparseable timestamp {raw!r}") from None
+    # A naive timestamp is UTC, so the host's DST shifts never apply.
+    # Its offset from the naive epoch is what ``.timestamp()`` of the
+    # stamp in UTC computes, whole microseconds over 10**6, without
+    # building an aware copy.
+    if stamp.tzinfo is None:
+        return (stamp - _EPOCH).total_seconds()
+    return stamp.timestamp()
 
 
 def _parse_float(raw: str) -> float:
@@ -421,14 +422,16 @@ def normalize_fit_apply(matrix: SupervisedMatrix,
     range clamp to [0, 1]. Constant columns map to 0.5 rather than
     erroring, so a flat sensor cannot abort training. A column whose
     fitted max minus min overflows to infinity raises ``ValueError``.
+    No fitted bound is -0.0 (0.0 is added to each), whichever zero the
+    host's min and max kernels pick among tied ones.
     """
     Xf = _fit_rows(matrix.X, fit_range)
     yf = _fit_rows(matrix.y, fit_range)
     params = NormParams(
-        feature_min=Xf.min(axis=0),
-        feature_max=Xf.max(axis=0),
-        target_min=float(yf.min()),
-        target_max=float(yf.max()),
+        feature_min=Xf.min(axis=0) + 0.0,
+        feature_max=Xf.max(axis=0) + 0.0,
+        target_min=float(yf.min()) + 0.0,
+        target_max=float(yf.max()) + 0.0,
     )
     with np.errstate(over="ignore"):
         wide = np.isinf(params.feature_max - params.feature_min)
@@ -438,6 +441,14 @@ def normalize_fit_apply(matrix: SupervisedMatrix,
     if math.isinf(params.target_max - params.target_min):
         raise ValueError("the target spans more than the largest float in the fit rows")
     return normalize_apply(matrix, params)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``TypeError`` unless it is an integer
+    (Python or numpy, never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be int, got {value!r}")
+    return int(value)
 
 
 def _fit_rows(rows: np.ndarray, fit_range: tuple[int, int]) -> np.ndarray:
@@ -549,10 +560,11 @@ def fit_bins(X: np.ndarray, fit_range: tuple[int, int], max_bins: int = 256) -> 
     whose edges would overflow (two values whose sum or difference is
     beyond the largest float) raises ``ValueError`` naming it too.
 
-    One sort per binning: every fit column is sorted in one call, which
-    runs the kernel that ``np.unique`` and ``np.sort`` run per column on
-    the same values, so the edges are bit for bit those of sorting each
-    column on its own (see :func:`_fit_binned`).
+    One sort per binning: every fit column is sorted in one call. No
+    stored edge, ``vmin`` or ``vmax`` is -0.0, so the same values fit
+    the same bytes whatever order the host's sort and min kernels give
+    tied zeros of both signs; the bins are those of either zero.
+    ``max_bins`` must be an integer (``TypeError`` if not) ``>= 2``.
     """
     return _fit_binned(X, fit_range, max_bins)[0]
 
@@ -565,14 +577,11 @@ def _fit_binned(X, fit_range, max_bins, out=None) -> tuple[BinningMap, np.ndarra
     written into ``out`` when it is given.
 
     One sort of every fit column at once, along the rows of a copy of
-    the transposed fit rows, replaces a per-column ``np.unique`` and
-    ``np.sort``: each of those sorts a contiguous copy of the column's
-    values, in row order, with the same kernel, so every sorted column
-    is bit for bit the same, down to the signs of its zeros (which that
-    kernel may change). The edges are then those of the per-column rule
-    (:func:`_edges_of_sorted`), and the populations one ``bincount`` of
-    the fit rows' bins, offset per feature.
+    the transposed fit rows, gives the edges (:func:`_edges_of_sorted`);
+    the populations are one ``bincount`` of the fit rows' bins, offset
+    per feature. ``vmin`` and ``vmax`` have 0.0 added, as the edges do.
     """
+    max_bins = _integer("max_bins", max_bins)
     if max_bins < 2:
         raise ValueError("max_bins must be >= 2")
     Xf = _fit_rows(np.asarray(X, dtype=np.float64), fit_range)
@@ -587,8 +596,8 @@ def _fit_binned(X, fit_range, max_bins, out=None) -> tuple[BinningMap, np.ndarra
     counts = np.bincount((Xb + offsets).ravel(), minlength=int(sizes.sum()))
     bmap = BinningMap(
         edges=edges,
-        vmin=Xf.min(axis=0),
-        vmax=Xf.max(axis=0),
+        vmin=Xf.min(axis=0) + 0.0,
+        vmax=Xf.max(axis=0) + 0.0,
         populations=_split(counts, sizes),
         max_bins=max_bins,
     )
@@ -604,15 +613,16 @@ def _edges_of_sorted(S: np.ndarray, max_bins: int) -> tuple[np.ndarray, ...]:
     edges; at most ``max_bins`` give ``np.unique`` of the midpoints of
     each two consecutive ones; more give ``np.unique`` of the type-7
     quantiles at ``1/max_bins .. (max_bins-1)/max_bins``, clipped to the
-    first and last of those midpoints. A midpoint is taken across each
-    boundary between two runs of equal values: the values either side
-    are not equal, so when one is a zero the other is not, and the sign
-    of that zero cannot change the sum. The candidates of all features
-    with as many of them are sorted in one call, so each feature's are
-    sorted as ``np.unique`` sorts them, by the same kernel on as many
-    values, and then each loses every value equal to the one before it.
-    A feature whose edges overflow raises ``ValueError`` naming it, the
-    first such feature.
+    first and last of those midpoints. Either way a row's candidates
+    come in order, with no sort: each lies between the sorted values it
+    is taken from, every step (a sum, a halving, an interpolation, a
+    clip) rounds monotonically, and consecutive quantiles are at least
+    one sorted value apart. So each row just loses every value equal to
+    the one before it. The candidates depend on how the sort of ``S``
+    ordered tied -0.0 and +0.0 only through the sign of a zero, and the
+    edges have 0.0 added, so every zero edge is +0.0. A feature whose
+    edges overflow raises ``ValueError`` naming it, the first such
+    feature.
     """
     n_features, n = S.shape
     bound = S[:, 1:] != S[:, :-1]  # a run of equal values ends after column j
@@ -639,23 +649,14 @@ def _edges_of_sorted(S: np.ndarray, max_bins: int) -> tuple[np.ndarray, ...]:
         lo = 0.5 * (S[rows, first] + S[rows, first + 1])
         hi = 0.5 * (S[rows, last] + S[rows, last + 1])
         q = _linear_quantiles(S, np.arange(1, max_bins) / max_bins)
-        # np.clip of a column's candidates by its two bounds as scalars:
-        # a candidate equal to a bound, a zero of the other sign included,
-        # stays as it is. (np.clip by bound arrays would take the bound.)
-        lo, hi = lo[:, None], hi[:, None]
-        cand[many] = np.where(q < lo, lo, np.where(q > hi, hi, q))[many]
-    for length in np.unique(n_cand[n_cand > 0]).tolist():
-        rows = np.flatnonzero(n_cand == length)
-        block = cand[rows, :length]
-        block.sort(axis=1)
-        cand[rows, :length] = block
+        cand[many] = np.clip(q, lo[:, None], hi[:, None])[many]
     overflow = (slot & ~np.isfinite(cand)).any(axis=1)
     if overflow.any():
         raise ValueError(f"feature column {overflow.argmax()} spans more than the "
                          "largest float: its bin edges overflow")
     keep = slot.copy()
     keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
-    return _split(cand[keep], keep.sum(axis=1))
+    return _split(cand[keep] + 0.0, keep.sum(axis=1))
 
 
 def _split(flat: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
@@ -671,8 +672,7 @@ def _linear_quantiles(s: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
     One sort instead of numpy's partition around two indices per
     quantile; the arithmetic is numpy's ``_lerp``, so the values are
-    bit-identical (up to the sign of a zero edge between tied -0.0 and
-    +0.0, which numpy's partition leaves unspecified).
+    bit-identical, the sign of a zero aside.
     """
     v = (s.shape[-1] - 1) * qs
     below = np.floor(v)

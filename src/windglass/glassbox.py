@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (BinningMap, DataSplit, NormParams, SupervisedMatrix, _fit_binned,
-                   apply_bins, bin_row)
+                   _integer, apply_bins, bin_row)
 from .trees import TreeParams, histogram_table
 
 __all__ = [
@@ -565,8 +565,7 @@ def rank_interaction_pairs(X_binned: np.ndarray, residuals: np.ndarray,
     ``pair_bins`` an integer ``>= 2`` (``TypeError`` if not an integer).
     ``ValueError`` otherwise.
     """
-    if isinstance(pair_bins, bool) or not isinstance(pair_bins, _FIELD_KINDS["int"]):
-        raise TypeError(f"pair_bins must be int, got {pair_bins!r}")
+    pair_bins = _integer("pair_bins", pair_bins)
     if pair_bins < 2:
         raise ValueError("pair_bins must be >= 2")
     Xb = _bin_rows(X_binned)

@@ -24,7 +24,7 @@ File invariants:
   (``json.dumps(doc, sort_keys=True, separators=(",", ":"))``).
 - :func:`save_model` formats every number once: the document holds the
   model's own arrays (tables, grid rows, edge vectors, populations,
-  coarse maps), each array or list of plain scalars becomes compact
+  coarse maps), each number array and each scalar becomes compact
   text, the checksum is hashed piece by piece from those strings in
   sorted-key order (:func:`_digest`), and the indented file is streamed
   from the same strings in insertion order. Neither layout is ever held
@@ -36,9 +36,9 @@ File invariants:
   step function, and the lags of one series share quantile edges. A
   48-lag file holds about 35,000 floats, of which 7.6-20% are distinct.
   Numbers are told apart by their bits, so each text is still exactly
-  the ``repr`` of its own value. The writers give every float vector (a
-  validation curve, a tree's ``value`` column) as a ``float64`` array.
-  Any other array, and any list, is encoded as its list.
+  the ``repr`` of its own value. The writers give every number vector (a
+  validation curve, a tree's columns) as a ``float64`` or ``int64``
+  array. Any other array is encoded as its list.
 - :func:`load_model` converts each distinct float text once
   (:class:`_FloatMemo`), checks the stored checksum against the model's
   document (:func:`_document`), and digests the parsed document only to
@@ -138,13 +138,16 @@ def _bins_from_doc(d) -> BinningMap:
 
 
 def _tree_to_doc(t: RegressionTree):
+    def column(name, dtype=np.int64):
+        return np.array([getattr(nd, name) for nd in t.nodes], dtype=dtype)
+
     return {
-        "feature": [nd.feature for nd in t.nodes],
-        "threshold": [nd.threshold for nd in t.nodes],
-        "left": [nd.left for nd in t.nodes],
-        "right": [nd.right for nd in t.nodes],
-        "value": np.array([nd.value for nd in t.nodes], dtype=np.float64),
-        "count": [nd.count for nd in t.nodes],
+        "feature": column("feature"),
+        "threshold": column("threshold"),
+        "left": column("left"),
+        "right": column("right"),
+        "value": column("value", np.float64),
+        "count": column("count"),
         # Every fit_cart tree is an absolute-error tree.
         "params": {**asdict(t.params), "split_criterion": "mae"},
     }
@@ -350,14 +353,13 @@ _READERS = {
 # Encoding and checksum
 # ---------------------------------------------------------------------------
 
-# An array among a list's scalars is encoded as its list.
-_compact = json.JSONEncoder(separators=(",", ":"), default=np.ndarray.tolist).encode
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 # The array dtypes a member batches, each formatted in one pass.
 _BATCHED = (np.dtype(np.float64), np.dtype(np.int64))
 
 
 class _Text(str):
-    """Compact JSON text of a scalar or of a list of scalars."""
+    """Compact JSON text of a scalar or of a number array."""
 
     __slots__ = ()
 
@@ -369,9 +371,10 @@ class _Object(list):
 
 
 def _encode_leaves(obj):
-    """``obj`` with every scalar and every non-empty list or array of
-    scalars replaced by its compact JSON text (an array's is that of its
-    ``tolist()``), and every dict by an :class:`_Object`.
+    """``obj`` with every scalar and every non-empty 1-D ``float64`` or
+    ``int64`` array replaced by its compact JSON text (that of its
+    ``tolist()``), every other array or list by the list of its encoded
+    items, and every dict by an :class:`_Object`.
 
     The C encoder formats numbers exactly as ``json.dump`` does
     (``float.__repr__``, ``NaN``/``Infinity``), so each number is
@@ -407,8 +410,7 @@ def _encode_batch(obj):
 def _encode_into(holder, index, obj, batches) -> None:
     """Set ``holder[index]`` to ``obj`` encoded, except that a non-empty
     1-D array of a batched dtype is appended to its dtype's batch with
-    its slot, for :func:`_format_batch` to fill. A list, of Python ints
-    (which may not fit in ``int64``) or floats, is not."""
+    its slot, for :func:`_format_batch` to fill."""
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.size and obj.dtype in batches:
             batches[obj.dtype].append((holder, index, obj))
@@ -424,13 +426,6 @@ def _encode_into(holder, index, obj, batches) -> None:
         holder[index] = items
         return
     if isinstance(obj, (list, tuple)):
-        if obj and not isinstance(obj[0], (list, tuple, dict, str, np.ndarray)):
-            text = _compact(obj)
-            # No string (so no key of a non-empty object) and no inner
-            # list: every comma separates two scalars or empty objects.
-            if '"' not in text and "[" not in text[1:]:
-                holder[index] = _Text(text)
-                return
         node = [None] * len(obj)
         for k, value in enumerate(obj):
             _encode_into(node, k, value, batches)

@@ -147,6 +147,17 @@ class TestRtBaseline:
         Xb = wg.apply_bins(model.bins, matrix.X[lo:hi])
         assert model.tree == wg.fit_cart(Xb, matrix.y[lo:hi], wg.RT_BASELINE_PARAMS)
 
+    def test_numpy_integer_max_bins_saves_as_int(self, tmp_path):
+        """``max_bins=np.int64(16)`` writes the file ``16`` does; a
+        non-integer is refused before any fit."""
+        matrix, split = lag_setup(n=400, n_lags=2)
+        for name, max_bins in (("np", np.int64(16)), ("py", 16)):
+            wg.save_model(wg.fit_rt_baseline(matrix, split.train, max_bins=max_bins),
+                          tmp_path / f"{name}.json")
+        assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
+        with pytest.raises(TypeError, match="max_bins must be int"):
+            wg.fit_rt_baseline(matrix, split.train, max_bins=16.0)
+
     def test_predicts_leaf_medians(self):
         matrix, split = lag_setup(n=800, n_lags=2)
         model = wg.fit_rt_baseline(matrix, split.train, max_bins=16)

@@ -1,10 +1,15 @@
 """Data pipeline tests: ingestion, feature building, normalization,
 splitting, and binning."""
 
+import os
+import platform
 import re
+import subprocess
+import sys
 import time
 import warnings
 from datetime import datetime, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -96,6 +101,19 @@ class TestLoadCsv:
         answer (test NRMSE 4.8e-16): the schema refuses it, naming it."""
         with pytest.raises(ValueError, match=f"^column '{twice}' is named for two roles$"):
             wg.CsvSchema(timestamp_column=ts, target_column=target, exogenous_columns=exo)
+
+    @pytest.mark.parametrize("delimiter", ["", "ab", ";;", None, b","])
+    def test_delimiter_of_other_than_one_character_errors(self, delimiter):
+        """Refused by the schema, not by the csv module's ``TypeError``."""
+        with pytest.raises(ValueError, match="^delimiter must be one character, got "):
+            wg.CsvSchema("time", "power", delimiter=delimiter)
+
+    @pytest.mark.parametrize("fmt", ["unix", "ISO8601", ""])
+    def test_unknown_timestamp_format_errors(self, fmt):
+        """Refused by the schema, before a file is read: not at the first
+        data row, and not as "no valid data rows" for a header-only file."""
+        with pytest.raises(ValueError, match=f"^unknown timestamp format '{fmt}'$"):
+            wg.CsvSchema("time", "power", timestamp_format=fmt)
 
     @pytest.mark.parametrize("header, exo, twice", [
         ("time,power,a,a", None, "a"),
@@ -520,6 +538,19 @@ class TestBinning:
         with pytest.raises(ValueError, match="max_bins"):
             wg.fit_bins(np.zeros((10, 1)), (0, 10), max_bins=1)
 
+    @pytest.mark.parametrize("max_bins", [16.0, 16.5, np.float64(16.0), True, "16", None])
+    def test_max_bins_that_is_not_an_integer_errors(self, max_bins):
+        """As ``TrainConfig``'s integer fields: ``TypeError``, a bool and
+        a whole float included."""
+        with pytest.raises(TypeError, match="^max_bins must be int, got "):
+            wg.fit_bins(np.arange(40.0)[:, None], (0, 40), max_bins)
+
+    def test_numpy_integer_max_bins_is_stored_as_int(self):
+        X = np.arange(40.0)[:, None]
+        bmap = wg.fit_bins(X, (0, 40), np.int64(16))
+        assert type(bmap.max_bins) is int
+        assert bmap.edges[0].tobytes() == wg.fit_bins(X, (0, 40), 16).edges[0].tobytes()
+
     def test_bin_centers_map_back_to_their_bins(self):
         rng = np.random.default_rng(8)
         X = rng.exponential(size=(500, 1))
@@ -563,7 +594,8 @@ def reference_fit_bins(X, fit_range, max_bins):
     of each fit column, ``np.unique`` of its candidate edges. Returns
     the edges, populations, ``vmin``, ``vmax`` and the fit rows' bins,
     or raises the overflow ``ValueError`` for the first feature whose
-    edges are not finite."""
+    edges are not finite. Every zero of the edges, ``vmin`` and
+    ``vmax`` is +0.0: ``fit_bins`` stores no -0.0."""
     Xf = X[fit_range[0]:fit_range[1]]
     edges = []
     for f in range(Xf.shape[1]):
@@ -586,11 +618,11 @@ def reference_fit_bins(X, fit_range, max_bins):
         if not np.isfinite(cuts).all():
             raise ValueError(f"feature column {f} spans more than the largest float: "
                              "its bin edges overflow")
-        edges.append(cuts)
+        edges.append(cuts + 0.0)
     Xb = np.column_stack([np.searchsorted(e, Xf[:, f], side="right")
                           for f, e in enumerate(edges)])
     populations = [np.bincount(Xb[:, f], minlength=len(e) + 1) for f, e in enumerate(edges)]
-    return edges, populations, Xf.min(axis=0), Xf.max(axis=0), Xb
+    return edges, populations, Xf.min(axis=0) + 0.0, Xf.max(axis=0) + 0.0, Xb
 
 
 SIGNED_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323]
@@ -640,14 +672,13 @@ def fit_matrices(draw):
                                -np.arange(1, 41) / 8.0])[:, None], (0, 96), 17))
 def test_fit_bins_equals_the_per_feature_loop(case):
     """The one-sort binning gives the per-feature loop's edges bit for
-    bit (the sign of a zero edge included), its populations, ``vmin``,
-    ``vmax`` and fit-row bins, or the same overflow refusal naming the
-    same first column; a huge ``max_bins`` sizes no array.
+    bit (every zero +0.0), its populations, ``vmin``, ``vmax`` and
+    fit-row bins, or the same overflow refusal naming the same first
+    column; a huge ``max_bins`` sizes no array.
 
     The examples put a -0.0 and a +0.0 side by side among 16 or more
-    candidate edges, midpoints and quantiles: where the sort kernel
-    reorders tied zeros of both signs (its AVX-512 form does), they
-    fail a dedupe that skips the sort ``np.unique`` makes."""
+    candidate edges, midpoints and quantiles, which a sort kernel may
+    order either way (numpy's AVX-512 one does)."""
     X, fit_range, max_bins = case
     try:
         want = reference_fit_bins(X, fit_range, max_bins)
@@ -661,6 +692,55 @@ def test_fit_bins_equals_the_per_feature_loop(case):
     assert [p.tobytes() for p in bmap.populations] == [p.tobytes() for p in populations]
     assert bmap.vmin.tobytes() == vmin.tobytes() and bmap.vmax.tobytes() == vmax.tobytes()
     assert Xb.tobytes() == bins.tobytes()
+
+
+# Numpy's CPU features from AVX2 up: with these disabled, its sort, min
+# and max run their SSE-level kernels.
+NO_AVX2 = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def signed_zero_fits() -> list[np.ndarray]:
+    """Every bound ``fit_bins`` (on C- and Fortran-ordered rows) and
+    ``normalize_fit_apply`` (those rows as features, a 1-D target) store
+    for inputs that mix -0.0 and +0.0."""
+    rng = np.random.default_rng(0)
+    pool = [0.0, -0.0, 0.5, 2.0]
+    cases = [(np.arange(-8.0, 9.0)[:, None] * 5e-324, 25),
+             (np.concatenate([np.arange(1, 41) / 8.0, [0.0] * 8 + [-0.0] * 8,
+                              -np.arange(1, 41) / 8.0])[:, None], 17),
+             (np.array([[-5e-324], [0.0], [1.0]]), 256),
+             (np.asfortranarray(rng.choice(pool, (300, 48))), 256),
+             (np.asfortranarray(rng.choice(pool, (1000, 48))), 256)]
+    fitted = []
+    for X, max_bins in cases:
+        for rows in (np.ascontiguousarray(X), np.asfortranarray(X)):
+            bmap = wg.fit_bins(rows, (0, len(rows)), max_bins)
+            names = [f"x{k}" for k in range(rows.shape[1])]
+            matrix = wg.SupervisedMatrix(rows, rows[:, -1].copy(), names)
+            p = wg.normalize_fit_apply(matrix, (0, len(rows))).norm_params
+            fitted += [*bmap.edges, bmap.vmin, bmap.vmax, p.feature_min, p.feature_max,
+                       np.array([p.target_min, p.target_max])]
+    return fitted
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="names x86 CPU features")
+def test_fitted_bounds_are_the_same_bytes_at_every_simd_dispatch_level():
+    """No fitted edge, ``vmin``, ``vmax`` or normalization bound is -0.0,
+    and a child process whose numpy dispatches no AVX2 or AVX-512 kernel
+    fits the same bytes as this one (numpy ignores a disabled feature
+    the CPU lacks, so this holds on any x86 host)."""
+    here = signed_zero_fits()
+    for a in here:
+        assert not np.signbit(a[a == 0]).any()
+    paths = [str(Path(wg.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX2,
+           "PYTHONPATH": os.pathsep.join(paths)}
+    code = ("from test_data_pipeline import signed_zero_fits\n"
+            "for a in signed_zero_fits():\n    print(a.tobytes().hex())")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines() == [a.tobytes().hex() for a in here]
 
 
 # ---------------------------------------------------------------------------
