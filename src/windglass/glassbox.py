@@ -42,9 +42,9 @@ near-equal ``BinningMap.populations``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -327,7 +327,9 @@ def _boost(shapes, cells, r, split, depth, config, intercept):
     Rounds stop at ``max_rounds`` or after ``early_stop_patience``
     rounds whose validation RMSE fails to beat the best seen by
     ``early_stop_tol``. The tables are then centered on the training
-    rows per cell (:func:`_center`).
+    rows per cell (:func:`_center`). A round whose validation RMSE is
+    not finite raises ``ValueError`` naming the stage (main-effects for
+    1-D tables, interaction for 2-D), the round and ``learning_rate``.
 
     Returns the tables, ``intercept`` plus the centering offsets, the
     round count and the validation curve.
@@ -346,23 +348,33 @@ def _boost(shapes, cells, r, split, depth, config, intercept):
     best, wait = np.inf, 0
     val_curve: list[float] = []
     rounds = 0
-    for _ in range(config.max_rounds):
-        for cnt, table, c_tr, c_va in steps:
-            sums = np.bincount(c_tr, weights=r_train, minlength=cnt.size
-                               ).reshape(cnt.shape)
-            delta = config.learning_rate * histogram_table(cnt, sums, params)
-            table += delta
-            flat = delta.ravel()
-            r_train -= flat[c_tr]
-            val_err -= flat[c_va]
-        rounds += 1
-        val_curve.append(float(np.sqrt(np.mean(val_err ** 2))))
-        if best - val_curve[-1] >= config.early_stop_tol:
-            best, wait = val_curve[-1], 0
-        else:
-            wait += 1
-        if wait >= config.early_stop_patience:
-            break
+    # A diverging fit overflows before its validation RMSE stops being
+    # finite; that round raises, and no float warning comes first. Targets
+    # past about 1e154 overflow the RMSE at round 1 and raise too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.max_rounds):
+            for cnt, table, c_tr, c_va in steps:
+                sums = np.bincount(c_tr, weights=r_train, minlength=cnt.size
+                                   ).reshape(cnt.shape)
+                delta = config.learning_rate * histogram_table(cnt, sums, params)
+                table += delta
+                flat = delta.ravel()
+                r_train -= flat[c_tr]
+                val_err -= flat[c_va]
+            rounds += 1
+            val_curve.append(float(np.sqrt(np.mean(val_err ** 2))))
+            if not np.isfinite(val_curve[-1]):
+                stage = "interaction" if len(shapes[0]) == 2 else "main-effects"
+                raise ValueError(
+                    f"the {stage} stage diverged: validation RMSE {val_curve[-1]} at "
+                    f"round {rounds} with learning_rate {config.learning_rate} (or "
+                    f"its targets are too large to square)")
+            if best - val_curve[-1] >= config.early_stop_tol:
+                best, wait = val_curve[-1], 0
+            else:
+                wait += 1
+            if wait >= config.early_stop_patience:
+                break
     intercept = _center(tables, cnts, intercept)
     return tables, intercept, rounds, val_curve
 
@@ -477,6 +489,11 @@ def _pair_cells(Xb: np.ndarray, cmaps: dict[int, np.ndarray], pairs):
         yield (int(ci.max()) + 1, sj), ci[Xb[:, i]] * sj + cj[Xb[:, j]]
 
 
+# Cells, and rows of cells, in one block of the pair ranker: the block
+# size of ``apply_bins`` and the MAE split search.
+_RANK_BLOCK = 16_384
+
+
 def _rank_pairs(Xb, residuals, cmaps) -> list[tuple[int, int, float]]:
     """:func:`rank_interaction_pairs` of the binned rows ``Xb`` under
     the coarse maps ``cmaps``, unchecked.
@@ -485,33 +502,74 @@ def _rank_pairs(Xb, residuals, cmaps) -> list[tuple[int, int, float]]:
     over non-empty cells of ``s**2 / c`` (residual sum ``s``, row count
     ``c``). Each feature's coarse column is one contiguous row of ``C``,
     and every pair's cells share the stride ``S``, the largest coarse
-    size, so a pair costs nine array calls and at most ``S**2`` cells,
-    no more than a ``pair_bins`` square grid. The scores are exactly
-    those of bincounts over each pair's own ``ci * sj + cj`` grid:
+    size, so a pair has at most ``S**2`` cells, no more than a
+    ``pair_bins`` square grid. The grids are fitted in blocks
+    (:func:`_block_fits`): the marginals ``k`` features at a time, each
+    feature ``i``'s pairs ``k`` later features at a time, ``k`` set by
+    :data:`_RANK_BLOCK`, so a block's arrays stay near that many
+    entries and a fit of many rows takes one grid per block. The scores
+    are exactly those of bincounts over each pair's own ``ci * sj + cj``
+    grid:
 
     1. ``ci * S + cj`` orders the non-empty cells by ``(ci, cj)``, as
        ``ci * sj + cj`` does, so compacting them gives the same sequence.
-    2. ``bincount`` adds each row's residual into its cell in row order,
-       whatever the output length.
-    3. The integer counts convert to float exactly below 2**53 rows,
-       and ``s * s`` is ``s ** 2``.
-    4. ``np.add.reduce`` on the compacted 1-D array is the pairwise sum
-       ``np.sum`` runs.
+    2. Feature ``f``'s cells are offset by ``f % k`` grid sizes, so in a
+       block each cell belongs to one grid, and ``bincount`` adds each
+       cell's residuals in row order whatever the output length.
+    3. The integer counts convert to float exactly below 2**53 rows; the
+       square and the divide act element by element.
+    4. ``np.add.reduce`` on a grid's contiguous slice of the compacted
+       cells is the pairwise sum ``np.sum`` runs on that grid alone.
     """
-    C = np.stack([cmaps[f][Xb[:, f]] for f in range(Xb.shape[1])])
-    A = C * (C.max() + 1)
-
-    def fit(cell):
-        cnt = np.bincount(cell)
-        nz = cnt.nonzero()[0]
-        s = np.bincount(cell, residuals).take(nz)
-        return float(np.add.reduce(s * s / cnt.take(nz)))
-
-    marginal = [fit(c) for c in C]
-    scored = [(i, j, fit(A[i] + C[j]) - marginal[i] - marginal[j])
-              for i, j in itertools.combinations(range(len(C)), 2)]
-    scored.sort(key=lambda t: (-t[2], t[0], t[1]))
+    n, F = Xb.shape
+    # A map is non-decreasing, so its last entry is its largest.
+    S = max(int(cmaps[f][-1]) for f in range(F)) + 1
+    size = S * S
+    k = max(1, _RANK_BLOCK // max(n, size))
+    # Feature f's coarse column, shifted into grid f % k of an aligned
+    # block of k features: a block of marginals is a slice of C, and a
+    # block of feature i's pairs is an aligned run of later features
+    # plus i's unshifted column times the stride.
+    C = np.empty((F, n), dtype=np.intp)
+    for f in range(F):
+        # Every bin indexes its coarse map, so "clip" clips nothing; it
+        # only spares ``take`` a buffered copy of ``out``.
+        np.take(cmaps[f] + f % k * size, Xb[:, f], out=C[f], mode="clip")
+    # One grid per block reads the residuals as they are.
+    tiled = np.tile(residuals, k) if k > 1 else residuals
+    # Grid g of a block ends before cell ends[g].
+    ends = np.arange(size, (k + 1) * size, size)
+    marginal = [fit for f in range(0, F, k)
+                for fit in _block_fits(C[f:f + k].ravel(), tiled, ends[:F - f])]
+    scored = []
+    for i in range(F - 1):
+        a = C[i] * S
+        if i % k:
+            a -= i % k * size * S
+        for start in range((i + 1) // k * k, F, k):
+            j0, j1 = max(start, i + 1), min(start + k, F)
+            block = (C[j0:j1] + a).ravel()
+            scored += [(i, j, fit - marginal[i] - marginal[j]) for j, fit in zip(
+                range(j0, j1), _block_fits(block, tiled, ends[j0 - start:j1 - start]))]
+    # Pairs come in (i, j) order and the sort is stable: ties keep it.
+    scored.sort(key=itemgetter(2), reverse=True)
     return scored
+
+
+def _block_fits(cells, weights, ends) -> list[float]:
+    """The fit, the sum over non-empty cells of ``s**2 / c``, of each grid
+    of a block: ``cells`` holds every row's cell and the first
+    ``len(cells)`` of ``weights`` their residuals; grid ``g`` holds the
+    cells from ``ends[g - 1]`` (0 for the first grid) to ``ends[g]``,
+    the last grid every cell after."""
+    cnt = np.bincount(cells)
+    nz = (cnt > 0).nonzero()[0]
+    cnt = cnt.take(nz)
+    s = np.bincount(cells, weights[:len(cells)]).take(nz)
+    s *= s
+    s /= cnt
+    cuts = nz.searchsorted(ends[:-1]).tolist()
+    return [float(np.add.reduce(s[a:b])) for a, b in zip([0, *cuts], [*cuts, len(s)])]
 
 
 def _bin_rows(X_binned, n_bins=None) -> np.ndarray:

@@ -194,7 +194,7 @@ def _glassbox_doc(m: GlassBoxModel) -> dict:
 
 def _glassbox_from(doc) -> GlassBoxModel:
     meta = doc["metadata"]
-    model = GlassBoxModel(
+    return GlassBoxModel(
         intercept=float(doc["intercept"]),
         shapes=tuple(
             ShapeFunction(int(s["feature"]), np.asarray(s["values"], dtype=np.float64))
@@ -214,8 +214,6 @@ def _glassbox_from(doc) -> GlassBoxModel:
         val_curve_main=tuple(map(float, meta["val_curve_main"])),
         val_curve_pairs=tuple(map(float, meta["val_curve_pairs"])),
     )
-    _check_glassbox(model)
-    return model
 
 
 def _check_glassbox(m: GlassBoxModel) -> None:
@@ -280,15 +278,17 @@ def _persistence_doc(m: PersistenceModel) -> dict:
 
 
 def _persistence_from(doc) -> PersistenceModel:
-    model = PersistenceModel(
+    return PersistenceModel(
         lag_column=int(doc["lag_column"]),
         feature_names=tuple(map(str, doc["feature_names"])),
         norm_params=_norm_from_doc(doc["normalization"]),
     )
-    if not 0 <= model.lag_column < len(model.feature_names):
-        raise ValueError(f"lag column {model.lag_column} of "
-                         f"{len(model.feature_names)} features")
-    return model
+
+
+def _check_persistence(m: PersistenceModel) -> None:
+    """Raise ValueError unless the lag column names a feature."""
+    if not 0 <= m.lag_column < len(m.feature_names):
+        raise ValueError(f"lag column {m.lag_column} of {len(m.feature_names)} features")
 
 
 def _rt_doc(m: RTBaseline) -> dict:
@@ -303,14 +303,12 @@ def _rt_doc(m: RTBaseline) -> dict:
 
 
 def _rt_from(doc) -> RTBaseline:
-    model = RTBaseline(
+    return RTBaseline(
         tree=_tree_from_doc(doc["tree"]),
         bins=_bins_from_doc(doc),
         feature_names=tuple(map(str, doc["feature_names"])),
         norm_params=_norm_from_doc(doc["normalization"]),
     )
-    _check_rt(model)
-    return model
 
 
 def _check_rt(m: RTBaseline) -> None:
@@ -341,6 +339,12 @@ _WRITERS = [
     (PersistenceModel, _persistence_doc),
     (RTBaseline, _rt_doc),
 ]
+# Each kind's check, run on every model read and every model written.
+_CHECKS = {
+    "glassbox": _check_glassbox,
+    "persistence": _check_persistence,
+    "rt": _check_rt,
+}
 _READERS = {
     "glassbox": _glassbox_from,
     "linear": _linear_from,
@@ -526,6 +530,14 @@ def _write_document(doc: dict, path) -> None:
 # Public API
 # ---------------------------------------------------------------------------
 
+def _check(kind: str, model) -> None:
+    """Raise ValueError unless ``model``, of ``kind``, fits together and
+    holds only finite numbers where a forecast reads them."""
+    check = _CHECKS.get(kind)
+    if check is not None:
+        check(model)
+
+
 def _document(model) -> dict:
     """The document :func:`save_model` writes for ``model``, less the checksum."""
     for cls, writer in _WRITERS:
@@ -535,8 +547,16 @@ def _document(model) -> dict:
 
 
 def save_model(model, path) -> None:
-    """Write any supported forecaster to a versioned model file."""
-    _write_document(_document(model), path)
+    """Write any supported forecaster to a versioned model file.
+
+    A model :func:`load_model` would refuse (a non-finite intercept,
+    table or leaf, tables that do not fit together) raises
+    ``ValueError`` before ``path`` is opened, so no file is created or
+    truncated.
+    """
+    doc = _document(model)
+    _check(doc["kind"], model)
+    _write_document(doc, path)
 
 
 class _FloatMemo(dict):
@@ -583,6 +603,7 @@ def load_model(path):
     if reader is not None:
         try:
             model = reader(doc)
+            _check(kind, model)
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             problem = f"{type(exc).__name__}: {exc}"
         else:

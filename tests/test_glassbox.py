@@ -2,7 +2,9 @@
 monotone loss, interaction ranking, and determinism."""
 
 import itertools
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import windglass as wg
 from conftest import FAST, coarse_map
+from windglass import glassbox
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +358,78 @@ def test_ranking_order_is_unchanged_by_a_power_of_two_scale(case, pair_bins, dat
     assert order == [(a, b) for a, b, _ in wg.rank_interaction_pairs(Xb, scaled, pair_bins)]
 
 
+def reference_ranking_hexes(Xb, r, pair_bins):
+    """What ``rank_interaction_pairs`` must return, as ``score_hexes``:
+    the reference on the residuals scaled by ``2**-k`` (``k`` the
+    exponent of the largest), its scores scaled back by ``2**(2k)``."""
+    cmaps = [coarse_map(np.bincount(Xb[:, f]), pair_bins) for f in range(Xb.shape[1])]
+    k = int(np.frexp(np.abs(r).max())[1])
+    with np.errstate(all="ignore"):
+        return score_hexes((i, j, float(np.ldexp(s, 2 * k)))
+                           for i, j, s in reference_rank_pairs(Xb, np.ldexp(r, -k), cmaps))
+
+
+def ranking_block(Xb, pair_bins, groups, extra=0):
+    """A ranker block constant that puts ``groups`` pair grids of ``Xb``
+    in a block (``extra`` cells more change nothing), or the default for
+    ``None``."""
+    if groups is None:
+        return glassbox._RANK_BLOCK
+    cmaps = [coarse_map(np.bincount(Xb[:, f]), pair_bins) for f in range(Xb.shape[1])]
+    grid = (max(int(m.max()) for m in cmaps) + 1) ** 2
+    unit = max(len(Xb), grid)
+    return 1 if groups == 1 else groups * unit + extra % unit
+
+
+def ranked_under_block(Xb, r, pair_bins, block):
+    """``score_hexes`` of ``rank_interaction_pairs`` with the ranker's
+    block constant set to ``block``."""
+    with mock.patch.object(glassbox, "_RANK_BLOCK", block):
+        return score_hexes(wg.rank_interaction_pairs(Xb, r, pair_bins))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ranker_inputs(), pair_bins=st.integers(2, 40), data=st.data())
+def test_ranking_is_the_reference_whatever_the_block_shape(case, pair_bins, data):
+    """The blocked ranker gives the reference's pairs, order and score
+    bits with one grid per block, two or three grids, a count that
+    splits a first feature's pairs between blocks, or the default."""
+    Xb, r = case
+    n = Xb.shape[1]
+    groups = data.draw(st.sampled_from([1, 2, 3, None]) | st.integers(2, max(2, n - 2)))
+    block = ranking_block(Xb, pair_bins, groups, data.draw(st.integers(0, 10**6)))
+    assert ranked_under_block(Xb, r, pair_bins, block) == reference_ranking_hexes(Xb, r, pair_bins)
+
+
+@pytest.fixture(scope="module")
+def lagged_ranker_input():
+    """The ranker input of a 48-lag fit: the 760 training rows of a
+    1,000-row series and their residuals after one main round."""
+    frame = wg.make_autocorrelated_series(1_000, seed=0)
+    raw = wg.build_lag_features(frame, 48, 2)
+    split = wg.chronological_split(raw.n_rows)
+    matrix = wg.normalize_fit_apply(raw, split.train)
+    bins = wg.fit_bins(matrix.X, split.train)
+    config = wg.TrainConfig(max_rounds=1, early_stop_patience=1)
+    _, residuals = wg.train_main_effects(matrix, split, bins, config)
+    rows = split.train_slice
+    Xb = wg.apply_bins(bins, matrix.X[rows])
+    assert Xb.shape == (760, 48)
+    return Xb, residuals[rows]
+
+
+@pytest.mark.parametrize("groups", [1, 3, 7, None])
+def test_ranking_of_48_lags_is_the_reference(lagged_ranker_input, groups):
+    """All 1,128 pairs of a 48-lag fit, at its own shape: blocks of one
+    grid, of three, of seven (which split every row of pairs), and the
+    default."""
+    Xb, r = lagged_ranker_input
+    block = ranking_block(Xb, 32, groups)
+    got = ranked_under_block(Xb, r, 32, block)
+    assert len(got) == 1_128
+    assert got == reference_ranking_hexes(Xb, r, 32)
+
+
 # The staged pair API's input rule: each bad input, one bad cell or
 # residual enough, and the message that names it.
 BAD_RANKER_INPUTS = {"nan_residual": "non-finite", "inf_residual": "non-finite",
@@ -639,6 +714,42 @@ def test_pair_stage_refuses_bad_input_by_name(trained_setup, bad, at, pairs):
     message = "outside" if bad == "negative_bin" else BAD_RANKER_INPUTS[bad]
     with pytest.raises(ValueError, match=message):
         wg.train_interactions(mains, Xb, split, r, pairs)
+
+
+@pytest.fixture(scope="module")
+def diverging_setup():
+    """A 400-row fit on which a learning rate of 3 diverges."""
+    raw = wg.make_interaction_data(400, 4, seed=1)
+    split = wg.chronological_split(raw.n_rows)
+    return wg.normalize_fit_apply(raw, split.train), split
+
+
+def test_diverging_main_stage_is_refused_before_any_float_warning(diverging_setup):
+    """The main stage stops at the first round whose validation RMSE is
+    not finite and names it: no NaN model comes back, and no overflow
+    warning fires first (every warning is an error here)."""
+    matrix, split = diverging_setup
+    config = wg.TrainConfig(max_rounds=200, learning_rate=3.0, early_stop_patience=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"main-effects stage diverged: validation "
+                                             r"RMSE inf at round 141 with learning_rate 3\.0"):
+            wg.train(matrix, split, config)
+
+
+def test_diverging_pair_stage_is_refused_before_any_float_warning(diverging_setup):
+    """The pair stage holds the main stage's rule."""
+    matrix, split = diverging_setup
+    config = wg.TrainConfig(max_rounds=20, learning_rate=0.3, max_bins=32, pair_bins=8)
+    bins = wg.fit_bins(matrix.X, split.train, 32)
+    model, residuals = wg.train_main_effects(matrix, split, bins, config)
+    wild = replace(config, learning_rate=4.0, max_rounds=300, early_stop_patience=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"interaction stage diverged: validation "
+                                             r"RMSE inf at round 119 with learning_rate 4\.0"):
+            wg.train_interactions(replace(model, config=wild), wg.apply_bins(bins, matrix.X),
+                                  split, residuals, [(0, 1), (1, 2), (0, 2)])
 
 
 class TestModelInvariants:

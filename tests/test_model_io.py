@@ -284,6 +284,39 @@ class TestFailureModes:
         with pytest.raises(TypeError, match="cannot serialize"):
             wg.save_model(object(), tmp_path / "m.json")
 
+    @pytest.mark.parametrize("kind, message", [
+        ("nan_grid", "non-finite pair grid"), ("inf_intercept", "non-finite intercept"),
+        ("nan_leaf", "non-finite leaf value"), ("lag_column", "lag column 6 of 6"),
+    ])
+    def test_save_refuses_what_load_refuses(self, trained_setup, lag_matrix, tmp_path,
+                                            kind, message):
+        """``save_model`` runs ``load_model``'s check before it opens the
+        path: a model no file of which would load raises, creates no
+        file, and leaves an existing file's bytes alone."""
+        model, _, _ = trained_setup
+        matrix, split = lag_matrix
+        if kind == "nan_grid":
+            grid = model.pairs[0].grid.copy()
+            grid[0, 0] = NAN
+            bad = replace(model, pairs=(replace(model.pairs[0], grid=grid), *model.pairs[1:]))
+        elif kind == "inf_intercept":
+            bad = replace(model, intercept=INF)
+        elif kind == "nan_leaf":
+            rt = wg.fit_rt_baseline(matrix, split.train, max_bins=32)
+            nodes = tuple(nd._replace(value=NAN) if nd.is_leaf else nd
+                          for nd in rt.tree.nodes)
+            bad = replace(rt, tree=replace(rt.tree, nodes=nodes))
+        else:
+            bad = replace(wg.PersistenceModel.from_matrix(matrix), lag_column=6)
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=message):
+            wg.save_model(bad, path)
+        assert not path.exists()
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match=message):
+            wg.save_model(bad, path)
+        assert path.read_bytes() == b"kept"
+
 
 def assert_same_model(a, b, where="model"):
     """``a`` equals ``b`` in every dataclass field, recursively: arrays by
