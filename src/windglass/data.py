@@ -579,7 +579,8 @@ def _fit_binned(X, fit_range, max_bins, out=None) -> tuple[BinningMap, np.ndarra
     One sort of every fit column at once, along the rows of a copy of
     the transposed fit rows, gives the edges (:func:`_edges_of_sorted`);
     the populations are one ``bincount`` of the fit rows' bins, offset
-    per feature. ``vmin`` and ``vmax`` have 0.0 added, as the edges do.
+    per feature. ``vmin`` and ``vmax`` are the first and last sorted
+    values with 0.0 added, as the edges have.
     """
     max_bins = _integer("max_bins", max_bins)
     if max_bins < 2:
@@ -596,8 +597,8 @@ def _fit_binned(X, fit_range, max_bins, out=None) -> tuple[BinningMap, np.ndarra
     counts = np.bincount((Xb + offsets).ravel(), minlength=int(sizes.sum()))
     bmap = BinningMap(
         edges=edges,
-        vmin=Xf.min(axis=0) + 0.0,
-        vmax=Xf.max(axis=0) + 0.0,
+        vmin=S[:, 0] + 0.0,
+        vmax=S[:, -1] + 0.0,
         populations=_split(counts, sizes),
         max_bins=max_bins,
     )

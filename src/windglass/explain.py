@@ -191,12 +191,11 @@ def _coarse_centers(model: GlassBoxModel, f: int) -> np.ndarray:
     """Midpoints of each coarse bin's value span."""
     cmap = model.coarse_maps[f]
     b = bin_boundaries(model.bins, f)
-    n_coarse = int(cmap.max()) + 1
-    centers = np.empty(n_coarse)
-    for c in range(n_coarse):
-        members = np.flatnonzero(cmap == c)
-        centers[c] = 0.5 * (b[members[0]] + b[members[-1] + 1])
-    return centers
+    # The map is non-decreasing, so coarse bin c is the c-th run of its
+    # main bins: it spans from the lower bound of its first bin to that
+    # of the next run's first bin.
+    starts = np.flatnonzero(np.diff(cmap, prepend=-1))
+    return 0.5 * (b[starts] + b[np.append(starts[1:], len(cmap))])
 
 
 def _pair_term(model: GlassBoxModel, pair) -> PairShapeFunction:

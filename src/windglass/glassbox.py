@@ -513,9 +513,10 @@ def _rank_pairs(Xb, residuals, cmaps) -> list[tuple[int, int, float]]:
 
     1. ``ci * S + cj`` orders the non-empty cells by ``(ci, cj)``, as
        ``ci * sj + cj`` does, so compacting them gives the same sequence.
-    2. Feature ``f``'s cells are offset by ``f % k`` grid sizes, so in a
-       block each cell belongs to one grid, and ``bincount`` adds each
-       cell's residuals in row order whatever the output length.
+    2. Grid ``g`` of a block has its cells offset by ``g * S**2``,
+       added as the block is built, so each cell belongs to one grid,
+       and ``bincount`` adds each cell's residuals in row order whatever
+       the output length.
     3. The integer counts convert to float exactly below 2**53 rows; the
        square and the divide act element by element.
     4. ``np.add.reduce`` on a grid's contiguous slice of the compacted
@@ -526,31 +527,26 @@ def _rank_pairs(Xb, residuals, cmaps) -> list[tuple[int, int, float]]:
     S = max(int(cmaps[f][-1]) for f in range(F)) + 1
     size = S * S
     k = max(1, _RANK_BLOCK // max(n, size))
-    # Feature f's coarse column, shifted into grid f % k of an aligned
-    # block of k features: a block of marginals is a slice of C, and a
-    # block of feature i's pairs is an aligned run of later features
-    # plus i's unshifted column times the stride.
     C = np.empty((F, n), dtype=np.intp)
     for f in range(F):
         # Every bin indexes its coarse map, so "clip" clips nothing; it
         # only spares ``take`` a buffered copy of ``out``.
-        np.take(cmaps[f] + f % k * size, Xb[:, f], out=C[f], mode="clip")
+        np.take(cmaps[f], Xb[:, f], out=C[f], mode="clip")
     # One grid per block reads the residuals as they are.
     tiled = np.tile(residuals, k) if k > 1 else residuals
-    # Grid g of a block ends before cell ends[g].
-    ends = np.arange(size, (k + 1) * size, size)
-    marginal = [fit for f in range(0, F, k)
-                for fit in _block_fits(C[f:f + k].ravel(), tiled, ends[:F - f])]
+    # Grid g of a block starts at cell off[g] and ends before ends[g].
+    off = np.arange(0, k * size, size)[:, None]
+    ends = off.ravel() + size
+    marginal = [fit for f in range(0, F, k) for fit in _block_fits(
+        (C[f:f + k] + off[:F - f]).ravel(), tiled, ends[:F - f])]
     scored = []
     for i in range(F - 1):
-        a = C[i] * S
-        if i % k:
-            a -= i % k * size * S
-        for start in range((i + 1) // k * k, F, k):
-            j0, j1 = max(start, i + 1), min(start + k, F)
-            block = (C[j0:j1] + a).ravel()
-            scored += [(i, j, fit - marginal[i] - marginal[j]) for j, fit in zip(
-                range(j0, j1), _block_fits(block, tiled, ends[j0 - start:j1 - start]))]
+        a = C[i] * S + off[:F - 1 - i]
+        for j0 in range(i + 1, F, k):
+            m = min(k, F - j0)
+            fits = _block_fits((C[j0:j0 + m] + a[:m]).ravel(), tiled, ends[:m])
+            scored += [(i, j, fit - marginal[i] - marginal[j])
+                       for j, fit in zip(range(j0, j0 + m), fits)]
     # Pairs come in (i, j) order and the sort is stable: ties keep it.
     scored.sort(key=itemgetter(2), reverse=True)
     return scored

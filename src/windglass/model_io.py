@@ -169,7 +169,6 @@ def _tree_from_doc(d) -> RegressionTree:
 
 def _glassbox_doc(m: GlassBoxModel) -> dict:
     return {
-        "kind": "glassbox",
         "metadata": {
             "config": asdict(m.config),
             "rounds_main": m.rounds_main,
@@ -249,7 +248,6 @@ def _check_glassbox(m: GlassBoxModel) -> None:
 
 def _linear_doc(m: LinearModel) -> dict:
     return {
-        "kind": "linear",
         "metadata": {},
         "intercept": float(m.intercept),
         "weights": m.weights,
@@ -269,7 +267,6 @@ def _linear_from(doc) -> LinearModel:
 
 def _persistence_doc(m: PersistenceModel) -> dict:
     return {
-        "kind": "persistence",
         "metadata": {},
         "lag_column": m.lag_column,
         "feature_names": list(map(str, m.feature_names)),
@@ -293,7 +290,6 @@ def _check_persistence(m: PersistenceModel) -> None:
 
 def _rt_doc(m: RTBaseline) -> dict:
     return {
-        "kind": "rt",
         "metadata": {},
         "tree": _tree_to_doc(m.tree),
         **_bins_to_doc(m.bins),
@@ -333,23 +329,14 @@ def _check_rt(m: RTBaseline) -> None:
                              f"not in ({k}, {len(nodes)})")
 
 
-_WRITERS = [
-    (GlassBoxModel, _glassbox_doc),
-    (LinearModel, _linear_doc),
-    (PersistenceModel, _persistence_doc),
-    (RTBaseline, _rt_doc),
-]
-# Each kind's check, run on every model read and every model written.
-_CHECKS = {
-    "glassbox": _check_glassbox,
-    "persistence": _check_persistence,
-    "rt": _check_rt,
-}
-_READERS = {
-    "glassbox": _glassbox_from,
-    "linear": _linear_from,
-    "persistence": _persistence_from,
-    "rt": _rt_from,
+# Each kind's class, writer, reader and check, the check run on every
+# model read and every model written (a LinearModel checks itself).
+_KINDS = {
+    "glassbox": (GlassBoxModel, _glassbox_doc, _glassbox_from, _check_glassbox),
+    "linear": (LinearModel, _linear_doc, _linear_from, None),
+    "persistence": (PersistenceModel, _persistence_doc, _persistence_from,
+                    _check_persistence),
+    "rt": (RTBaseline, _rt_doc, _rt_from, _check_rt),
 }
 
 
@@ -530,19 +517,11 @@ def _write_document(doc: dict, path) -> None:
 # Public API
 # ---------------------------------------------------------------------------
 
-def _check(kind: str, model) -> None:
-    """Raise ValueError unless ``model``, of ``kind``, fits together and
-    holds only finite numbers where a forecast reads them."""
-    check = _CHECKS.get(kind)
-    if check is not None:
-        check(model)
-
-
 def _document(model) -> dict:
     """The document :func:`save_model` writes for ``model``, less the checksum."""
-    for cls, writer in _WRITERS:
+    for kind, (cls, writer, _, _) in _KINDS.items():
         if isinstance(model, cls):
-            return {**writer(model), "format_version": FORMAT_VERSION}
+            return {"kind": kind, **writer(model), "format_version": FORMAT_VERSION}
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
@@ -555,7 +534,9 @@ def save_model(model, path) -> None:
     truncated.
     """
     doc = _document(model)
-    _check(doc["kind"], model)
+    check = _KINDS[doc["kind"]][3]
+    if check is not None:
+        check(model)
     _write_document(doc, path)
 
 
@@ -599,11 +580,13 @@ def load_model(path):
         )
     stored = doc.pop("checksum", None)
     kind = doc.get("kind")
-    reader = _READERS.get(kind) if isinstance(kind, str) else None
-    if reader is not None:
+    row = _KINDS.get(kind) if isinstance(kind, str) else None
+    if row is not None:
+        _, _, reader, check = row
         try:
             model = reader(doc)
-            _check(kind, model)
+            if check is not None:
+                check(model)
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             problem = f"{type(exc).__name__}: {exc}"
         else:
@@ -617,6 +600,6 @@ def load_model(path):
             problem = "not what save_model writes for its model"
     if stored != _digest(_encode_leaves(doc)):
         raise ModelFormatError(f"model file checksum mismatch: {path}")
-    if reader is None:
+    if row is None:
         raise ModelFormatError(f"unknown model kind {kind!r} in {path}")
     raise ModelFormatError(f"malformed {kind} model file: {path} ({problem})")

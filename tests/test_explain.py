@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windglass as wg
+import windglass.data
 import windglass.explain
 import windglass.glassbox
 from conftest import FAST, fits, small_fit
@@ -106,6 +107,33 @@ class TestExports:
         assert curve.values.shape == pt.grid.shape
         assert len(curve.x) == pt.grid.shape[0]
         assert len(curve.y) == pt.grid.shape[1]
+
+    @pytest.mark.parametrize("which", ["trained", "small"])
+    def test_heatmap_axes_and_values_are_the_model_terms(self, trained_setup, which):
+        """Each axis is the midpoints of the coarse bins' value spans, as
+        the per-bin loop it replaced computed them, and evaluating the
+        model at every ``(x[r], y[c])`` gives ``grid[r, c]``."""
+        model = trained_setup[0] if which == "trained" else small_fit(0, 4, 10)[0]
+
+        def loop_centers(f):
+            cmap = model.coarse_maps[f]
+            b = windglass.data.bin_boundaries(model.bins, f)
+            centers = np.empty(int(cmap.max()) + 1)
+            for c in range(len(centers)):
+                members = np.flatnonzero(cmap == c)
+                centers[c] = 0.5 * (b[members[0]] + b[members[-1] + 1])
+            return centers
+
+        assert model.pairs
+        for t, pt in enumerate(model.pairs):
+            curve = wg.export_pair_heatmap(model, (pt.i, pt.j))
+            assert curve.x.tobytes() == loop_centers(pt.i).tobytes()
+            assert curve.y.tobytes() == loop_centers(pt.j).tobytes()
+            probe = np.full((curve.values.size, model.n_features), 0.5)
+            probe[:, pt.i] = np.repeat(curve.x, len(curve.y))
+            probe[:, pt.j] = np.tile(curve.y, len(curve.x))
+            contrib = model.term_contributions(probe)[:, model.n_features + t]
+            np.testing.assert_array_equal(contrib.reshape(curve.values.shape), pt.grid)
 
     def test_denormalized_axis_inverts_min_max(self, trained_setup):
         model, _, _ = trained_setup

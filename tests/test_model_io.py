@@ -79,6 +79,32 @@ class TestRoundTrip:
         assert hashlib.sha256(data).hexdigest() == (
             "a75f1b70927fbfb3974e8ac62ac5e5a8bd3468e4c6b1ae74f6418ca8465ed0a6")
 
+    @pytest.mark.parametrize("kind, size, digest", [
+        ("linear", 432, "44e85e92c7e6c47337f6ed603f4f5702dabd967dce1ac18ae4008ff4bba5e774"),
+        ("persistence", 392, "a5cdd399a856ff3191969d0305348c3849564192191708e4b07797f2eb038f6e"),
+        ("persistence_unnormalized", 226,
+         "df77eea36fbac7502f8fda9b2ca7695fb6157e9ee2290ab216874424794d9fc3"),
+    ])
+    def test_hand_built_file_bytes_are_pinned(self, kind, size, digest, tmp_path):
+        """Hand-built linear and persistence models write the same file
+        bytes: fixed numbers, so no BLAS call decides them. A change to
+        the kind tag, the key order or a writer fails here."""
+        names = ("lag_2", "lag_1", "lag_0")
+        norm = wg.NormParams(feature_min=np.array([-1.5, 0.0, 2.25]),
+                             feature_max=np.array([3.0, 0.1, 7.75]),
+                             target_min=-0.5, target_max=12.0)
+        model = {
+            "linear": wg.LinearModel(intercept=0.125, weights=np.array([0.5, -0.25, 1e-3]),
+                                     feature_names=names, norm_params=norm),
+            "persistence": wg.PersistenceModel(lag_column=2, feature_names=names,
+                                               norm_params=norm),
+            "persistence_unnormalized": wg.PersistenceModel(lag_column=0,
+                                                            feature_names=("a",)),
+        }[kind]
+        wg.save_model(model, tmp_path / "m.json")
+        data = (tmp_path / "m.json").read_bytes()
+        assert len(data) == size and hashlib.sha256(data).hexdigest() == digest
+
     @pytest.mark.parametrize("bagging_count, size, digest", [
         (1, 58221, "749d029304600ee5755b1616dbd52b7cc0affe14a6ef6ae338c8cecb2df1297c"),
         (2, 56335, "daa3bd7a447a2fa5d7427ce592f8348544fd99e13119caaab5f8a4fa1fb5efe6"),

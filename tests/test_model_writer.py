@@ -162,9 +162,7 @@ MODEL_NAMES = ["glassbox", "glassbox_no_pairs", "glassbox_bagged", "linear",
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_every_model_kind_byte_identical(models, tmp_path, name):
     model = models[name]
-    doc = next(writer(model) for cls, writer in model_io._WRITERS
-               if isinstance(model, cls))
-    doc["format_version"] = model_io.FORMAT_VERSION
+    doc = model_io._document(model)
     wg.save_model(model, tmp_path / "new.json")
     assert (tmp_path / "new.json").read_bytes() == reference_bytes(
         doc, tmp_path / "ref.json", default=lambda a: a.tolist())
